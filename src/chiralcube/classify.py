@@ -80,7 +80,7 @@ class VerificationReport:
             mark = "[ ok ]" if c.passed else "[FAIL]"
             line = "%s %-28s %s" % (mark, c.key, c.claim)
             if not c.passed:
-                line += "  (expected %r, got %r)" % (c.expected, c.computed)
+                line += "  (expected %s, got %s)" % (_show(c.expected), _show(c.computed))
             lines.append(line)
             if c.anchor != DERIVED:
                 lines.append(' ' * 7 + '"%s"' % c.anchor)
@@ -91,6 +91,13 @@ class VerificationReport:
         lines.append("ALL CHECKS PASSED" if failed == 0
                      else "%d CHECKS FAILED" % failed)
         return "\n".join(lines) + "\n"
+
+
+def _show(x):
+    """repr, with set members sorted so no hash seed changes the text."""
+    if isinstance(x, (set, frozenset)) and x:
+        return "{%s}" % ", ".join(sorted(map(_show, x)))
+    return repr(x)
 
 
 def _jsonable(x):
@@ -149,15 +156,19 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         [], validate(g))
 
-    odd = frozenset(v for v in range(g.n_vertices)
-                    if sum(1 for c in e0.coords[v] if c < 0) % 2)
-    complete_bipartite = all(
-        ((u in odd) != (v in odd)) for u, v, _ in g.edges
-    ) and len(g.edges) == len(odd) * (g.n_vertices - len(odd))
-    add("base.complete_bipartite",
-        "edge skeleton plus diagonals is complete bipartite on the two parities",
-        DERIVED,
-        True, complete_bipartite)
+    bipartite_claim = ("edge skeleton plus diagonals is complete bipartite "
+                       "on the two parities")
+    if g.n_vertices != len(e0.coords):
+        fail("base.complete_bipartite", bipartite_claim, DERIVED, True,
+             "%d vertices, %d sign classes" % (g.n_vertices, len(e0.coords)))
+    else:
+        odd = frozenset(v for v in range(g.n_vertices)
+                        if sum(1 for c in e0.coords[v] if c < 0) % 2)
+        complete_bipartite = all(
+            ((u in odd) != (v in odd)) for u, v, _ in g.edges
+        ) and len(g.edges) == len(odd) * (g.n_vertices - len(odd))
+        add("base.complete_bipartite", bipartite_claim, DERIVED,
+            True, complete_bipartite)
 
     try:
         e = EmbeddedGraph(g, e0.coords, True)

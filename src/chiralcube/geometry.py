@@ -125,16 +125,21 @@ class IsometryMatrix:
         return np.array(self.rows, dtype=float)
 
 
+_SIGNED_MATRICES = {}
+
+
 def all_signed_matrices(n=4, projective=False):
     """Every signed permutation matrix of the given dimension, sorted.
 
-    384 matrices for n=4, or 192 classes modulo -I.
+    384 matrices for n=4, or 192 classes modulo -I; each tuple is built once.
     """
-    out = set()
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.add(IsometryMatrix.from_perm_signs(perm, signs, projective))
-    return tuple(sorted(out, key=lambda m: m.rows))
+    key = (n, projective)
+    if key not in _SIGNED_MATRICES:
+        out = {IsometryMatrix.from_perm_signs(perm, signs, projective)
+               for perm in itertools.permutations(range(n))
+               for signs in itertools.product((1, -1), repeat=n)}
+        _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: m.rows))
+    return _SIGNED_MATRICES[key]
 
 
 def orientation(m):
@@ -203,7 +208,9 @@ class EmbeddedGraph:
                 nz = next((c for c in x if c != 0), 0)
                 if nz < 0:
                     raise GraphError("projective representative %r not canonical" % (x,))
-        if len(set(self.coords)) != len(self.coords):
+        # vertex id of each coordinate tuple, built once for every scan
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.coords)})
+        if len(self._index) != len(self.coords):
             raise GraphError("coordinates collide")
         for u, v, _ in self.graph.edges:
             self.direction(u, v)  # raises if some edge spans >1 coordinate
@@ -291,19 +298,14 @@ def hypercube_embedding():
 def vertex_permutation(e, m):
     """Permutation of e's vertices induced by the matrix m, or None if m
     does not preserve the vertex set."""
+    perm, signs = m.perm_signs()
     imgs = []
-    lookup = {x: i for i, x in enumerate(e.coords)}
     for x in e.coords:
-        y = m.apply(x)
-        if e.projective:
-            nz = next((c for c in y if c != 0), 0)
-            if nz < 0:
-                y = tuple(-c for c in y)
-        if y not in lookup:
-            return None
-        imgs.append(lookup[y])
-    p = VertexPermutation(tuple(imgs))
-    return p
+        y = tuple(s * x[j] for j, s in zip(perm, signs))
+        if e.projective and next((c for c in y if c != 0), 0) < 0:
+            y = tuple(-c for c in y)
+        imgs.append(e._index.get(y))
+    return None if None in imgs else VertexPermutation(tuple(imgs))
 
 
 @dataclass(frozen=True)
@@ -330,10 +332,9 @@ class GeometricGroup:
         return GeometricGroup(sub, {p: self.matrices[p] for p in keep})
 
 
-def _maps_coloring(e, m, src, dst):
-    """Does matrix m send coloring src to coloring dst up to renaming
-    colors?  src and dst are Colorings over e.graph's edge list."""
-    p = vertex_permutation(e, m)
+def _maps_coloring(e, p, src, dst):
+    """Does vertex permutation p (never if None) send coloring src to
+    coloring dst up to renaming colors?  Both are over e.graph's edges."""
     if p is None:
         return False
     pairs = set(e.graph.edge_pairs)
@@ -362,9 +363,9 @@ def geometric_symmetry_group(e, coloring=None):
         coloring = Coloring.of(e.graph)
     elements, matrices = [], {}
     for m in all_signed_matrices(e.dimension, e.projective):
-        if not _maps_coloring(e, m, coloring, coloring):
-            continue
         p = vertex_permutation(e, m)
+        if not _maps_coloring(e, p, coloring, coloring):
+            continue
         if p in matrices:
             raise GraphError("matrix action on vertices is not faithful")
         matrices[p] = m
@@ -376,11 +377,9 @@ def geometric_symmetry_group(e, coloring=None):
 def exchanging_isometries(e, c1, c2):
     """All isometries taking coloring c1 to coloring c2 (up to color
     renaming), with their orientations: a list of (matrix, det) pairs."""
-    out = []
-    for m in all_signed_matrices(e.dimension, e.projective):
-        if _maps_coloring(e, m, c1, c2):
-            out.append((m, orientation(m)))
-    return out
+    return [(m, orientation(m))
+            for m in all_signed_matrices(e.dimension, e.projective)
+            if _maps_coloring(e, vertex_permutation(e, m), c1, c2)]
 
 
 # ------------------------------------------------- coloring properties
@@ -510,8 +509,7 @@ def lift_cycle(e, cycle):
     """
     if not e.projective:
         raise ValueError("only projective embeddings have a double cover")
-    cover = lift_double_cover(e)
-    index = {x: i for i, x in enumerate(cover.coords)}
+    index = lift_double_cover(e)._index
     cycle = tuple(cycle)
     out = []
     starts = [e.coords[cycle[0]], tuple(-c for c in e.coords[cycle[0]])]
@@ -587,11 +585,10 @@ def off_text(e, p, comment=None):
         for fid in p.faces_of_rank(2):
             cycles.extend(lift_cycle(e, two_face_cycle(p, fid)))
         cycles = sorted(set(cycles))
-        index = {x: i for i, x in enumerate(cover.coords)}
         lines.append("# double cover of a projective embedding")
-        pairs = sorted((i, index[tuple(-c for c in x)])
+        pairs = sorted((i, cover._index[tuple(-c for c in x)])
                        for i, x in enumerate(cover.coords)
-                       if i < index[tuple(-c for c in x)])
+                       if i < cover._index[tuple(-c for c in x)])
         lines.append("# antipodal pairs: "
                      + " ".join("%d:%d" % pr for pr in pairs))
         coords = cover.coords

@@ -105,6 +105,7 @@ class PermutationGroup:
         if elements is None:
             elements = _close(self.generators)
         self.elements = tuple(sorted(elements, key=lambda p: p.images))
+        self._element_set = frozenset(self.elements)
         self.color_perms = dict(color_perms) if color_perms is not None else None
 
     @property
@@ -118,7 +119,7 @@ class PermutationGroup:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in set(self.elements)
+        return p in self._element_set
 
     def __eq__(self, other):
         return (isinstance(other, PermutationGroup)
@@ -163,11 +164,16 @@ class PermutationGroup:
         }
 
 
-def _close(generators):
-    """Breadth-first closure of a generator set."""
-    ident = VertexPermutation.identity(generators[0].degree)
-    els = {ident}
-    frontier = [ident]
+def _close(generators, els=None):
+    """Breadth-first closure of a generator set.  When given, `els` is
+    grown in place: a set holding the identity, closed under all but the
+    last generator."""
+    if els is None:
+        els = {VertexPermutation.identity(generators[0].degree)}
+        frontier = list(els)
+    else:
+        frontier = [b for b in {a * generators[-1] for a in els} if b not in els]
+        els.update(frontier)
     while frontier:
         fresh = []
         for a in frontier:
@@ -193,18 +199,14 @@ def reduce_generators(elements):
     """Small generating set for a materialized group: greedily add
     elements not yet generated.  Always nonempty (identity if trivial)."""
     elements = sorted(elements, key=lambda p: p.images)
-    target = set(elements)
-    n = elements[0].degree
-    ident = VertexPermutation.identity(n)
+    ident = VertexPermutation.identity(elements[0].degree)
     gens = []
     span = {ident}
     for p in elements:
         if p in span:
             continue
         gens.append(p)
-        span = _close(tuple(gens))
-        if len(span) == len(target):
-            break
+        _close(gens, span)
     return tuple(gens) if gens else (ident,)
 
 
@@ -232,6 +234,13 @@ def _map_edge(e, sigma):
     return (a, b) if a < b else (b, a)
 
 
+def _face_image(p, f, sigma):
+    """Id of the image of face f under sigma, or None if not a face."""
+    vs = frozenset(sigma(v) for v in f.vertices)
+    es = frozenset(_map_edge(e, sigma) for e in f.edges)
+    return p.face_index(f.rank, vs, es)
+
+
 def induced_face_action(p, sigma):
     """Permutation of p's face ids induced by vertex permutation sigma.
 
@@ -240,9 +249,7 @@ def induced_face_action(p, sigma):
     """
     images = []
     for f in p.faces:
-        vs = frozenset(sigma(v) for v in f.vertices)
-        es = frozenset(_map_edge(e, sigma) for e in f.edges)
-        j = p.face_index(f.rank, vs, es)
+        j = _face_image(p, f, sigma)
         if j is None:
             raise NotAnAutomorphismError(
                 f.id, "image of face %d under %r is not a face" % (f.id, sigma.images))
@@ -322,16 +329,18 @@ def classify_symmetry(p, G):
 
 def chain_stabilizer(p, G, chain):
     """Subgroup of G fixing each face in `chain` (ids of pairwise
-    incident faces).  ValueError if two chain faces are incomparable."""
+    incident faces).  ValueError if two chain faces are incomparable;
+    NotAnAutomorphismError if G does not act on p's faces."""
     chain = tuple(chain)
     for a in chain:
         for b in chain:
             if not (p.leq(a, b) or p.leq(b, a)):
                 raise ValueError("faces %d and %d are not incident" % (a, b))
+    for g in G.generators:  # automorphisms compose: this checks all of G
+        induced_face_action(p, g)
     keep, cp = [], {}
     for g in G.elements:
-        act = induced_face_action(p, g)
-        if all(act(f) == f for f in chain):
+        if all(_face_image(p, p.faces[f], g) == f for f in chain):
             keep.append(g)
             if G.color_perms is not None:
                 cp[g] = G.color_perms[g]

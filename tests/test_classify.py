@@ -1,10 +1,17 @@
 """The end-to-end verification report and the enantiomorph verdicts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chiralcube.classify import enantiomorph_check, verify_paper
+import chiralcube
+from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
+                                 enantiomorph_check, verify_paper)
+from chiralcube.geometry import hypercube_embedding
 from chiralcube.graph import ColoredGraph
 
 
@@ -83,3 +90,59 @@ def test_enantiomorph_verdicts(hemi, twins):
     assert enantiomorph_check(twins[0], twins[0], hemi) == "same form"
     reg = hemi.direction_coloring()
     assert enantiomorph_check(reg, twins[0], hemi) == "neither"
+
+
+def _mutations(base):
+    """Every one-edge recolouring, every dropped edge, a fifth colour
+    declared, and the 16-vertex hypercube in place of the quotient."""
+    edges = list(base.edges)
+    k = base.n_colors
+    for i, (u, v, c) in enumerate(edges):
+        for new in range(k):
+            if new != c:
+                yield ColoredGraph(base.n_vertices, k,
+                                   tuple(edges[:i] + [(u, v, new)] + edges[i + 1:]))
+        yield ColoredGraph(base.n_vertices, k, tuple(edges[:i] + edges[i + 1:]))
+    yield ColoredGraph(base.n_vertices, k + 1, tuple(edges))
+    yield hypercube_embedding().graph
+
+
+def test_mutated_base_graphs_reported_not_raised(hemi):
+    graphs = list(_mutations(hemi.graph))
+    assert len(graphs) == 16 * 3 + 16 + 1 + 1
+    for g in graphs:
+        r = verify_paper(base_graph=g)  # must not raise
+        assert not r.passed
+        r.to_text()
+
+
+def test_hypercube_base_graph_fails_its_rows(cube_embedding):
+    r = verify_paper(base_graph=cube_embedding.graph)
+    failed = [c.key for c in r.checks if not c.passed]
+    assert failed == ["base.complete_bipartite", "base.embedding"]
+    assert "16 vertices" in r.checks[1].computed
+
+
+def test_failing_rows_render_sets_sorted():
+    row = CheckResult("k", "claim", DERIVED, {(2, "b"), (1, "a"), (10, "c")},
+                      frozenset({3, -1}), False)
+    text = VerificationReport((row,)).to_text()
+    assert "(expected {(1, 'a'), (10, 'c'), (2, 'b')}, got {-1, 3})" in text
+
+
+def test_failing_report_text_ignores_hash_seed():
+    # a non-twin coloring fails rows whose values are sets of tuples,
+    # which these hash seeds iterate in more than one order
+    src = str(Path(chiralcube.__file__).resolve().parents[1])
+    code = ("import chiralcube as cc\n"
+            "g = cc.hemicube_embedding().graph\n"
+            "c = cc.enumerate_matching_colorings(g, up_to_color_permutation=True)[1]\n"
+            "print(cc.verify_paper(coloring=c).to_text(), end='')\n")
+    texts = set()
+    for seed in ("0", "1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert "[FAIL]" in run.stdout
+        texts.add(run.stdout)
+    assert len(texts) == 1

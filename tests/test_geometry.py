@@ -14,7 +14,8 @@ from chiralcube.geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
                                  lift_double_cover, off_text, orientation,
                                  rotation_profile, squares_see_all_colors,
                                  vertex_permutation)
-from chiralcube.graph import GraphError, components_by_colorset
+from chiralcube.graph import Coloring, GraphError, components_by_colorset
+from chiralcube.group import VertexPermutation
 from chiralcube.polytope import two_face_cycle
 
 
@@ -372,3 +373,51 @@ def test_off_export_projective_doubles(hemi, P):
 
 def test_off_export_stable(hemi, P):
     assert off_text(hemi, P) == off_text(hemi, P)
+
+
+def _brute_force_scan(e, src, dst):
+    """(vertex permutation, matrix) for every matrix sending coloring
+    src to dst up to renaming colors, by dense matrix application."""
+    lookup = {x: i for i, x in enumerate(e.coords)}
+    pairs = set(e.graph.edge_pairs)
+    out = []
+    for m in all_signed_matrices(e.dimension, e.projective):
+        imgs = []
+        for x in e.coords:
+            y = m.apply(x)
+            if e.projective and next(c for c in y if c != 0) < 0:
+                y = tuple(-c for c in y)
+            imgs.append(lookup.get(y))
+        if None in imgs:
+            continue
+        renaming = set()
+        for (u, v), c in zip(src.edge_pairs, src.colors):
+            a, b = sorted((imgs[u], imgs[v]))
+            if (a, b) not in pairs:
+                break
+            renaming.add((c, dst.color_of(a, b)))
+        else:
+            # the color pairs seen must form a bijection
+            if len({c for c, _ in renaming}) == len({d for _, d in renaming}) \
+                    == len(renaming):
+                out.append((VertexPermutation(tuple(imgs)), m))
+    return out
+
+
+def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embedding):
+    reg = hemi.direction_coloring()
+    mirror_cover = lift_double_cover(hemi, twins[1])
+    assert mirror_cover.graph.edge_pairs == cover.graph.edge_pairs
+    hat, hat_m = Coloring.of(cover.graph), Coloring.of(mirror_cover.graph)
+    cube = Coloring.of(cube_embedding.graph)
+    # P, Q, the mirror, Q-hat and the 4-cube
+    for e, c in ((hemi, reg), (hemi, twins[0]), (hemi, twins[1]),
+                 (cover, hat), (cube_embedding, cube)):
+        G = geometric_symmetry_group(e, c)
+        assert G.matrices == dict(_brute_force_scan(e, c, c))
+        assert set(G) == set(G.matrices)
+    for e, c1, c2 in ((hemi, twins[0], twins[1]), (hemi, reg, twins[0]),
+                      (hemi, twins[1], twins[1]), (cover, hat, hat_m),
+                      (cube_embedding, cube, cube)):
+        expected = [(m, orientation(m)) for _, m in _brute_force_scan(e, c1, c2)]
+        assert exchanging_isometries(e, c1, c2) == expected

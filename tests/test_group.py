@@ -207,3 +207,57 @@ def test_edge_pointwise_stabilizer(Q, GQ):
     v = next(i for i in Q.faces_of_rank(0) if Q.leq(i, e1))
     st = chain_stabilizer(Q, GQ.group, [v, e1])
     assert st.order == 3 and st.is_cyclic()
+
+
+def _paper_chains(p):
+    """Each facet, then square-in-facet, vertex-in-facet and
+    vertex-in-edge chains, chosen as verify_paper chooses them."""
+    chains = [[f] for f in p.faces_of_rank(3)]
+    f2 = p.faces_of_rank(2)[0]
+    chains.append([f2, next(i for i in p.faces_of_rank(3) if p.leq(f2, i))])
+    v0 = p.faces_of_rank(0)[0]
+    chains.append([v0, next(i for i in p.faces_of_rank(3) if p.leq(v0, i))])
+    e1 = p.faces_of_rank(1)[0]
+    chains.append([next(i for i in p.faces_of_rank(0) if p.leq(i, e1)), e1])
+    return chains
+
+
+def test_chain_stabilizer_matches_full_face_action(Q, GQ, H, GH, P, AP):
+    # the definition: keep the elements whose whole face action fixes
+    # every chain face; AP also carries color permutations
+    cases = [(Q, GQ.group, _paper_chains(Q) + [[f.id] for f in Q.faces]),
+             (H, GH.group, _paper_chains(H)),
+             (P, AP, _paper_chains(P))]
+    for p, G, chains in cases:
+        actions = {g: induced_face_action(p, g) for g in G.elements}
+        for chain in chains:
+            keep = [g for g in G.elements if all(actions[g](f) == f for f in chain)]
+            st = chain_stabilizer(p, G, chain)
+            assert st.elements == tuple(keep)
+            assert st.generators == reduce_generators(keep)
+            if G.color_perms is not None:
+                assert st.color_perms == {g: G.color_perms[g] for g in keep}
+
+
+def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
+    # the bad swap fixes vertex 0, so only the automorphism check sees it
+    bad = VertexPermutation((0, 1, 2, 4, 3, 5, 6, 7))
+    v0 = P.faces_of_rank(0)[0]
+    for G in (closure([bad]), closure([AP.elements[3], bad])):
+        with pytest.raises(NotAnAutomorphismError):
+            chain_stabilizer(P, G, [v0])
+
+
+def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
+    # the definition: add each element the earlier ones do not
+    # generate, closing the generators from scratch every time
+    for G in (AP, GQ.group, GH.group, closure([VertexPermutation.identity(3)])):
+        ident = VertexPermutation.identity(G.degree)
+        gens = []
+        for p in G.elements:
+            span = closure(gens or [ident])
+            if span.order == G.order:
+                break
+            if p not in span:
+                gens.append(p)
+        assert reduce_generators(G.elements) == (tuple(gens) or (ident,))

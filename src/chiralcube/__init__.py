@@ -15,13 +15,13 @@ from .graph import (ColoredGraph, Coloring, GraphError, colored_isomorphism,
                     iter_colored_isomorphisms, validate)
 from .group import (NotAnAutomorphismError, PermutationGroup,
                     SymmetryClassification, VertexPermutation,
-                    chain_stabilizer, classify_symmetry, closure,
-                    color_respecting_automorphisms, flag_orbits, group_order,
+                    chain_stabilizer, classify_symmetry,
+                    color_respecting_automorphisms, flag_orbits,
                     induced_face_action, reduce_generators)
 from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
                        check_polytopality, colourful_polytope, f_vector,
-                       flag_graph, petrie_polygons, schlafli_type,
-                       two_face_cycle, two_face_cycles)
+                       petrie_polygons, schlafli_type, two_face_cycle,
+                       two_face_cycles)
 from .geometry import (ANGLE_ATOL, EmbeddedGraph, GeometricGroup,
                        IsometryMatrix, RotationProfile, affine_rank,
                        all_signed_matrices, classes_hit_all_directions,
@@ -43,12 +43,12 @@ __all__ = [
     "RotationProfile", "SymmetryClassification", "VerificationReport",
     "VertexPermutation", "affine_rank", "all_signed_matrices",
     "canonical_cycle", "chain_stabilizer", "check_polytopality",
-    "classes_hit_all_directions", "classify_symmetry", "closure",
+    "classes_hit_all_directions", "classify_symmetry",
     "colored_isomorphism", "colourful_polytope", "color_respecting_automorphisms",
     "components_by_colorset", "cycle_holonomy", "derive_chiral_colorings",
     "enantiomorph_check", "enumerate_matching_colorings",
-    "exchanging_isometries", "f_vector", "flag_graph", "flag_orbits",
-    "geometric_symmetry_group", "group_order", "hemicube_embedding",
+    "exchanging_isometries", "f_vector", "flag_orbits",
+    "geometric_symmetry_group", "hemicube_embedding",
     "hypercube_embedding", "induced_face_action", "iter_colored_isomorphisms",
     "lift_cycle", "lift_double_cover", "off_text", "orientation",
     "petrie_polygons", "reduce_generators", "rotation_profile",

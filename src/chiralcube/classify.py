@@ -265,8 +265,8 @@ def verify_paper(*, coloring=None, base_graph=None):
         (0, 96), (exd.count(1), exd.count(-1)))
 
     # ------------------------------------------------------- the chiral twin
-    gq = g.recolored(c_q)
     try:
+        gq = g.recolored(c_q)
         Q = colourful_polytope(gq)
     except GraphError as err:
         fail("q.polytopal", "twin coloring builds an abstract 4-polytope",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,15 @@ from .polytope import canonical_cycle, two_face_cycle
 ANGLE_ATOL = 1e-9
 
 
+def _neg(x):
+    return tuple(-c for c in x)
+
+
+def _hamming(x, y):
+    """Number of coordinates in which x and y differ."""
+    return sum(1 for a, b in zip(x, y) if a != b)
+
+
 # ------------------------------------------------------------ matrices
 
 
@@ -38,88 +48,73 @@ ANGLE_ATOL = 1e-9
 class IsometryMatrix:
     """A signed permutation matrix, optionally taken modulo -I.
 
-    rows are tuples of ints with exactly one nonzero entry (+1 or -1)
-    per row and per column.  Projective matrices are canonicalized so
-    the pivot of row 0 is positive, making equality mean equality in
-    the quotient group.
+    The matrix sends x to y with y[i] = signs[i] * x[perm[i]]: row i has
+    its one nonzero entry, signs[i] (+1 or -1), in column perm[i].
+    Projective matrices are canonicalized so signs[0] is +1, making
+    equality mean equality in the quotient group.
     """
 
-    rows: tuple
+    perm: tuple
+    signs: tuple
     projective: bool = False
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        n = len(rows)
-        pivots = []
-        for r in rows:
-            nz = [j for j, x in enumerate(r) if x != 0]
-            if len(r) != n or len(nz) != 1 or r[nz[0]] not in (1, -1):
-                raise ValueError("not a signed permutation matrix: %r" % (rows,))
-            pivots.append(nz[0])
-        if sorted(pivots) != list(range(n)):
-            raise ValueError("not a signed permutation matrix: %r" % (rows,))
-        if self.projective and rows[0][pivots[0]] < 0:
-            rows = tuple(tuple(-x for x in r) for r in rows)
-        object.__setattr__(self, "rows", rows)
+        perm, signs = tuple(self.perm), tuple(self.signs)
+        if (sorted(perm) != list(range(len(perm))) or len(signs) != len(perm)
+                or any(s not in (1, -1) for s in signs)):
+            raise ValueError("not a signed permutation: %r, %r" % (perm, signs))
+        if self.projective and signs[0] < 0:
+            signs = _neg(signs)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
 
     @staticmethod
     def identity(n=4, projective=False):
-        return IsometryMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-            projective)
-
-    @staticmethod
-    def from_perm_signs(perm, signs, projective=False):
-        """Matrix sending x to y with y[i] = signs[i] * x[perm[i]]."""
-        n = len(perm)
-        rows = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
-                     for i in range(n))
-        return IsometryMatrix(rows, projective)
+        return IsometryMatrix(tuple(range(n)), (1,) * n, projective)
 
     @property
     def dimension(self):
-        return len(self.rows)
+        return len(self.perm)
 
-    def perm_signs(self):
-        perm, signs = [], []
-        for r in self.rows:
-            j = next(j for j, x in enumerate(r) if x != 0)
-            perm.append(j)
-            signs.append(r[j])
-        return tuple(perm), tuple(signs)
+    @property
+    def rows(self):
+        """The dense matrix, as tuples of ints."""
+        n = len(self.perm)
+        return tuple(tuple(s if j == k else 0 for j in range(n))
+                     for k, s in zip(self.perm, self.signs))
 
     def apply(self, vec):
-        return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in self.rows)
+        return tuple(s * vec[j] for j, s in zip(self.perm, self.signs))
 
     def __matmul__(self, other):
         if self.projective != other.projective:
             raise ValueError("cannot mix projective and euclidean matrices")
-        n = self.dimension
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n))
-        return IsometryMatrix(rows, self.projective)
+        return IsometryMatrix(
+            tuple(other.perm[j] for j in self.perm),
+            tuple(s * other.signs[j] for j, s in zip(self.perm, self.signs)),
+            self.projective)
 
     def inverse(self):
         # orthogonal, so the inverse is the transpose
-        return IsometryMatrix(tuple(zip(*self.rows)), self.projective)
+        perm, signs = [0] * len(self.perm), [0] * len(self.perm)
+        for i, (j, s) in enumerate(zip(self.perm, self.signs)):
+            perm[j], signs[j] = i, s
+        return IsometryMatrix(tuple(perm), tuple(signs), self.projective)
 
     def det(self):
-        perm, signs = self.perm_signs()
         sign = 1
         seen = set()
-        for i in range(len(perm)):
+        for i in range(len(self.perm)):
             if i in seen:
                 continue
             length, j = 0, i
             while j not in seen:
                 seen.add(j)
-                j = perm[j]
+                j = self.perm[j]
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        return sign * math.prod(signs)
+        return sign * math.prod(self.signs)
 
     def to_numpy(self):
         return np.array(self.rows, dtype=float)
@@ -135,7 +130,7 @@ def all_signed_matrices(n=4, projective=False):
     """
     key = (n, projective)
     if key not in _SIGNED_MATRICES:
-        out = {IsometryMatrix.from_perm_signs(perm, signs, projective)
+        out = {IsometryMatrix(perm, signs, projective)
                for perm in itertools.permutations(range(n))
                for signs in itertools.product((1, -1), repeat=n)}
         _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: m.rows))
@@ -222,14 +217,23 @@ class EmbeddedGraph:
     def direction(self, u, v):
         """Index of the single coordinate in which u and v differ."""
         x, y = self.coords[u], self.coords[v]
+        if self.projective and _hamming(x, _neg(y)) < _hamming(x, y):
+            y = _neg(y)
         diffs = [j for j in range(len(x)) if x[j] != y[j]]
-        if self.projective:
-            anti = [j for j in range(len(x)) if x[j] != -y[j]]
-            if len(anti) < len(diffs):
-                diffs = anti
         if len(diffs) != 1:
             raise GraphError("edge (%d,%d) is not axis-aligned" % (u, v))
         return diffs[0]
+
+    @cached_property
+    def _isometries(self):
+        # (matrix, vertex permutation) for each signed permutation matrix
+        # preserving the vertex set; every isometry scan filters this table
+        table = []
+        for m in all_signed_matrices(self.dimension, self.projective):
+            p = vertex_permutation(self, m)
+            if p is not None:
+                table.append((m, p))
+        return table
 
     def direction_coloring(self):
         return Coloring(self.graph.edge_pairs,
@@ -243,18 +247,8 @@ def _hemicube_rep(i):
     return (1,) + tuple(1 - 2 * ((i >> k) & 1) for k in range(3))
 
 
-def _hemicube_id(x):
-    if x[0] == -1:
-        x = tuple(-c for c in x)
-    return sum(((1 - x[k + 1]) // 2) << k for k in range(3))
-
-
 def _hypercube_rep(i):
     return tuple(1 - 2 * ((i >> k) & 1) for k in range(4))
-
-
-def _hypercube_id(x):
-    return sum(((1 - x[k]) // 2) << k for k in range(4))
 
 
 def hemicube_embedding():
@@ -269,12 +263,10 @@ def hemicube_embedding():
     edges = []
     for i, j in itertools.combinations(range(8), 2):
         x, y = _hemicube_rep(i), _hemicube_rep(j)
-        diffs = [k for k in range(4) if x[k] != y[k]]
-        if len(diffs) == 1:
-            edges.append((i, j, diffs[0]))
-        elif len(diffs) == 3:
-            # x and -y differ in exactly one coordinate
-            edges.append((i, j, next(k for k in range(4) if x[k] == y[k])))
+        if _hamming(x, y) == 3:
+            y = _neg(y)  # a main diagonal: x and -y differ in coordinate 0
+        if _hamming(x, y) == 1:
+            edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
     g = ColoredGraph(8, 4, tuple(edges))
     return EmbeddedGraph(g, tuple(_hemicube_rep(i) for i in range(8)), True)
 
@@ -285,9 +277,8 @@ def hypercube_embedding():
     edges = []
     for i, j in itertools.combinations(range(16), 2):
         x, y = _hypercube_rep(i), _hypercube_rep(j)
-        diffs = [k for k in range(4) if x[k] != y[k]]
-        if len(diffs) == 1:
-            edges.append((i, j, diffs[0]))
+        if _hamming(x, y) == 1:
+            edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
     g = ColoredGraph(16, 4, tuple(edges))
     return EmbeddedGraph(g, tuple(_hypercube_rep(i) for i in range(16)), False)
 
@@ -298,12 +289,11 @@ def hypercube_embedding():
 def vertex_permutation(e, m):
     """Permutation of e's vertices induced by the matrix m, or None if m
     does not preserve the vertex set."""
-    perm, signs = m.perm_signs()
     imgs = []
     for x in e.coords:
-        y = tuple(s * x[j] for j, s in zip(perm, signs))
+        y = m.apply(x)
         if e.projective and next((c for c in y if c != 0), 0) < 0:
-            y = tuple(-c for c in y)
+            y = _neg(y)
         imgs.append(e._index.get(y))
     return None if None in imgs else VertexPermutation(tuple(imgs))
 
@@ -332,23 +322,26 @@ class GeometricGroup:
         return GeometricGroup(sub, {p: self.matrices[p] for p in keep})
 
 
-def _maps_coloring(e, p, src, dst):
-    """Does vertex permutation p (never if None) send coloring src to
-    coloring dst up to renaming colors?  Both are over e.graph's edges."""
-    if p is None:
-        return False
-    pairs = set(e.graph.edge_pairs)
+def _maps_coloring(p, src, dst_colors):
+    """Does vertex permutation p send coloring src to the coloring whose
+    edge -> color dict is dst_colors, up to renaming colors?"""
     cmap = {}
     for (u, v), c in zip(src.edge_pairs, src.colors):
         a, b = p(u), p(v)
-        if a > b:
-            a, b = b, a
-        if (a, b) not in pairs:
-            return False
-        c2 = dst.color_of(a, b)
-        if cmap.setdefault(c, c2) != c2:
+        c2 = dst_colors.get((a, b) if a < b else (b, a))
+        if c2 is None or cmap.setdefault(c, c2) != c2:
             return False
     return len(set(cmap.values())) == len(cmap)
+
+
+def _scan(e, src, dst):
+    """(matrix, vertex permutation) for every isometry of e taking
+    coloring src to coloring dst up to renaming colors.  GraphError
+    unless both colorings are over e.graph's edges."""
+    if not src.edge_pairs == dst.edge_pairs == e.graph.edge_pairs:
+        raise GraphError("coloring is over a different edge list")
+    dst_colors = dict(zip(dst.edge_pairs, dst.colors))
+    return [(m, p) for m, p in e._isometries if _maps_coloring(p, src, dst_colors)]
 
 
 def geometric_symmetry_group(e, coloring=None):
@@ -362,10 +355,7 @@ def geometric_symmetry_group(e, coloring=None):
     if coloring is None:
         coloring = Coloring.of(e.graph)
     elements, matrices = [], {}
-    for m in all_signed_matrices(e.dimension, e.projective):
-        p = vertex_permutation(e, m)
-        if not _maps_coloring(e, p, coloring, coloring):
-            continue
+    for m, p in _scan(e, coloring, coloring):
         if p in matrices:
             raise GraphError("matrix action on vertices is not faithful")
         matrices[p] = m
@@ -377,9 +367,7 @@ def geometric_symmetry_group(e, coloring=None):
 def exchanging_isometries(e, c1, c2):
     """All isometries taking coloring c1 to coloring c2 (up to color
     renaming), with their orientations: a list of (matrix, det) pairs."""
-    return [(m, orientation(m))
-            for m in all_signed_matrices(e.dimension, e.projective)
-            if _maps_coloring(e, vertex_permutation(e, m), c1, c2)]
+    return [(m, orientation(m)) for m, _ in _scan(e, c1, c2)]
 
 
 # ------------------------------------------------- coloring properties
@@ -456,9 +444,7 @@ def cycle_holonomy(e, cycle):
         v = cycle[(i + 1) % len(cycle)]
         if ((u, v) if u < v else (v, u)) not in pairs:
             raise ValueError("consecutive vertices %d, %d are not adjacent" % (u, v))
-        x, y = e.coords[u], e.coords[v]
-        diffs = sum(1 for j in range(len(x)) if x[j] != y[j])
-        if diffs != 1:
+        if _hamming(e.coords[u], e.coords[v]) != 1:
             sign = -sign  # the step lands on the negated representative
     return sign
 
@@ -478,11 +464,7 @@ def lift_double_cover(e, coloring=None):
         coloring = Coloring.of(e.graph)
     dim = e.dimension
     reps = [tuple(x) for x in e.coords]
-    cover_coords = []
-    for x in reps:
-        cover_coords.append(x)
-    for x in reps:
-        cover_coords.append(tuple(-c for c in x))
+    cover_coords = reps + [_neg(x) for x in reps]
     # re-sort into the standard hypercube order when it matches, so the
     # lift of the quotient cube is the cube with its usual vertex ids
     if sorted(cover_coords) == sorted(_hypercube_rep(i) for i in range(2 ** dim)):
@@ -491,9 +473,9 @@ def lift_double_cover(e, coloring=None):
 
     lifted = set()
     for (u, v), c in zip(coloring.edge_pairs, coloring.colors):
-        for xu in (reps[u], tuple(-t for t in reps[u])):
-            for xv in (reps[v], tuple(-t for t in reps[v])):
-                if sum(1 for j in range(dim) if xu[j] != xv[j]) == 1:
+        for xu in (reps[u], _neg(reps[u])):
+            for xv in (reps[v], _neg(reps[v])):
+                if _hamming(xu, xv) == 1:
                     a, b = index[xu], index[xv]
                     lifted.add((min(a, b), max(a, b), c))
     g = ColoredGraph(len(cover_coords), coloring.n_colors, tuple(sorted(lifted)))
@@ -512,7 +494,7 @@ def lift_cycle(e, cycle):
     index = lift_double_cover(e)._index
     cycle = tuple(cycle)
     out = []
-    starts = [e.coords[cycle[0]], tuple(-c for c in e.coords[cycle[0]])]
+    starts = [e.coords[cycle[0]], _neg(e.coords[cycle[0]])]
     done = set()
     for start in starts:
         if index[start] in done:
@@ -522,9 +504,7 @@ def lift_cycle(e, cycle):
         while True:
             lifted.append(index[cur])
             nxt_rep = e.coords[cycle[(k + 1) % len(cycle)]]
-            cand = [nxt_rep, tuple(-c for c in nxt_rep)]
-            cur = next(y for y in cand
-                       if sum(1 for j in range(len(y)) if y[j] != cur[j]) == 1)
+            cur = next(y for y in (nxt_rep, _neg(nxt_rep)) if _hamming(y, cur) == 1)
             k += 1
             if cur == start and k % len(cycle) == 0:
                 break
@@ -586,9 +566,9 @@ def off_text(e, p, comment=None):
             cycles.extend(lift_cycle(e, two_face_cycle(p, fid)))
         cycles = sorted(set(cycles))
         lines.append("# double cover of a projective embedding")
-        pairs = sorted((i, cover._index[tuple(-c for c in x)])
+        pairs = sorted((i, cover._index[_neg(x)])
                        for i, x in enumerate(cover.coords)
-                       if i < cover._index[tuple(-c for c in x)])
+                       if i < cover._index[_neg(x)])
         lines.append("# antipodal pairs: "
                      + " ".join("%d:%d" % pr for pr in pairs))
         coords = cover.coords

@@ -186,15 +186,6 @@ def _close(generators, els=None):
     return els
 
 
-def closure(generators):
-    """Group generated by the given vertex permutations."""
-    return PermutationGroup(tuple(generators))
-
-
-def group_order(G):
-    return G.order
-
-
 def reduce_generators(elements):
     """Small generating set for a materialized group: greedily add
     elements not yet generated.  Always nonempty (identity if trivial)."""

@@ -66,6 +66,7 @@ class Polytope:
             if counts[_face_key(f.rank, f.vertices, f.edges)] == 1
         }
         self._up = None
+        self._cov = None
         self._fg = None
 
     # ------------------------------------------------------ structure
@@ -95,21 +96,22 @@ class Polytope:
         return tuple(m for m in self.faces_of_rank(rank)
                      if m in ups[lo] and hi in ups[m])
 
+    def _covers(self):
+        """_covers()[i]: ids of the faces covering face i, in the
+        iteration order of _ups()[i]."""
+        if self._cov is None:
+            ups = self._ups()
+            self._cov = []
+            for i, up in enumerate(ups):
+                strictly_above = set().union(*(ups[k] - {k} for k in up if k != i))
+                self._cov.append(tuple(j for j in up
+                                       if j != i and j not in strictly_above))
+        return self._cov
+
     def covers(self):
         """All covering pairs (i, j): i < j with no face strictly between."""
-        ups = self._ups()
-        out = []
-        for i, f in enumerate(self.faces):
-            for j in ups[i]:
-                if j == i:
-                    continue
-                g = self.faces[j]
-                strictly_between = any(
-                    k != i and k != j and j in self._ups()[k]
-                    for k in ups[i])
-                if not strictly_between:
-                    out.append((i, j))
-        return tuple(sorted(out))
+        return tuple(sorted((i, j) for i, js in enumerate(self._covers())
+                            for j in js))
 
     def section(self, bottom, top):
         """The interval [bottom, top] as a polytope in its own right.
@@ -246,18 +248,14 @@ def check_polytopality(p):
         return problems
     bottom, top = bots[0], tops[0]
 
-    ups = p._ups()
+    ups, covers = p._ups(), p._covers()
     for i, f in enumerate(p.faces):
         if i == top:
             continue
-        above = [j for j in ups[i] if j != i]
-        if not above:
+        if ups[i] == {i}:
             problems.append("face %d (rank %d) has nothing above it" % (i, f.rank))
             continue
-        covers = [j for j in above
-                  if not any(k in ups[i] and j in ups[k] and k not in (i, j)
-                             for k in above)]
-        for j in covers:
+        for j in covers[i]:
             if p.faces[j].rank != f.rank + 1:
                 problems.append(
                     "cover %d -> %d jumps rank %d -> %d (not graded)"
@@ -301,11 +299,6 @@ def check_polytopality(p):
 
 
 # ------------------------------------------------------- flag geometry
-
-
-def flag_graph(p):
-    """All flags of p with their i-adjacency maps (cached on p)."""
-    return p.flag_graph()
 
 
 def f_vector(p):

@@ -5,10 +5,9 @@ import pytest
 from chiralcube.graph import Coloring, GraphError
 from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               VertexPermutation, chain_stabilizer,
-                              classify_symmetry, closure,
+                              classify_symmetry,
                               color_respecting_automorphisms, flag_orbits,
-                              group_order, induced_face_action,
-                              reduce_generators)
+                              induced_face_action, reduce_generators)
 
 
 # -------------------------------------------------------- permutations
@@ -46,37 +45,37 @@ def test_cycles_and_order():
 
 
 def test_closure_of_identity():
-    G = closure([VertexPermutation.identity(4)])
-    assert group_order(G) == 1
+    G = PermutationGroup([VertexPermutation.identity(4)])
+    assert G.order == 1
 
 
 def test_closure_of_a_three_cycle():
-    G = closure([VertexPermutation((1, 2, 0))])
+    G = PermutationGroup([VertexPermutation((1, 2, 0))])
     assert G.order == 3
     assert G.is_cyclic()
 
 
 def test_symmetric_group_on_three_points():
-    G = closure([VertexPermutation((1, 0, 2)), VertexPermutation((0, 2, 1))])
+    G = PermutationGroup([VertexPermutation((1, 0, 2)), VertexPermutation((0, 2, 1))])
     assert G.order == 6
     assert not G.is_cyclic()
 
 
 def test_elements_are_sorted_and_stable():
-    G = closure([VertexPermutation((1, 2, 0))])
+    G = PermutationGroup([VertexPermutation((1, 2, 0))])
     imgs = [p.images for p in G]
     assert imgs == sorted(imgs)
 
 
 def test_membership_and_equality():
-    G = closure([VertexPermutation((1, 2, 0))])
+    G = PermutationGroup([VertexPermutation((1, 2, 0))])
     assert VertexPermutation((2, 0, 1)) in G
     assert VertexPermutation((1, 0, 2)) not in G
-    assert G == closure([VertexPermutation((2, 0, 1))])
+    assert G == PermutationGroup([VertexPermutation((2, 0, 1))])
 
 
 def test_subgroup_verifies_closure():
-    G = closure([VertexPermutation((1, 0, 2)), VertexPermutation((0, 2, 1))])
+    G = PermutationGroup([VertexPermutation((1, 0, 2)), VertexPermutation((0, 2, 1))])
     even = G.subgroup(lambda p: (p.degree - len(p.cycles())) % 2 == 0)
     assert even.order == 3
     # a 3-cycle without its inverse is not closed; must fail loudly
@@ -87,15 +86,15 @@ def test_subgroup_verifies_closure():
 def test_reduce_generators_reproduces_group(AP):
     gens = reduce_generators(AP.elements)
     assert len(gens) < 5
-    assert closure(gens).elements == AP.elements
+    assert PermutationGroup(gens).elements == AP.elements
 
 
 def test_group_json_shape(AP):
     data = AP.to_json()
     assert data["order"] == 192
     assert data["degree"] == 8
-    assert closure([VertexPermutation(tuple(im))
-                    for im in data["generators"]]).order == 192
+    assert PermutationGroup([VertexPermutation(tuple(im))
+                             for im in data["generators"]]).order == 192
 
 
 # ----------------------------------------------- graph automorphisms
@@ -174,7 +173,7 @@ def test_classification_verdicts(P, AP, Q, GQ):
 
 
 def test_trivial_group_is_neither(Q):
-    triv = closure([VertexPermutation.identity(8)])
+    triv = PermutationGroup([VertexPermutation.identity(8)])
     assert classify_symmetry(Q, triv).verdict == "neither"
 
 
@@ -243,7 +242,7 @@ def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
     # the bad swap fixes vertex 0, so only the automorphism check sees it
     bad = VertexPermutation((0, 1, 2, 4, 3, 5, 6, 7))
     v0 = P.faces_of_rank(0)[0]
-    for G in (closure([bad]), closure([AP.elements[3], bad])):
+    for G in (PermutationGroup([bad]), PermutationGroup([AP.elements[3], bad])):
         with pytest.raises(NotAnAutomorphismError):
             chain_stabilizer(P, G, [v0])
 
@@ -251,11 +250,12 @@ def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
 def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
     # the definition: add each element the earlier ones do not
     # generate, closing the generators from scratch every time
-    for G in (AP, GQ.group, GH.group, closure([VertexPermutation.identity(3)])):
+    for G in (AP, GQ.group, GH.group,
+              PermutationGroup([VertexPermutation.identity(3)])):
         ident = VertexPermutation.identity(G.degree)
         gens = []
         for p in G.elements:
-            span = closure(gens or [ident])
+            span = PermutationGroup(gens or [ident])
             if span.order == G.order:
                 break
             if p not in span:

@@ -17,6 +17,7 @@ diamond condition and raises where it breaks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import GraphError, components_by_colorset, validate
@@ -233,9 +234,11 @@ def colourful_polytope(g):
 def check_polytopality(p):
     """Diagnostics for the abstract polytope axioms; empty means polytopal.
 
-    Checks, in order: unique improper faces, gradedness (covers step one
-    rank), the diamond condition, and strong flag connectivity (every
-    section of rank at least 2 is flag-connected).
+    Checks, in order: unique improper faces, gradedness (every face is
+    above the rank -1 face, covers step one rank), the diamond condition,
+    and strong flag connectivity (every section of rank at least 2 is
+    flag-connected), read off p.flag_graph() one rank pair at a time with
+    no section built (see _sections_by_flags).
     """
     problems = []
     bots = p.faces_of_rank(-1)
@@ -250,6 +253,9 @@ def check_polytopality(p):
 
     ups, covers = p._ups(), p._covers()
     for i, f in enumerate(p.faces):
+        if i not in ups[bottom]:
+            problems.append("face %d (rank %d) is not above the rank -1 face"
+                            % (i, f.rank))
         if i == top:
             continue
         if ups[i] == {i}:
@@ -275,27 +281,50 @@ def check_polytopality(p):
     if problems:
         return problems
 
+    # strong flag connectivity: the checks above put every face on a flag
+    sections = {}
     for i in range(len(p.faces)):
         for j in ups[i]:
-            if p.faces[j].rank - p.faces[i].rank < 3:
+            lo, hi = p.faces[i].rank, p.faces[j].rank
+            if hi - lo < 3:
                 continue
-            sec = p.section(i, j)
-            fg = sec.flag_graph()
-            if not fg.flags:
+            if (lo, hi) not in sections:
+                sections[lo, hi] = _sections_by_flags(p, lo, hi)
+            n, reached = sections[lo, hi].get((i, j), (0, 0))
+            if not n:
                 problems.append("section [%d, %d] has no flags" % (i, j))
-                continue
-            seen, stack = set(), [0]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(fg.adj[x])
-            if len(seen) != len(fg.flags):
+            elif reached != n:
                 problems.append(
                     "section [%d, %d] is not flag-connected (%d of %d flags reached)"
-                    % (i, j, len(seen), len(fg.flags)))
+                    % (i, j, reached, n))
     return problems
+
+
+def _sections_by_flags(p, lo, hi):
+    """{(f, g): (n, r)} for faces f of rank lo and g of rank hi on a flag
+    of p: section [f, g] has n flags, and r are reached from its least.
+
+    Needs every face of p on a flag.  Then the flags of [f, g] are the
+    parts fl[lo+1:hi] of p's flags fl through f and g, linked by the
+    i-adjacencies of p with lo < i < hi.  These keep the other ranks, so
+    a component under them is one section's flags with a fixed rest.
+    """
+    fg, (bottom, top) = p.flag_graph(), _bottom_top(p)
+    label = [None] * len(fg.flags)
+    for s in range(len(fg.flags)):
+        stack = [s] if label[s] is None else []
+        while stack:
+            x = stack.pop()
+            if label[x] is None:
+                label[x] = s
+                stack.extend(fg.adj[x][lo + 1:hi])
+    size, groups = Counter(label), {}
+    for x, fl in enumerate(fg.flags):
+        chain = (bottom,) + fl + (top,)
+        groups.setdefault((chain[lo + 1], chain[hi + 1]), {}).setdefault(
+            fl[lo + 1:hi], label[x])
+    return {key: (len(mids), size[mids[min(mids)]])
+            for key, mids in groups.items()}
 
 
 # ------------------------------------------------------- flag geometry

@@ -1,0 +1,162 @@
+"""Strong flag connectivity in check_polytopality, against two oracles.
+
+check_polytopality reads the flag connectivity of every section off the
+poset's own flag graph.  These tests build posets that are graded and
+satisfy the diamond condition but are not flag-connected, and compare
+the step with the section-by-section algorithm it replaced and with
+networkx's connected components.
+"""
+
+import pytest
+
+from chiralcube.graph import ColoredGraph
+from chiralcube.polytope import (Face, Polytope, check_polytopality,
+                                 colourful_polytope)
+
+
+def _renumbered(faces):
+    return tuple(Face(k, f.rank, f.colors, f.vertices, f.edges)
+                 for k, f in enumerate(faces))
+
+
+def _glued(p, q):
+    """Vertex-disjoint copies of the proper faces of p and q, of equal
+    rank, under one rank -1 and one top face: graded, diamond, but two
+    flag components."""
+    n = 1 + max(p.faces[p.faces_of_rank(p.rank)[0]].vertices)
+
+    def shifted(f):
+        return Face(0, f.rank, f.colors, frozenset(v + n for v in f.vertices),
+                    frozenset((u + n, v + n) for u, v in f.edges))
+
+    bottom, top = (p.faces[p.faces_of_rank(r)[0]] for r in (-1, p.rank))
+    top2 = shifted(q.faces[q.faces_of_rank(q.rank)[0]])
+    both = Face(0, top.rank, top.colors, top.vertices | top2.vertices,
+                top.edges | top2.edges)
+    return Polytope(p.rank, _renumbered(
+        [bottom] + [f for f in p.faces if 0 <= f.rank < p.rank]
+        + [shifted(f) for f in q.faces if 0 <= f.rank < q.rank] + [both]))
+
+
+def _cube3():
+    return colourful_polytope(ColoredGraph(8, 3, tuple(
+        (u, u ^ 1 << c, c) for u in range(8) for c in range(3)
+        if u < u ^ 1 << c)))
+
+
+def _hemicube3():
+    # K4 with its three perfect matchings as colours: 24 flags
+    return colourful_polytope(ColoredGraph(4, 3, (
+        (0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2))))
+
+
+@pytest.fixture(scope="module")
+def cube4(cube_embedding):
+    return colourful_polytope(cube_embedding.graph)
+
+
+@pytest.fixture(scope="module")
+def glued(P):
+    cube = _cube3()
+    return _glued(cube, cube), _glued(P, P), _glued(cube, _hemicube3())
+
+
+def _strong_connectivity_by_sections(p):
+    """The step as it was: build every section [i, j] with a rank gap of
+    at least 3 as a polytope and walk its flag graph from its least flag."""
+    problems = []
+    ups = p._ups()
+    for i in range(len(p.faces)):
+        for j in ups[i]:
+            if p.faces[j].rank - p.faces[i].rank < 3:
+                continue
+            fg = p.section(i, j).flag_graph()
+            if not fg.flags:
+                problems.append("section [%d, %d] has no flags" % (i, j))
+                continue
+            seen, stack = set(), [0]
+            while stack:
+                x = stack.pop()
+                if x in seen:
+                    continue
+                seen.add(x)
+                stack.extend(fg.adj[x])
+            if len(seen) != len(fg.flags):
+                problems.append(
+                    "section [%d, %d] is not flag-connected (%d of %d flags reached)"
+                    % (i, j, len(seen), len(fg.flags)))
+    return problems
+
+
+def _corpus(P, Q, H, cube4, glued):
+    """Sections with a rank gap of at least 3 of P, Q, Q-hat and the
+    4-cube; P, Q and Q-hat with one rank dropped, one face dropped, or
+    one face duplicated; and the glued posets."""
+    out = list(glued)
+    for p in (P, Q, H, cube4):
+        ups = p._ups()
+        out += [p.section(i, j) for i in range(len(p.faces)) for j in ups[i]
+                if p.faces[j].rank - p.faces[i].rank >= 3]
+    for p in (P, Q, H):
+        out += [Polytope(p.rank, _renumbered(f for f in p.faces if f.rank != r))
+                for r in range(-1, p.rank + 1)]
+        for i in range(len(p.faces)):
+            out.append(Polytope(p.rank, _renumbered(p.faces[:i] + p.faces[i + 1:])))
+            out.append(Polytope(p.rank, _renumbered(
+                p.faces[:i + 1] + p.faces[i:])))
+    return out
+
+
+def test_glued_posets_are_not_flag_connected(glued):
+    cubes, quotients, uneven = glued
+    assert check_polytopality(cubes) == [
+        "section [0, 53] is not flag-connected (48 of 96 flags reached)"]
+    assert check_polytopality(quotients) == [
+        "section [0, 81] is not flag-connected (192 of 384 flags reached)"]
+    # the count is of the component of the least flag, which is the cube's
+    assert check_polytopality(uneven) == [
+        "section [0, 40] is not flag-connected (48 of 72 flags reached)"]
+
+
+def test_face_not_above_the_rank_minus_one_face_reported():
+    # A square whose faces all hold point 9, as the rank -1 face does,
+    # plus a vertex {0, 10} that does not.  Graded and diamond, but that
+    # vertex lies on no flag.  The section step alone reports nothing.
+    square = ((0, 1), (1, 2), (2, 3), (0, 3))
+    faces = [(-1, {9}, ())] + [(0, {9, k}, ()) for k in range(4)]
+    faces += [(0, {0, 10}, ())]
+    faces += [(1, {9, u, v} | ({10} if u == 0 else set()), ((u, v),))
+              for u, v in square]
+    faces += [(2, set(range(11)) - {4, 5, 6, 7, 8}, square)]
+    p = Polytope(2, [Face(k, r, frozenset(), frozenset(vs), frozenset(es))
+                     for k, (r, vs, es) in enumerate(faces)])
+    assert check_polytopality(p) == [
+        "face 5 (rank 0) is not above the rank -1 face"]
+    assert _strong_connectivity_by_sections(p) == []
+
+
+def test_strong_connectivity_matches_section_oracle(P, Q, H, cube4, glued):
+    corpus = _corpus(P, Q, H, cube4, glued)
+    reached = failing = 0
+    for p in corpus:
+        got = check_polytopality(p)
+        if any(not d.startswith("section [") for d in got):
+            continue  # an earlier axiom failed; the step does not run
+        assert got == _strong_connectivity_by_sections(p)
+        reached += 1
+        failing += bool(got)
+    assert len(corpus) > 600 and reached > 400 and failing == 3
+
+
+def test_flag_graph_components_match_networkx(P, Q, H, cube4, glued):
+    nx = pytest.importorskip("networkx")
+
+    def components(p):
+        fg = p.flag_graph()
+        g = nx.Graph()
+        g.add_nodes_from(range(len(fg.flags)))
+        g.add_edges_from((x, y) for x, row in enumerate(fg.adj) for y in row)
+        return nx.number_connected_components(g)
+
+    assert [components(p) for p in glued] == [2, 2, 2]
+    assert [components(p) for p in (P, Q, H, cube4)] == [1, 1, 1, 1]

@@ -261,3 +261,26 @@ def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
             if p not in span:
                 gens.append(p)
         assert reduce_generators(G.elements) == (tuple(gens) or (ident,))
+
+
+def test_group_orders_match_schreier_sims(AP, cover, Q, GQ):
+    # sympy's Schreier-Sims order of each group's generators, against
+    # the element lists the breadth-first closure materialized
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def schreier_sims_order(G):
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images))
+             for g in G.generators]).order()
+
+    groups = [AP, color_respecting_automorphisms(cover.graph), GQ.group]
+    assert [G.order for G in groups] == [192, 192, 96]
+    # every chain test_criterion_04_stabilizers stabilizes
+    chains = [[a, b] for r, s in ((2, 3), (0, 3)) for a in Q.faces_of_rank(r)
+              for b in Q.faces_of_rank(s) if Q.leq(a, b)]
+    chains += [[next(v for v in Q.faces_of_rank(0) if Q.leq(v, e)), e]
+               for e in Q.faces_of_rank(1)]
+    groups += [chain_stabilizer(Q, GQ.group, c) for c in chains]
+    assert len(chains) == 24 + 32 + 16
+    for G in groups:
+        assert schreier_sims_order(G) == G.order

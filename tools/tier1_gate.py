@@ -7,9 +7,11 @@ Tier-1 is the suite under tests/, run from the repository root as
 
 This gate runs that command unchanged and reads the outcome of every test
 from a JUnit XML report.  It exits 0 when every test passes or is skipped.
-It exits 1 on any failure or error, when nothing ran, or when criterion 5
-(the Petrie exchange) did not run, so that it cannot drop out of the suite
-unnoticed.
+It exits 1 on any failure or error, when nothing ran, or when a test named
+in REQUIRED did not run, so that it cannot drop out of the suite unnoticed:
+criterion 5 (the Petrie exchange), and the test that checks the strong
+flag connectivity step of check_polytopality against its section-by-
+section oracle.
 
     python3 tools/tier1_gate.py
 """
@@ -24,7 +26,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REQUIRED = ("tests.test_acceptance", "test_criterion_05_petrie_exchange")
+REQUIRED = (
+    ("tests.test_acceptance", "test_criterion_05_petrie_exchange"),
+    ("tests.test_flag_connectivity",
+     "test_strong_connectivity_matches_section_oracle"),
+)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -62,8 +68,9 @@ def main():
     problems = ["failed: %s::%s" % k for k in failed]
     if all(v == "skipped" for v in results.values()):
         problems.append("no test ran")
-    elif results.get(REQUIRED, "skipped") == "skipped":
-        problems.append("%s::%s did not run" % REQUIRED)
+    else:
+        problems += ["%s::%s did not run" % k for k in REQUIRED
+                     if results.get(k, "skipped") == "skipped"]
     for line in problems:
         print("tier1 gate: " + line)
     print("tier1 gate: %d tests, %d failed, %s"

@@ -289,127 +289,90 @@ def enumerate_matching_colorings(g, k=None, predicate=None,
 # -------------------------------------------------------- isomorphism
 
 
+def _color_neighbors(g):
+    """nbr[v][c]: the neighbor of v along its edge of color c.  Raises
+    GraphError when a color repeats at a vertex."""
+    nbr = [{} for _ in range(g.n_vertices)]
+    for u, v, c in g.edges:
+        for x, y in ((u, v), (v, u)):
+            if c in nbr[x]:
+                raise GraphError("color %d repeated at vertex %d (not a proper coloring)"
+                                 % (c, x))
+            nbr[x][c] = y
+    return nbr
+
+
 def iter_colored_isomorphisms(g1, g2):
     """Yield every isomorphism g1 -> g2 respecting colors up to renaming.
 
     Witnesses come out as (vertex_map, color_map) tuples (vertex_map[v]
-    and color_map[c] are the images), in a deterministic order.
-    Backtracks over g1's vertices in BFS order, extending a
-    partial color bijection as edges become determined; both constraints
-    prune early.  With g1 is g2 this enumerates the color-respecting
-    automorphism group.
+    and color_map[c] are the images).  g1 must be connected and properly
+    edge-colored (no color twice at a vertex); GraphError otherwise, even
+    when the sizes differ.  Then a witness is fixed by the image r of
+    vertex 0 and the images of g1's colors: for every r and every
+    injection of g1's colors into g2's, the map is propagated along a BFS
+    tree of g1 and kept when it is a bijection carrying g1's edges onto
+    g2's, checked edge by edge.  Colors absent from g1 go to the spare
+    colors in increasing order.  An improperly colored g2 yields nothing.
+
+    The order is that of a vertex-by-vertex backtracking search: sorted
+    by the images of g1's vertices in BFS order from vertex 0, neighbors
+    in increasing order.  With g1 is g2 this enumerates the
+    color-respecting automorphism group.
     """
-    if (g1.n_vertices != g2.n_vertices or g1.n_colors != g2.n_colors
-            or len(g1.edges) != len(g2.edges)):
+    nbr1 = _color_neighbors(g1)
+    if not g1.n_vertices:
+        raise GraphError("graph has no vertices")
+    order, tree = [0], []  # tree: (parent, color, child) in BFS order
+    for x in order:
+        for y, c in sorted((y, c) for c, y in nbr1[x].items()):
+            if y not in order:
+                order.append(y)
+                tree.append((x, c, y))
+    if len(order) != g1.n_vertices:
+        raise GraphError("graph is disconnected: vertex 0 reaches %d of %d vertices"
+                         % (len(order), g1.n_vertices))
+    if (g1.n_vertices, g1.n_colors, len(g1.edges)) != (
+            g2.n_vertices, g2.n_colors, len(g2.edges)):
         return
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return
-    sizes1 = sorted(len(es) for es in g1.color_classes().values())
-    sizes2 = sorted(len(es) for es in g2.color_classes().values())
-    if sizes1 != sizes2:
+    try:
+        nbr2 = _color_neighbors(g2)
+    except GraphError:
         return
 
-    adj1, adj2 = g1.adjacency(), g2.adjacency()
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    col1 = {(u, v): c for u, v, c in g1.edges}
-    col2 = {(u, v): c for u, v, c in g2.edges}
-
-    def color1(x, y):
-        return col1[(x, y) if x < y else (y, x)]
-
-    def color2(x, y):
-        return col2[(x, y) if x < y else (y, x)]
-
-    # BFS order: each later vertex (after a component root) has an
-    # assigned neighbor, so candidate images are constrained immediately.
-    order, seen = [], set()
-    for s in range(g1.n_vertices):
-        if s in seen:
-            continue
-        queue = [s]
-        seen.add(s)
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
-            for y in sorted(adj1[x]):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-
-    vmap = [-1] * g1.n_vertices
-    used_img = [False] * g2.n_vertices
-    cmap = {}   # partial color bijection
-    cinv = {}
-
-    def consistent(x, y):
-        """Try extending by x -> y.  Mutates cmap/cinv; returns
-        (ok, colors added) so the caller can roll back."""
-        added = []
-        for n1 in adj1[x]:
-            img = vmap[n1]
-            if img < 0:
-                continue
-            if img not in adj2[y]:
-                return False, added
-            c1 = color1(x, n1)
-            c2 = color2(y, img)
-            if c1 in cmap:
-                if cmap[c1] != c2:
-                    return False, added
-            elif c2 in cinv:
-                return False, added
+    used = sorted({c for _, _, c in g1.edges})
+    color_maps = []
+    for img in itertools.permutations(range(g2.n_colors), len(used)):
+        fill = dict(zip(used, img))
+        spare = iter(sorted(set(range(g2.n_colors)) - set(img)))
+        color_maps.append(tuple(fill[c] if c in fill else next(spare)
+                                for c in range(g1.n_colors)))
+    target = set(g2.edges)
+    for r in range(g2.n_vertices):
+        found = []
+        for cmap in color_maps:
+            vmap = [r] * g1.n_vertices
+            for x, c, y in tree:
+                vmap[y] = nbr2[vmap[x]].get(cmap[c])
+                if vmap[y] is None:
+                    break
             else:
-                cmap[c1] = c2
-                cinv[c2] = c1
-                added.append(c1)
-        return True, added
-
-    def rollback(added):
-        for c1 in added:
-            del cinv[cmap[c1]]
-            del cmap[c1]
-
-    def finish_witness():
-        # colors unused by g1 (impossible when classes are matchings,
-        # possible in general) get mapped to the free colors in order
-        fill = [cmap.get(c) for c in range(g1.n_colors)]
-        spare = sorted(set(range(g1.n_colors)) - set(cinv))
-        for i, c in enumerate(fill):
-            if c is None:
-                fill[i] = spare.pop(0)
-        color_map = tuple(fill)
-        mapped = set()
-        for u, v, c in g1.edges:
-            a, b = vmap[u], vmap[v]
-            if a > b:
-                a, b = b, a
-            mapped.add((a, b, color_map[c]))
-        assert mapped == set(g2.edges), "isomorphism witness failed verification"
-        return tuple(vmap), color_map
-
-    def place(i):
-        if i == len(order):
-            yield finish_witness()
-            return
-        x = order[i]
-        for y in range(g2.n_vertices):
-            if used_img[y] or deg2[y] != deg1[x]:
-                continue
-            ok, added = consistent(x, y)
-            if ok:
-                vmap[x] = y
-                used_img[y] = True
-                yield from place(i + 1)
-                used_img[y] = False
-                vmap[x] = -1
-            rollback(added)
-
-    yield from place(0)
+                if len(set(vmap)) == len(vmap) and target == {
+                        (a, b, cmap[c]) if a < b else (b, a, cmap[c])
+                        for u, v, c in g1.edges for a, b in [(vmap[u], vmap[v])]}:
+                    found.append((tuple(vmap), cmap))
+        # every key starts with vmap[0] == r, so sorting per root is global
+        found.sort(key=lambda w: [w[0][x] for x in order])
+        yield from found
 
 
 def colored_isomorphism(g1, g2):
     """First color-respecting isomorphism g1 -> g2, or None.
 
-    The witness is (vertex_map, color_map); see iter_colored_isomorphisms.
+    The witness is (vertex_map, color_map), the first that
+    iter_colored_isomorphisms yields: propagated from the image of vertex
+    0 and an injection of colors, least in the order of a vertex-by-vertex
+    backtracking search.  g1 must be connected and properly edge-colored;
+    GraphError otherwise.
     """
     return next(iter_colored_isomorphisms(g1, g2), None)

@@ -181,8 +181,10 @@ def _build_flag_graph(p):
                 flags.append(tuple(chain))
             return
         for f in p.faces_of_rank(r):
-            if below == bottom or f in ups[below]:
+            if f in ups[below]:
                 grow(chain + [f], f)
+            elif below == bottom:
+                raise GraphError("face %d (rank 0) is not above the rank -1 face" % f)
 
     grow([], bottom)
     flags.sort()

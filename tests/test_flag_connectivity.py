@@ -9,7 +9,7 @@ networkx's connected components.
 
 import pytest
 
-from chiralcube.graph import ColoredGraph
+from chiralcube.graph import ColoredGraph, GraphError
 from chiralcube.polytope import (Face, Polytope, check_polytopality,
                                  colourful_polytope)
 
@@ -133,6 +133,9 @@ def test_face_not_above_the_rank_minus_one_face_reported():
     assert check_polytopality(p) == [
         "face 5 (rank 0) is not above the rank -1 face"]
     assert _strong_connectivity_by_sections(p) == []
+    # the flag graph names the same face, not a failing diamond
+    with pytest.raises(GraphError, match=r"^face 5 \(rank 0\) is not above the rank -1 face$"):
+        p.flag_graph()
 
 
 def test_strong_connectivity_matches_section_oracle(P, Q, H, cube4, glued):

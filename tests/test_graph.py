@@ -2,6 +2,8 @@
 
 import pytest
 
+from chiralcube.geometry import lift_double_cover
+from chiralcube.group import color_respecting_automorphisms
 from chiralcube.graph import (ColoredGraph, Coloring, GraphError,
                               colored_isomorphism, components_by_colorset,
                               enumerate_matching_colorings,
@@ -193,3 +195,202 @@ def test_non_isomorphic_pair_yields_none(hemi):
 def test_chiral_recoloring_is_isomorphic_to_regular(hemi, twins):
     g = hemi.graph
     assert colored_isomorphism(g.recolored(twins[0]), g) is not None
+
+
+# ----------------------------------------------- isomorphism oracle
+
+
+def _backtracking_isomorphisms(g1, g2):
+    """Oracle for iter_colored_isomorphisms: the same witnesses, found
+    without propagation.
+
+    Backtracks over g1's vertices in BFS order, extending a partial
+    color bijection as edges become determined, so the witnesses come
+    out sorted by the images of g1's vertices in that order.  Needs no
+    connectivity and no proper coloring.
+    """
+    if (g1.n_vertices != g2.n_vertices or g1.n_colors != g2.n_colors
+            or len(g1.edges) != len(g2.edges)):
+        return
+    if sorted(g1.degrees()) != sorted(g2.degrees()):
+        return
+    sizes1 = sorted(len(es) for es in g1.color_classes().values())
+    sizes2 = sorted(len(es) for es in g2.color_classes().values())
+    if sizes1 != sizes2:
+        return
+
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    deg1, deg2 = g1.degrees(), g2.degrees()
+    col1 = {(u, v): c for u, v, c in g1.edges}
+    col2 = {(u, v): c for u, v, c in g2.edges}
+
+    def color1(x, y):
+        return col1[(x, y) if x < y else (y, x)]
+
+    def color2(x, y):
+        return col2[(x, y) if x < y else (y, x)]
+
+    # BFS order: each later vertex (after a component root) has an
+    # assigned neighbor, so candidate images are constrained immediately.
+    order, seen = [], set()
+    for s in range(g1.n_vertices):
+        if s in seen:
+            continue
+        queue = [s]
+        seen.add(s)
+        while queue:
+            x = queue.pop(0)
+            order.append(x)
+            for y in sorted(adj1[x]):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+
+    vmap = [-1] * g1.n_vertices
+    used_img = [False] * g2.n_vertices
+    cmap = {}   # partial color bijection
+    cinv = {}
+
+    def consistent(x, y):
+        """Try extending by x -> y.  Mutates cmap/cinv; returns
+        (ok, colors added) so the caller can roll back."""
+        added = []
+        for n1 in adj1[x]:
+            img = vmap[n1]
+            if img < 0:
+                continue
+            if img not in adj2[y]:
+                return False, added
+            c1 = color1(x, n1)
+            c2 = color2(y, img)
+            if c1 in cmap:
+                if cmap[c1] != c2:
+                    return False, added
+            elif c2 in cinv:
+                return False, added
+            else:
+                cmap[c1] = c2
+                cinv[c2] = c1
+                added.append(c1)
+        return True, added
+
+    def rollback(added):
+        for c1 in added:
+            del cinv[cmap[c1]]
+            del cmap[c1]
+
+    def finish_witness():
+        # colors unused by g1 (impossible when classes are matchings,
+        # possible in general) get mapped to the free colors in order
+        fill = [cmap.get(c) for c in range(g1.n_colors)]
+        spare = sorted(set(range(g1.n_colors)) - set(cinv))
+        for i, c in enumerate(fill):
+            if c is None:
+                fill[i] = spare.pop(0)
+        color_map = tuple(fill)
+        mapped = set()
+        for u, v, c in g1.edges:
+            a, b = vmap[u], vmap[v]
+            if a > b:
+                a, b = b, a
+            mapped.add((a, b, color_map[c]))
+        assert mapped == set(g2.edges), "isomorphism witness failed verification"
+        return tuple(vmap), color_map
+
+    def place(i):
+        if i == len(order):
+            yield finish_witness()
+            return
+        x = order[i]
+        for y in range(g2.n_vertices):
+            if used_img[y] or deg2[y] != deg1[x]:
+                continue
+            ok, added = consistent(x, y)
+            if ok:
+                vmap[x] = y
+                used_img[y] = True
+                yield from place(i + 1)
+                used_img[y] = False
+                vmap[x] = -1
+            rollback(added)
+
+    yield from place(0)
+
+
+def path():
+    return ColoredGraph(4, 3, ((0, 1, 0), (1, 2, 1), (2, 3, 2)))
+
+
+def k4():
+    return ColoredGraph(4, 3, ((0, 1, 0), (2, 3, 0), (0, 2, 1), (1, 3, 1),
+                               (0, 3, 2), (1, 2, 2)))
+
+
+def test_propagation_matches_backtracking_oracle(hemi, cube_embedding):
+    base = hemi.graph
+    cube = lift_double_cover(hemi, hemi.direction_coloring()).graph
+    renamed = base.recolored(Coloring.of(base).permuted({0: 2, 1: 3, 2: 0, 3: 1}))
+    cycle3, cycle4 = (ColoredGraph(6, k, six_cycle().edges) for k in (3, 4))
+    improper = ColoredGraph(6, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0),
+                                   (4, 5, 1), (0, 5, 1)))
+    # the path folds onto this triangle edge for edge, but not injectively
+    triangle = ColoredGraph(4, 3, ((0, 1, 0), (1, 2, 1), (0, 2, 2)))
+    pairs = [(six_cycle(), six_cycle()), (cycle3, cycle3), (cycle4, cycle4),
+             (six_cycle(), improper), (path(), path()), (path(), triangle),
+             (path(), ColoredGraph(4, 3, ((0, 1, 2), (1, 2, 0), (2, 3, 1)))),
+             (k4(), k4()), (cube_embedding.graph, cube), (cube, cube_embedding.graph),
+             (base, renamed), (renamed, base),
+             (base, six_cycle()), (six_cycle(), k4()), (path(), cycle3),
+             (base, cube), (cube, base)]
+    for c in enumerate_matching_colorings(base, up_to_color_permutation=True):
+        g = base.recolored(c)
+        lift = lift_double_cover(hemi, c).graph
+        pairs += [(g, g), (g, base), (lift, lift), (lift, cube)]
+    assert len(pairs) == 17 + 4 * 24
+    found = 0
+    for a, b in pairs:
+        want = list(_backtracking_isomorphisms(a, b))
+        assert list(iter_colored_isomorphisms(a, b)) == want
+        found += len(want)
+    assert found > 0
+
+
+def test_isomorphism_needs_connected_properly_colored_source():
+    disconnected = ColoredGraph(4, 1, ((0, 1, 0), (2, 3, 0)))
+    improper = ColoredGraph(4, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 1), (0, 3, 1)))
+    # the precondition is checked before sizes are compared
+    for g2 in (disconnected, six_cycle()):
+        with pytest.raises(GraphError, match="disconnected: vertex 0 reaches 2 of 4"):
+            list(iter_colored_isomorphisms(disconnected, g2))
+        with pytest.raises(GraphError, match="color 0 repeated at vertex 1"):
+            colored_isomorphism(improper, g2)
+    # an improperly colored target only yields nothing
+    assert colored_isomorphism(ColoredGraph(4, 2, ((0, 1, 0), (1, 2, 1), (2, 3, 0),
+                                                   (0, 3, 1))), improper) is None
+
+
+def test_relabelled_copies_match_the_oracle(hemi):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    base = hemi.graph
+    classes = enumerate_matching_colorings(base, up_to_color_permutation=True)
+    orders = {}
+
+    @hyp.settings(deadline=None, derandomize=True, database=None, max_examples=30)
+    @hyp.given(st.data())
+    def check(data):
+        c = data.draw(st.sampled_from(classes))
+        lifted = data.draw(st.booleans())
+        g = lift_double_cover(hemi, c).graph if lifted else base.recolored(c)
+        tau = tuple(data.draw(st.permutations(range(g.n_vertices))))
+        pi = tuple(data.draw(st.permutations(range(g.n_colors))))
+        h = ColoredGraph(g.n_vertices, g.n_colors,
+                         tuple((tau[u], tau[v], pi[k]) for u, v, k in g.edges))
+        found = list(iter_colored_isomorphisms(g, h))
+        assert (tau, pi) in found
+        if g not in orders:
+            orders[g] = color_respecting_automorphisms(g).order
+        assert len(found) == orders[g]
+        assert found == list(_backtracking_isomorphisms(g, h))
+
+    check()

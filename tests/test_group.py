@@ -1,5 +1,7 @@
 """Permutations, group closure, induced actions, flag orbits, stabilizers."""
 
+import itertools
+
 import pytest
 
 from chiralcube.graph import Coloring, GraphError
@@ -284,3 +286,34 @@ def test_group_orders_match_schreier_sims(AP, cover, Q, GQ):
     assert len(chains) == 24 + 32 + 16
     for G in groups:
         assert schreier_sims_order(G) == G.order
+
+
+def test_automorphisms_match_networkx_vf2(hemi, twins, cover):
+    # colour is an edge attribute, so VF2 only matches equal colours:
+    # (sigma, pi) is a colour-respecting automorphism exactly when sigma
+    # is an isomorphism from the graph with colours renamed by pi to
+    # the graph itself; try all 4! renamings
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def nx_graph(g, pi):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n_vertices))
+        G.add_edges_from((u, v, {"color": pi[c]}) for u, v, c in g.edges)
+        return G
+
+    def vf2_pairs(g):
+        same = nx_graph(g, range(g.n_colors))
+        pairs = set()
+        for pi in itertools.permutations(range(g.n_colors)):
+            matcher = GraphMatcher(nx_graph(g, pi), same,
+                                   edge_match=lambda a, b: a["color"] == b["color"])
+            pairs |= {(tuple(m[v] for v in range(g.n_vertices)), pi)
+                      for m in matcher.isomorphisms_iter()}
+        return pairs
+
+    for g in (hemi.graph, hemi.graph.recolored(twins[0]), cover.graph):
+        A = color_respecting_automorphisms(g)
+        want = {(p.images, A.color_permutation(p).images) for p in A}
+        assert len(want) == A.order == 192
+        assert vf2_pairs(g) == want

@@ -9,9 +9,10 @@ This gate runs that command unchanged and reads the outcome of every test
 from a JUnit XML report.  It exits 0 when every test passes or is skipped.
 It exits 1 on any failure or error, when nothing ran, or when a test named
 in REQUIRED did not run, so that it cannot drop out of the suite unnoticed:
-criterion 5 (the Petrie exchange), and the test that checks the strong
+criterion 5 (the Petrie exchange); the test that checks the strong
 flag connectivity step of check_polytopality against its section-by-
-section oracle.
+section oracle; and the test that checks the colored isomorphisms found
+by propagation against a vertex-by-vertex backtracking oracle.
 
     python3 tools/tier1_gate.py
 """
@@ -30,6 +31,7 @@ REQUIRED = (
     ("tests.test_acceptance", "test_criterion_05_petrie_exchange"),
     ("tests.test_flag_connectivity",
      "test_strong_connectivity_matches_section_oracle"),
+    ("tests.test_graph", "test_propagation_matches_backtracking_oracle"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -315,12 +315,6 @@ class GeometricGroup:
     def __iter__(self):
         return iter(self.group.elements)
 
-    def orientation_preserving(self):
-        keep = [p for p in self.group.elements
-                if orientation(self.matrices[p]) == 1]
-        sub = PermutationGroup(reduce_generators(keep), elements=keep)
-        return GeometricGroup(sub, {p: self.matrices[p] for p in keep})
-
 
 def _maps_coloring(p, src, dst_colors):
     """Does vertex permutation p send coloring src to the coloring whose

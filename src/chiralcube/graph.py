@@ -62,13 +62,6 @@ class ColoredGraph:
                 return c
         raise KeyError((u, v))
 
-    def adjacency(self):
-        adj = defaultdict(set)
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def degrees(self):
         deg = [0] * self.n_vertices
         for u, v, _ in self.edges:

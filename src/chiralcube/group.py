@@ -137,25 +137,6 @@ class PermutationGroup:
     def is_cyclic(self):
         return any(p.order() == self.order for p in self.elements)
 
-    def subgroup(self, predicate):
-        """Elements satisfying `predicate`, verified to form a subgroup."""
-        keep = [p for p in self.elements if predicate(p)]
-        kset = set(keep)
-        ident = VertexPermutation.identity(self.degree)
-        if ident not in kset:
-            raise ValueError("subset does not contain the identity")
-        for a in keep:
-            if a.inverse() not in kset:
-                raise ValueError("subset not closed under inverse")
-            for b in keep:
-                if a * b not in kset:
-                    raise ValueError("subset not closed under composition")
-        cp = None
-        if self.color_perms is not None:
-            cp = {p: self.color_perms[p] for p in keep}
-        return PermutationGroup(reduce_generators(keep), elements=keep,
-                                color_perms=cp)
-
     def to_json(self):
         return {
             "degree": self.degree,
@@ -269,7 +250,7 @@ def flag_orbits(p, G):
             comp.add(j)
             flag = fg.flags[j]
             for a in actions:
-                img = fg.index[tuple(a(fid) for fid in flag)]
+                img = fg.index[tuple(map(a.images.__getitem__, flag))]
                 if img not in comp:
                     stack.append(img)
         for j in comp:

@@ -68,6 +68,7 @@ class Polytope:
         }
         self._up = None
         self._cov = None
+        self._dia = None
         self._fg = None
 
     # ------------------------------------------------------ structure
@@ -86,16 +87,26 @@ class Polytope:
 
     def _ups(self):
         if self._up is None:
-            n = len(self.faces)
-            self._up = [frozenset(j for j in range(n) if self.leq(i, j))
-                        for i in range(n)]
+            fs = self.faces
+            self._up = [frozenset(g.id for g in fs if f.rank <= g.rank
+                                  and f.vertices <= g.vertices
+                                  and f.edges <= g.edges) for f in fs]
         return self._up
 
-    def between(self, lo, hi, rank):
-        """Ids of rank-`rank` faces f with lo <= f <= hi."""
-        ups = self._ups()
-        return tuple(m for m in self.faces_of_rank(rank)
-                     if m in ups[lo] and hi in ups[m])
+    def _diamonds(self):
+        """{(lo, hi): mids} for every lo <= hi two ranks apart: mids are
+        the faces m one rank above lo with lo <= m <= hi, ids increasing.
+        Keys run over lo, then over _ups()[lo] in its iteration order."""
+        if self._dia is None:
+            ups, dia = self._ups(), {}
+            for lo, up in enumerate(ups):
+                r = self.faces[lo].rank
+                above = [m for m in self.faces_of_rank(r + 1) if m in up]
+                for hi in up:
+                    if self.faces[hi].rank == r + 2:
+                        dia[lo, hi] = [m for m in above if hi in ups[m]]
+            self._dia = dia
+        return self._dia
 
     def _covers(self):
         """_covers()[i]: ids of the faces covering face i, in the
@@ -170,7 +181,7 @@ def _bottom_top(p):
 
 def _build_flag_graph(p):
     bottom, top = _bottom_top(p)
-    ups = p._ups()
+    ups, diamonds = p._ups(), p._diamonds()
 
     flags = []
 
@@ -196,7 +207,7 @@ def _build_flag_graph(p):
         for i in range(p.rank):
             lo = fl[i - 1] if i > 0 else bottom
             hi = fl[i + 1] if i < p.rank - 1 else top
-            mids = [m for m in p.between(lo, hi, i) if m != fl[i]]
+            mids = [m for m in diamonds[lo, hi] if m != fl[i]]
             if len(mids) != 1:
                 raise GraphError(
                     "diamond fails between faces %d and %d: %d alternatives"
@@ -237,10 +248,12 @@ def check_polytopality(p):
     """Diagnostics for the abstract polytope axioms; empty means polytopal.
 
     Checks, in order: unique improper faces, gradedness (every face is
-    above the rank -1 face, covers step one rank), the diamond condition,
-    and strong flag connectivity (every section of rank at least 2 is
-    flag-connected), read off p.flag_graph() one rank pair at a time with
-    no section built (see _sections_by_flags).
+    above the rank -1 face, covers step one rank), the diamond condition
+    (each pair of faces two ranks apart has two faces between, read from
+    p._diamonds() and reported in its order), and strong flag
+    connectivity (every section of rank at least 2 is flag-connected),
+    read off p.flag_graph() one rank pair at a time with no section
+    built (see _sections_by_flags).
     """
     problems = []
     bots = p.faces_of_rank(-1)
@@ -271,15 +284,10 @@ def check_polytopality(p):
     if problems:
         return problems
 
-    for i in range(len(p.faces)):
-        for j in ups[i]:
-            if p.faces[j].rank != p.faces[i].rank + 2:
-                continue
-            mids = p.between(i, j, p.faces[i].rank + 1)
-            if len(mids) != 2:
-                problems.append(
-                    "diamond fails: faces %d < %d have %d faces between"
-                    % (i, j, len(mids)))
+    for (i, j), mids in p._diamonds().items():
+        if len(mids) != 2:
+            problems.append("diamond fails: faces %d < %d have %d faces between"
+                            % (i, j, len(mids)))
     if problems:
         return problems
 
@@ -340,20 +348,21 @@ def schlafli_type(p):
     """Schlafli symbol (p_1, ..., p_{n-1}), or None if not equivelar.
 
     p_i is the length of the orbit of a flag under the rotation
-    rho_{i-1} rho_i; it must not depend on the flag.
+    rho_{i-1} rho_i; it must not depend on the flag.  The rotation is
+    tabulated once per i and each of its cycles is walked once.
     """
     fg = p.flag_graph()
     out = []
     for i in range(1, p.rank):
-        lengths = set()
-        for j in range(len(fg.flags)):
-            steps, cur = 0, j
-            while True:
-                cur = fg.adjacent(fg.adjacent(cur, i - 1), i)
-                steps += 1
-                if cur == j:
-                    break
-            lengths.add(steps)
+        step = [fg.adj[fg.adj[j][i - 1]][i] for j in range(len(fg.flags))]
+        lengths, seen = set(), [False] * len(step)
+        for start in range(len(step)):
+            steps, cur = 0, start
+            while not seen[cur]:
+                seen[cur] = True
+                cur, steps = step[cur], steps + 1
+            if steps:
+                lengths.add(steps)
         if len(lengths) != 1:
             return None
         out.append(lengths.pop())
@@ -382,18 +391,23 @@ def petrie_polygons(p):
 
     The walk applies rho_0, rho_1, ..., rho_{n-1} in order, repeatedly;
     the vertices visited before each pass, collected until the starting
-    flag recurs, form one polygon.  Walks from all flags, deduplicated,
-    sorted; so the output is deterministic.  Only rank 4 is supported
+    flag recurs, form one polygon.  Each walk starts at the least flag
+    not yet at the start of a pass, so every zigzag is walked once (any
+    start gives the same canonical cycle); the polygons come out sorted,
+    so the output is deterministic.  Only rank 4 is supported
     (the walk itself generalizes but nothing here is tested below it).
     """
     if p.rank != 4:
         raise GraphError("petrie walk needs a rank-4 polytope, got rank %d"
                          % p.rank)
     fg = p.flag_graph()
-    seen = set()
+    seen, started = set(), [False] * len(fg.flags)
     for j in range(len(fg.flags)):
+        if started[j]:
+            continue
         verts, cur = [], j
         while True:
+            started[cur] = True
             verts.append(_flag_vertex(p, fg, cur))
             for i in range(p.rank):
                 cur = fg.adjacent(cur, i)

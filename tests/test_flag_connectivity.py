@@ -1,17 +1,25 @@
-"""Strong flag connectivity in check_polytopality, against two oracles.
+"""The flag graph and check_polytopality, against the algorithms they
+replaced.
 
 check_polytopality reads the flag connectivity of every section off the
 poset's own flag graph.  These tests build posets that are graded and
 satisfy the diamond condition but are not flag-connected, and compare
 the step with the section-by-section algorithm it replaced and with
 networkx's connected components.
+
+The flag graph and the diamond step read every diamond from the poset's
+cached table (Polytope._diamonds).  They are compared with the scans
+that table replaced: one pass over the faces of a rank per flag and
+rank, and per pair of faces two ranks apart.
 """
+
+import functools
 
 import pytest
 
 from chiralcube.graph import ColoredGraph, GraphError
-from chiralcube.polytope import (Face, Polytope, check_polytopality,
-                                 colourful_polytope)
+from chiralcube.polytope import (Face, FlagGraph, Polytope, _bottom_top,
+                                 check_polytopality, colourful_polytope)
 
 
 def _renumbered(faces):
@@ -61,7 +69,7 @@ def glued(P):
     return _glued(cube, cube), _glued(P, P), _glued(cube, _hemicube3())
 
 
-def _strong_connectivity_by_sections(p):
+def _strong_connectivity_by_sections(p, flag_graph=Polytope.flag_graph):
     """The step as it was: build every section [i, j] with a rank gap of
     at least 3 as a polytope and walk its flag graph from its least flag."""
     problems = []
@@ -70,7 +78,7 @@ def _strong_connectivity_by_sections(p):
         for j in ups[i]:
             if p.faces[j].rank - p.faces[i].rank < 3:
                 continue
-            fg = p.section(i, j).flag_graph()
+            fg = flag_graph(p.section(i, j))
             if not fg.flags:
                 problems.append("section [%d, %d] has no flags" % (i, j))
                 continue
@@ -163,3 +171,134 @@ def test_flag_graph_components_match_networkx(P, Q, H, cube4, glued):
 
     assert [components(p) for p in glued] == [2, 2, 2]
     assert [components(p) for p in (P, Q, H, cube4)] == [1, 1, 1, 1]
+
+
+# ------------------------------------------- diamonds by face scans
+
+
+@functools.cache
+def _ups_by_leq(p):
+    n = len(p.faces)
+    return [frozenset(j for j in range(n) if p.leq(i, j)) for i in range(n)]
+
+
+def _between(p, ups, lo, hi, rank):
+    """Ids of the rank-`rank` faces m with lo <= m <= hi, by a scan."""
+    return tuple(m for m in p.faces_of_rank(rank)
+                 if m in ups[lo] and hi in ups[m])
+
+
+@functools.cache
+def _diamonds_by_between(p):
+    """The diamond table as (key, mids) pairs, in the order of the
+    diamond step before the table: lo, then _ups()[lo]."""
+    ups = _ups_by_leq(p)
+    return [((i, j), list(_between(p, ups, i, j, p.faces[i].rank + 1)))
+            for i in range(len(p.faces)) for j in ups[i]
+            if p.faces[j].rank == p.faces[i].rank + 2]
+
+
+def _flag_graph_by_between(p):
+    """The flag graph as it was built before the table: one scan per
+    flag and rank for the other face of each i-adjacency."""
+    bottom, top = _bottom_top(p)
+    ups = _ups_by_leq(p)
+    flags = []
+
+    def grow(chain, below):
+        r = len(chain)
+        if r == p.rank:
+            if top in ups[chain[-1]]:
+                flags.append(tuple(chain))
+            return
+        for f in p.faces_of_rank(r):
+            if f in ups[below]:
+                grow(chain + [f], f)
+            elif below == bottom:
+                raise GraphError("face %d (rank 0) is not above the rank -1 face" % f)
+
+    grow([], bottom)
+    flags.sort()
+    index = {fl: i for i, fl in enumerate(flags)}
+    adj = []
+    for fl in flags:
+        row = []
+        for i in range(p.rank):
+            lo = fl[i - 1] if i > 0 else bottom
+            hi = fl[i + 1] if i < p.rank - 1 else top
+            mids = [m for m in _between(p, ups, lo, hi, i) if m != fl[i]]
+            if len(mids) != 1:
+                raise GraphError(
+                    "diamond fails between faces %d and %d: %d alternatives"
+                    % (lo, hi, len(mids) + 1))
+            row.append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
+        adj.append(tuple(row))
+    return FlagGraph(tuple(flags), index, tuple(adj))
+
+
+def _check_polytopality_by_between(p):
+    """check_polytopality as it was before the table, on face scans and
+    the section-by-section connectivity step throughout."""
+    problems = []
+    bots, tops = p.faces_of_rank(-1), p.faces_of_rank(p.rank)
+    if len(bots) != 1:
+        problems.append("expected one rank -1 face, found %d" % len(bots))
+    if len(tops) != 1:
+        problems.append("expected one rank %d face, found %d" % (p.rank, len(tops)))
+    if problems:
+        return problems
+    bottom, top = bots[0], tops[0]
+    ups = _ups_by_leq(p)
+    for i, f in enumerate(p.faces):
+        if i not in ups[bottom]:
+            problems.append("face %d (rank %d) is not above the rank -1 face"
+                            % (i, f.rank))
+        if i == top:
+            continue
+        if ups[i] == {i}:
+            problems.append("face %d (rank %d) has nothing above it" % (i, f.rank))
+            continue
+        strictly_above = set().union(*(ups[k] - {k} for k in ups[i] if k != i))
+        for j in ups[i]:
+            if (j != i and j not in strictly_above
+                    and p.faces[j].rank != f.rank + 1):
+                problems.append(
+                    "cover %d -> %d jumps rank %d -> %d (not graded)"
+                    % (i, j, f.rank, p.faces[j].rank))
+    if problems:
+        return problems
+    for (i, j), mids in _diamonds_by_between(p):
+        if len(mids) != 2:
+            problems.append("diamond fails: faces %d < %d have %d faces between"
+                            % (i, j, len(mids)))
+    if problems:
+        return problems
+    return _strong_connectivity_by_sections(p, _flag_graph_by_between)
+
+
+def _flag_graph_or_error(build, p):
+    try:
+        fg = build(p)
+    except GraphError as e:
+        return str(e)
+    return fg.flags, fg.index, fg.adj
+
+
+def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
+    for p in (P, Q, Qm, H, cube4):
+        assert (_flag_graph_or_error(Polytope.flag_graph, p)
+                == _flag_graph_or_error(_flag_graph_by_between, p))
+    corpus = _corpus(P, Q, H, cube4, glued)
+    raised, kinds = 0, set()
+    for p in corpus:
+        assert p._ups() == _ups_by_leq(p)
+        assert list(p._diamonds().items()) == _diamonds_by_between(p)
+        got = check_polytopality(p)
+        assert got == _check_polytopality_by_between(p)
+        kinds.update(d.split()[0] for d in got)
+        fg = _flag_graph_or_error(Polytope.flag_graph, p)
+        assert fg == _flag_graph_or_error(_flag_graph_by_between, p)
+        raised += isinstance(fg, str)
+    # every step of the check fails somewhere in the corpus
+    assert {"expected", "cover", "diamond", "section"} <= kinds
+    assert len(corpus) > 600 and raised > 100

@@ -16,7 +16,7 @@ from chiralcube.geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
                                  vertex_permutation)
 from chiralcube.graph import (ColoredGraph, Coloring, GraphError,
                              components_by_colorset)
-from chiralcube.group import VertexPermutation
+from chiralcube.group import PermutationGroup, VertexPermutation
 from chiralcube.polytope import two_face_cycle
 
 
@@ -266,8 +266,9 @@ def test_matrix_tagging_is_faithful(hemi, GP):
 
 
 def test_orientation_preserving_subgroup(GP):
-    rot = GP.orientation_preserving()
-    assert rot.order == 96
+    rot = {p for p in GP if orientation(GP.matrix(p)) == 1}
+    assert len(rot) == 96
+    assert set(PermutationGroup(tuple(rot)).elements) == rot
 
 
 # ------------------------------------------------------ twin colorings

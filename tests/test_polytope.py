@@ -140,6 +140,74 @@ def test_octagon_two_faces_of_the_cover(H):
     assert all(len(c) == 8 for c in cycles)
 
 
+# ------------------------------------------------ flag-walk oracles
+
+
+def _schlafli_by_all_flags(p):
+    """schlafli_type as it was: the orbit of every flag walked in full."""
+    fg = p.flag_graph()
+    out = []
+    for i in range(1, p.rank):
+        lengths = set()
+        for j in range(len(fg.flags)):
+            steps, cur = 0, j
+            while True:
+                cur = fg.adjacent(fg.adjacent(cur, i - 1), i)
+                steps += 1
+                if cur == j:
+                    break
+            lengths.add(steps)
+        if len(lengths) != 1:
+            return None
+        out.append(lengths.pop())
+    return tuple(out)
+
+
+def _petrie_by_all_flags(p):
+    """petrie_polygons as it was: a zigzag walked from every flag."""
+    fg = p.flag_graph()
+    seen = set()
+    for j in range(len(fg.flags)):
+        verts, cur = [], j
+        while True:
+            verts.append(min(p.faces[fg.flags[cur][0]].vertices))
+            for i in range(p.rank):
+                cur = fg.adjacent(cur, i)
+            if cur == j:
+                break
+        seen.add(canonical_cycle(verts))
+    return tuple(sorted(seen))
+
+
+def _hexagonal_prism():
+    """Rungs in colour 0, each hexagon alternating colours 1 and 2."""
+    edges = [(i, i + 6, 0) for i in range(6)]
+    edges += [(b + i, b + (i + 1) % 6, 1 + i % 2) for b in (0, 6) for i in range(6)]
+    return colourful_polytope(ColoredGraph(12, 3, tuple(edges)))
+
+
+def test_flag_walks_match_all_flags_oracles(P, Q, H, cube_embedding):
+    cube4 = colourful_polytope(cube_embedding.graph)
+    for p in (P, Q, H, cube4):
+        assert schlafli_type(p) == _schlafli_by_all_flags(p)
+        assert petrie_polygons(p) == _petrie_by_all_flags(p)
+        bot = p.faces_of_rank(-1)[0]
+        for fid in p.faces_of_rank(3):
+            sec = p.section(bot, fid)
+            assert schlafli_type(sec) == _schlafli_by_all_flags(sec)
+    assert [len(petrie_polygons(p)) for p in (P, Q, H, cube4)] == [24, 24, 36, 24]
+
+
+def test_non_equivelar_prism_has_no_schlafli_type():
+    prism = _hexagonal_prism()
+    assert check_polytopality(prism) == []
+    assert f_vector(prism) == (12, 18, 8)
+    assert sorted(map(len, two_face_cycles(prism))) == [4] * 6 + [6] * 2
+    assert schlafli_type(prism) is None
+    assert _schlafli_by_all_flags(prism) is None
+    assert to_json(prism)["schlafli"] is None
+
+
 def test_json_export_shape(P):
     data = to_json(P)
     assert data["f_vector"] == [8, 16, 12, 4]

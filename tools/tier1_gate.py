@@ -11,8 +11,10 @@ It exits 1 on any failure or error, when nothing ran, or when a test named
 in REQUIRED did not run, so that it cannot drop out of the suite unnoticed:
 criterion 5 (the Petrie exchange); the test that checks the strong
 flag connectivity step of check_polytopality against its section-by-
-section oracle; and the test that checks the colored isomorphisms found
-by propagation against a vertex-by-vertex backtracking oracle.
+section oracle; the test that checks the flag graph and the diagnostics
+of check_polytopality, both read from the cached diamond table, against
+face-by-face scans; and the test that checks the colored isomorphisms
+found by propagation against a vertex-by-vertex backtracking oracle.
 
     python3 tools/tier1_gate.py
 """
@@ -31,6 +33,8 @@ REQUIRED = (
     ("tests.test_acceptance", "test_criterion_05_petrie_exchange"),
     ("tests.test_flag_connectivity",
      "test_strong_connectivity_matches_section_oracle"),
+    ("tests.test_flag_connectivity",
+     "test_diamond_table_matches_between_oracle"),
     ("tests.test_graph", "test_propagation_matches_backtracking_oracle"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

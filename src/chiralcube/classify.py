@@ -15,14 +15,14 @@ whose expected value was computed independently rather than quoted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graph import (GraphError, colored_isomorphism,
                     enumerate_matching_colorings, validate)
 from .group import (chain_stabilizer, classify_symmetry,
                     color_respecting_automorphisms, induced_face_action)
-from .geometry import (ANGLE_ATOL, EmbeddedGraph, affine_rank, cycle_holonomy,
+from .geometry import (EmbeddedGraph, affine_rank, cycle_holonomy,
                        classes_hit_all_directions, derive_chiral_colorings,
                        exchanging_isometries, geometric_symmetry_group,
                        hemicube_embedding, lift_double_cover, orientation,
@@ -250,8 +250,7 @@ def verify_paper(*, coloring=None, base_graph=None):
              DERIVED, [], "no twin pair to continue with")
         return report()
     c_q = coloring if coloring is not None else twins[0]
-    c_m = twins[1] if coloring is None else (
-        twins[0] if coloring == twins[1] else twins[1])
+    c_m = twins[0] if c_q.canonical() == twins[1] else twins[1]
 
     add("colorings.mirror_pair",
         "the two colorings are mirror images, not directly congruent",
@@ -459,12 +458,11 @@ def verify_paper(*, coloring=None, base_graph=None):
     h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
     st8 = chain_stabilizer(H, GH.group, [h2, h3])
     oct_gen = next((p for p in st8 if p.order() == 8), None)
-    profile_ok = False
-    gen_type = None
+    profile_ok, gen_type = False, None
     if oct_gen is not None:
         gen_type = oct_gen.cycle_type()
-        prof = rotation_profile(GH.matrix(oct_gen))
-        profile_ok = prof.matches((math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
+        profile_ok = (rotation_profile(GH.matrix(oct_gen)).pi_multiples
+                      == (Fraction(1, 4), Fraction(3, 4)))
     add("qhat.stab_octagon_facet",
         "an octagon-in-facet chain has a cyclic order-8 stabilizer, two 8-cycles, "
         "turning by pi/4 in one plane and 3pi/4 in the perpendicular one",

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-import numpy as np
-
 from .graph import (ColoredGraph, Coloring, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
 from .group import PermutationGroup, VertexPermutation, reduce_generators
@@ -101,23 +99,21 @@ class IsometryMatrix:
             perm[j], signs[j] = i, s
         return IsometryMatrix(tuple(perm), tuple(signs), self.projective)
 
-    def det(self):
-        sign = 1
+    def _signed_cycles(self):
+        """(length k, sign product s) of each cycle of the permutation; on
+        those k coordinates the characteristic polynomial is x^k - s."""
         seen = set()
         for i in range(len(self.perm)):
-            if i in seen:
-                continue
-            length, j = 0, i
+            k, s, j = 0, 1, i
             while j not in seen:
                 seen.add(j)
-                j = self.perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign * math.prod(self.signs)
+                k, s, j = k + 1, s * self.signs[j], self.perm[j]
+            if k:
+                yield k, s
 
-    def to_numpy(self):
-        return np.array(self.rows, dtype=float)
+    def det(self):
+        # each cycle contributes (-1)^(k-1) s
+        return math.prod(s if k % 2 else -s for k, s in self._signed_cycles())
 
 
 _SIGNED_MATRICES = {}
@@ -147,10 +143,15 @@ def orientation(m):
 
 @dataclass(frozen=True)
 class RotationProfile:
-    """Rotation angles of an SO(4) element: two angles in [0, pi],
-    sorted ascending, each from a complex-conjugate eigenvalue pair."""
+    """Rotation angles of an SO(4) element as exact Fraction multiples of
+    pi: two in [0, 1], sorted, each from a complex-conjugate eigenvalue
+    pair.  angles gives them in radians, as floats."""
 
-    angles: tuple
+    pi_multiples: tuple
+
+    @property
+    def angles(self):
+        return tuple(float(f) * math.pi for f in self.pi_multiples)
 
     def matches(self, expected, atol=ANGLE_ATOL):
         return (len(self.angles) == len(expected)
@@ -162,19 +163,20 @@ def rotation_profile(m):
     """Angle pair of a rotation matrix (det +1, euclidean).
 
     Eigenvalues of an orthogonal 4x4 rotation come in conjugate pairs
-    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  ValueError for
-    projective or orientation-reversing input, where angles are not
-    well defined.
+    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  A signed k-cycle
+    with sign product s gives the k roots of x^k = s, of arguments
+    (2t + [s < 0]) pi / k.  ValueError for projective or
+    orientation-reversing input, where angles are not well defined.
     """
     if m.projective:
         raise ValueError("rotation angles are sign-ambiguous projectively")
     if m.det() != 1:
         raise ValueError("rotation profile requires det +1")
-    eig = np.linalg.eigvals(m.to_numpy())
-    args = np.sort(np.abs(np.angle(eig)))
-    if abs(args[0] - args[1]) > ANGLE_ATOL or abs(args[2] - args[3]) > ANGLE_ATOL:
+    args = sorted(min(a, 2 - a) for k, s in m._signed_cycles()
+                  for a in (Fraction(2 * t + (s < 0), k) for t in range(k)))
+    if args[0] != args[1] or args[2] != args[3]:
         raise ValueError("eigenvalue arguments do not pair: %r" % (args,))
-    return RotationProfile((float(args[0]), float(args[2])))
+    return RotationProfile((args[0], args[2]))
 
 
 # ----------------------------------------------------------- embeddings

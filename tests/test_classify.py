@@ -77,6 +77,16 @@ def test_regular_coloring_injection_fails_chirality(hemi):
     assert any(c.key.startswith("qhat.") for c in sabotaged.checks)
 
 
+def test_renamed_twins_report_all_green(report, twins):
+    # the mirror is picked by colour class, not by the labelled colouring,
+    # so renaming the colours of either twin changes no row
+    for twin in twins:
+        for renaming in ((1, 0, 2, 3), (3, 2, 1, 0)):
+            renamed = twin.permuted(renaming)
+            assert renamed != twin
+            assert verify_paper(coloring=renamed).to_text() == report.to_text()
+
+
 def test_broken_base_graph_reported_not_raised():
     # vertex 1 sees color 0 twice: improper
     broken = ColoredGraph(4, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 1), (0, 3, 1)))

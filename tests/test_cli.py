@@ -1,9 +1,14 @@
 """Command line behavior: verbs, formats, exit codes, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chiralcube
 from chiralcube.cli import main
 
 
@@ -147,3 +152,19 @@ def test_output_is_byte_stable(capsys):
     _, a = run(capsys, "verify", "--format", "json")
     _, b = run(capsys, "verify", "--format", "json")
     assert a == b
+
+
+def test_numpy_is_not_imported():
+    # -X importtime lists every module a process imports, on stderr
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(chiralcube.__file__).resolve().parents[1]))
+    for argv in (["-c", "import chiralcube"],
+                 ["-m", "chiralcube.cli", "verify"]):
+        run = subprocess.run([sys.executable, "-X", "importtime"] + argv,
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "chiralcube.geometry" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}

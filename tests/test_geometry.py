@@ -1,6 +1,7 @@
 """Embeddings, signed-permutation isometries, holonomy, lifting, OFF export."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -153,6 +154,7 @@ def test_profile_of_single_plane_quarter_turn():
     m = IsometryMatrix((1, 0, 2, 3), (-1, 1, 1, 1))
     assert m.det() == 1
     assert rotation_profile(m).matches((0.0, math.pi / 2))
+    assert rotation_profile(m).pi_multiples == (0, Fraction(1, 2))
 
 
 def test_profile_rejects_reflections():
@@ -164,6 +166,30 @@ def test_profile_rejects_reflections():
 def test_profile_rejects_projective_input():
     with pytest.raises(ValueError):
         rotation_profile(IsometryMatrix.identity(projective=True))
+
+
+def test_exact_profile_matches_numpy_eigenvalues():
+    # the oracle: float eigenvalues of the dense matrix, paired by
+    # argument exactly as the exact path pairs its signed-cycle roots
+    np = pytest.importorskip("numpy")
+    rotations = reflections = 0
+    for m in all_signed_matrices(4):
+        dense = np.array(m.rows, dtype=float)
+        if round(np.linalg.det(dense)) != 1:
+            with pytest.raises(ValueError):
+                rotation_profile(m)
+            reflections += 1
+            continue
+        args = np.sort(np.abs(np.angle(np.linalg.eigvals(dense))))
+        assert abs(args[0] - args[1]) <= ANGLE_ATOL
+        assert abs(args[2] - args[3]) <= ANGLE_ATOL
+        prof = rotation_profile(m)
+        assert prof.matches((args[0], args[2]), ANGLE_ATOL)
+        assert len(prof.pi_multiples) == 2
+        assert all(0 <= f <= 1 for f in prof.pi_multiples)
+        assert list(prof.pi_multiples) == sorted(prof.pi_multiples)
+        rotations += 1
+    assert (rotations, reflections) == (192, 192)
 
 
 # ----------------------------------------------------------- embeddings
@@ -391,6 +417,7 @@ def test_octagon_stabilizer_profile(H, GH, cover):
     gen = next(p for p in st if p.order() == 8)
     prof = rotation_profile(GH.matrix(gen))
     assert prof.matches((math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
+    assert prof.pi_multiples == (Fraction(1, 4), Fraction(3, 4))
 
 
 # --------------------------------------------------------- affine rank

@@ -308,3 +308,40 @@ def test_automorphisms_match_networkx_vf2(hemi, twins, cover):
         want = {(p.images, A.color_permutation(p).images) for p in A}
         assert len(want) == A.order == 192
         assert vf2_pairs(g) == want
+
+
+# ----------------------------------------- chirality by distinguished generators
+
+
+def test_schulte_weiss_distinguished_generators(H, GH):
+    # Schulte and Weiss, "Chiral polytopes" (1991): a chiral 4-polytope's
+    # rotation group is generated by sigma_1, sigma_2, sigma_3, where
+    # sigma_i takes the base flag to the flag reached by changing rank
+    # i-1, then rank i.  Products compose as VertexPermutation does,
+    # (p*q)(x) = p(q(x)); in the other order the relation that holds is
+    # (sigma_3 sigma_2 sigma_1)^2 = 1.  Unlike classify_symmetry, this
+    # counts no flag orbits.
+    fg = H.flag_graph()
+    actions = {g: induced_face_action(H, g) for g in GH}
+
+    def taking_base_to(j):
+        return [g for g, a in actions.items()
+                if fg.index[tuple(map(a, fg.flags[0]))] == j]
+
+    sigmas = [taking_base_to(fg.adjacent(fg.adjacent(0, i - 1), i))
+              for i in (1, 2, 3)]
+    assert [len(s) for s in sigmas] == [1, 1, 1]
+    s1, s2, s3 = (s[0] for s in sigmas)
+    assert (s1.order(), s2.order(), s3.order()) == (8, 3, 3)
+    for w in ((s1, s2), (s2, s3), (s1, s2, s3)):
+        prod = VertexPermutation.identity(s1.degree)
+        for s in w:
+            prod = prod * s
+        assert (prod * prod).is_identity()
+    left, right = PermutationGroup((s1, s2)), PermutationGroup((s2, s3))
+    meet = set(left) & set(right)
+    assert (left.order, right.order, len(meet)) == (48, 12, 3)
+    assert meet == set(PermutationGroup((s2,)))
+    assert PermutationGroup((s1, s2, s3)) == GH.group
+    # no rotation takes the base flag to its 0-adjacent flag: chiral
+    assert taking_base_to(fg.adjacent(0, 0)) == []

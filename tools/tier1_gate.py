@@ -13,8 +13,11 @@ criterion 5 (the Petrie exchange); the test that checks the strong
 flag connectivity step of check_polytopality against its section-by-
 section oracle; the test that checks the flag graph and the diagnostics
 of check_polytopality, both read from the cached diamond table, against
-face-by-face scans; and the test that checks the colored isomorphisms
-found by propagation against a vertex-by-vertex backtracking oracle.
+face-by-face scans; the test that checks the colored isomorphisms
+found by propagation against a vertex-by-vertex backtracking oracle;
+and the test that checks the exact rotation angles read from signed
+cycles against numpy eigenvalues (it skips, and so fails this gate,
+when numpy is not installed).
 
     python3 tools/tier1_gate.py
 """
@@ -36,6 +39,7 @@ REQUIRED = (
     ("tests.test_flag_connectivity",
      "test_diamond_table_matches_between_oracle"),
     ("tests.test_graph", "test_propagation_matches_backtracking_oracle"),
+    ("tests.test_geometry", "test_exact_profile_matches_numpy_eigenvalues"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -165,13 +165,13 @@ def rotation_profile(m):
     Eigenvalues of an orthogonal 4x4 rotation come in conjugate pairs
     e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  A signed k-cycle
     with sign product s gives the k roots of x^k = s, of arguments
-    (2t + [s < 0]) pi / k.  ValueError for projective or
-    orientation-reversing input, where angles are not well defined.
+    (2t + [s < 0]) pi / k.  ValueError for projective, orientation-
+    reversing or non-4x4 input, where the profile is not defined.
     """
     if m.projective:
         raise ValueError("rotation angles are sign-ambiguous projectively")
-    if m.det() != 1:
-        raise ValueError("rotation profile requires det +1")
+    if m.dimension != 4 or m.det() != 1:
+        raise ValueError("rotation profile requires a 4x4 matrix of det +1")
     args = sorted(min(a, 2 - a) for k, s in m._signed_cycles()
                   for a in (Fraction(2 * t + (s < 0), k) for t in range(k)))
     if args[0] != args[1] or args[2] != args[3]:
@@ -321,9 +321,9 @@ class GeometricGroup:
 def _maps_coloring(p, src, dst_colors):
     """Does vertex permutation p send coloring src to the coloring whose
     edge -> color dict is dst_colors, up to renaming colors?"""
-    cmap = {}
+    cmap, im = {}, p.images
     for (u, v), c in zip(src.edge_pairs, src.colors):
-        a, b = p(u), p(v)
+        a, b = im[u], im[v]
         c2 = dst_colors.get((a, b) if a < b else (b, a))
         if c2 is None or cmap.setdefault(c, c2) != c2:
             return False

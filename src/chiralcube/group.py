@@ -2,7 +2,7 @@
 
 Groups here are small (a few hundred elements), so they are always fully
 materialized: a PermutationGroup carries its complete sorted element
-list, built by breadth-first closure from generators.  On top of that
+list, grown from its generators one coset at a time.  On top of that
 sit the operations that decide regularity versus chirality: inducing a
 face permutation from a vertex permutation, computing flag orbits, and
 classifying the orbit structure.
@@ -51,14 +51,14 @@ class VertexPermutation:
         return self.images[x]
 
     def __mul__(self, other):
-        # composition: (p * q)(x) = p(q(x))
-        return VertexPermutation(tuple(self.images[y] for y in other.images))
+        # composition: (p * q)(x) = p(q(x)); a product of two bijections
+        # of one point set is one, so only the degrees are checked
+        if len(self.images) != len(other.images):
+            raise ValueError("degrees differ: %r * %r" % (self.images, other.images))
+        return _trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return VertexPermutation(tuple(inv))
+        return _trusted(tuple(sorted(range(len(self.images)), key=self.images.__getitem__)))
 
     def is_identity(self):
         return all(self.images[x] == x for x in range(len(self.images)))
@@ -85,6 +85,13 @@ class VertexPermutation:
         return math.lcm(*(len(c) for c in self.cycles()))
 
 
+def _trusted(images):
+    # a VertexPermutation from an image tuple known to be a bijection
+    p = object.__new__(VertexPermutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 # --------------------------------------------------------------- groups
 
 
@@ -103,7 +110,7 @@ class PermutationGroup:
         if any(g.degree != self.degree for g in self.generators):
             raise ValueError("generators act on different point sets")
         if elements is None:
-            elements = _close(self.generators)
+            elements = map(_trusted, _span(self.generators, self.degree)[1])
         self.elements = tuple(sorted(elements, key=lambda p: p.images))
         self._element_set = frozenset(self.elements)
         self.color_perms = dict(color_perms) if color_perms is not None else None
@@ -145,41 +152,36 @@ class PermutationGroup:
         }
 
 
-def _close(generators, els=None):
-    """Breadth-first closure of a generator set.  When given, `els` is
-    grown in place: a set holding the identity, closed under all but the
-    last generator."""
-    if els is None:
-        els = {VertexPermutation.identity(generators[0].degree)}
-        frontier = list(els)
-    else:
-        frontier = [b for b in {a * generators[-1] for a in els} if b not in els]
-        els.update(frontier)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                if b not in els:
-                    els.add(b)
-                    fresh.append(b)
-        frontier = fresh
-    return els
+def _span(perms, degree):
+    """Walk perms in order and keep each one outside the span of those
+    kept before it: (the kept ones, the image tuples of their span).
+    Dimino's algorithm: the old span H is a group, so the new one is a
+    union of right cosets H r with H r s = H (r s); each product r s of
+    a coset representative and a generator that falls outside the span
+    brings in its whole coset at once."""
+    kept, gens, span = [], [], {tuple(range(degree))}
+    for p in perms:
+        if p.images in span:
+            continue
+        kept.append(p)
+        gens.append(p.images)
+        old, reps = tuple(span), [p.images]
+        span.update(tuple(map(h.__getitem__, p.images)) for h in old)
+        for r in reps:  # reps grows while it is walked
+            for g in gens:
+                rg = tuple(map(r.__getitem__, g))
+                if rg not in span:
+                    reps.append(rg)
+                    span.update(tuple(map(h.__getitem__, rg)) for h in old)
+    return kept, span
 
 
 def reduce_generators(elements):
     """Small generating set for a materialized group: greedily add
     elements not yet generated.  Always nonempty (identity if trivial)."""
     elements = sorted(elements, key=lambda p: p.images)
-    ident = VertexPermutation.identity(elements[0].degree)
-    gens = []
-    span = {ident}
-    for p in elements:
-        if p in span:
-            continue
-        gens.append(p)
-        _close(gens, span)
-    return tuple(gens) if gens else (ident,)
+    kept = _span(elements, elements[0].degree)[0]
+    return tuple(kept) or (VertexPermutation.identity(elements[0].degree),)
 
 
 def color_respecting_automorphisms(g):
@@ -201,16 +203,14 @@ def color_respecting_automorphisms(g):
 # ---------------------------------------------------- action on faces
 
 
-def _map_edge(e, sigma):
-    a, b = sigma(e[0]), sigma(e[1])
-    return (a, b) if a < b else (b, a)
-
-
 def _face_image(p, f, sigma):
-    """Id of the image of face f under sigma, or None if not a face."""
-    vs = frozenset(sigma(v) for v in f.vertices)
-    es = frozenset(_map_edge(e, sigma) for e in f.edges)
-    return p.face_index(f.rank, vs, es)
+    """Id of the image of face f under sigma, or None if not a face.
+    Only the half of the key that Polytope.face_index reads is built."""
+    im = sigma.images
+    if f.rank <= 0:
+        return p.face_index(f.rank, frozenset(map(im.__getitem__, f.vertices)), None)
+    es = ((im[u], im[v]) for u, v in f.edges)
+    return p.face_index(f.rank, None, frozenset((a, b) if a < b else (b, a) for a, b in es))
 
 
 def induced_face_action(p, sigma):

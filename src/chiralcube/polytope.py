@@ -77,7 +77,7 @@ class Polytope:
         return tuple(self._by_rank.get(r, ()))
 
     def face_index(self, rank, vertices, edges):
-        """Id of the face with this rank and vertex/edge set, or None."""
+        """Id of the face of this rank with these vertices (rank <= 0) or edges, or None."""
         return self._index.get(_face_key(rank, vertices, edges))
 
     def leq(self, i, j):

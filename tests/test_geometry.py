@@ -163,6 +163,14 @@ def test_profile_rejects_reflections():
         rotation_profile(refl)
 
 
+def test_profile_rejects_other_dimensions():
+    # the profile is an angle pair only in dimension 4; a 6x6 identity
+    # would otherwise pass the pairing check on its first four angles
+    for n in (2, 3, 6):
+        with pytest.raises(ValueError):
+            rotation_profile(IsometryMatrix.identity(n))
+
+
 def test_profile_rejects_projective_input():
     with pytest.raises(ValueError):
         rotation_profile(IsometryMatrix.identity(projective=True))

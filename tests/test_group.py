@@ -30,6 +30,14 @@ def test_composition_order():
     assert (p * q).images == tuple(p(q(x)) for x in range(3))
 
 
+def test_mixed_degree_products_raise():
+    # products are not revalidated, so a shorter right factor would
+    # otherwise give a permutation of the smaller degree
+    for p, q in (((1, 0, 2), (0, 1)), ((0, 1), (0, 1, 2)), ((0, 2, 1), (0, 1))):
+        with pytest.raises(ValueError):
+            VertexPermutation(p) * VertexPermutation(q)
+
+
 def test_inverse():
     p = VertexPermutation((2, 0, 1, 3))
     assert (p * p.inverse()).is_identity()
@@ -131,6 +139,35 @@ def test_color_breaking_map_is_rejected(P):
     with pytest.raises(NotAnAutomorphismError) as info:
         induced_face_action(P, bad)
     assert isinstance(info.value.face_id, int)
+
+
+def _scanned_face_action(p, sigma):
+    """Face ids of the images of p's faces under sigma, found by scanning
+    p.faces for the mapped vertex set and the mapped edge set; ("missing",
+    id) for the first face with no image."""
+    images = []
+    for f in p.faces:
+        vs = frozenset(sigma(v) for v in f.vertices)
+        es = frozenset(tuple(sorted((sigma(a), sigma(b)))) for a, b in f.edges)
+        hits = [g.id for g in p.faces
+                if g.rank == f.rank and g.vertices == vs and g.edges == es]
+        if not hits:
+            return ("missing", f.id)
+        assert len(hits) == 1
+        images.append(hits[0])
+    return tuple(images)
+
+
+def test_face_action_matches_full_scan(P, AP, Q, GQ, H, GH):
+    # induced_face_action builds only half of each face key; the scan
+    # matches both halves, under every element of each group
+    for p, G in ((P, AP), (Q, GQ.group), (H, GH.group)):
+        for g in G:
+            assert induced_face_action(p, g).images == _scanned_face_action(p, g)
+    bad = VertexPermutation((0, 1, 2, 4, 3, 5, 6, 7))
+    with pytest.raises(NotAnAutomorphismError) as info:
+        induced_face_action(P, bad)
+    assert _scanned_face_action(P, bad) == ("missing", info.value.face_id)
 
 
 def test_face_action_is_a_homomorphism(P, AP):
@@ -240,25 +277,68 @@ def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
             chain_stabilizer(P, G, [v0])
 
 
+def _bfs_span(gens, degree):
+    """Image tuples of <gens>, by breadth-first search from the identity;
+    shares no code with the coset closure of chiralcube.group."""
+    ident = tuple(range(degree))
+    span, frontier = {ident}, [ident]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(a[x] for x in g)
+                if b not in span:
+                    span.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return span
+
+
+def _greedy_generators(images, degree):
+    """The definition of reduce_generators: add each element, in sorted
+    order, that the earlier ones do not generate, closing the generators
+    from scratch every time."""
+    gens, span = [], {tuple(range(degree))}
+    for p in sorted(images):
+        if p not in span:
+            gens.append(p)
+            span = _bfs_span(gens, degree)
+    return gens or [tuple(range(degree))]
+
+
 def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
-    # the definition: add each element the earlier ones do not
-    # generate, closing the generators from scratch every time
     for G in (AP, GQ.group, GH.group,
               PermutationGroup([VertexPermutation.identity(3)])):
-        ident = VertexPermutation.identity(G.degree)
-        gens = []
-        for p in G.elements:
-            span = PermutationGroup(gens or [ident])
-            if span.order == G.order:
-                break
-            if p not in span:
-                gens.append(p)
-        assert reduce_generators(G.elements) == (tuple(gens) or (ident,))
+        images = [p.images for p in G.elements]
+        assert sorted(_bfs_span(images, G.degree)) == images
+        assert ([g.images for g in reduce_generators(G.elements)]
+                == _greedy_generators(images, G.degree))
+
+
+def test_coset_closure_matches_bfs_closure():
+    # random generator sets in S_n, n <= 7: the coset closure behind
+    # PermutationGroup and reduce_generators against breadth-first search
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 7))
+        gens = data.draw(st.lists(st.permutations(range(n)).map(tuple),
+                                  min_size=1, max_size=4))
+        want = sorted(_bfs_span(gens, n))
+        G = PermutationGroup([VertexPermutation(g) for g in gens])
+        assert [p.images for p in G.elements] == want
+        assert ([g.images for g in reduce_generators(G.elements)]
+                == _greedy_generators(want, n))
+
+    check()
 
 
 def test_group_orders_match_schreier_sims(AP, cover, Q, GQ):
     # sympy's Schreier-Sims order of each group's generators, against
-    # the element lists the breadth-first closure materialized
+    # the element lists the coset closure materialized
     combinatorics = pytest.importorskip("sympy.combinatorics")
 
     def schreier_sims_order(G):

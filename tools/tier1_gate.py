@@ -15,9 +15,11 @@ section oracle; the test that checks the flag graph and the diagnostics
 of check_polytopality, both read from the cached diamond table, against
 face-by-face scans; the test that checks the colored isomorphisms
 found by propagation against a vertex-by-vertex backtracking oracle;
-and the test that checks the exact rotation angles read from signed
+the test that checks the exact rotation angles read from signed
 cycles against numpy eigenvalues (it skips, and so fails this gate,
-when numpy is not installed).
+when numpy is not installed); and the property that checks the coset
+closure of group elements and generators against breadth-first search
+(it skips, and so fails this gate, when hypothesis is not installed).
 
     python3 tools/tier1_gate.py
 """
@@ -40,6 +42,7 @@ REQUIRED = (
      "test_diamond_table_matches_between_oracle"),
     ("tests.test_graph", "test_propagation_matches_backtracking_oracle"),
     ("tests.test_geometry", "test_exact_profile_matches_numpy_eigenvalues"),
+    ("tests.test_group", "test_coset_closure_matches_bfs_closure"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

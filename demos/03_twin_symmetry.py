@@ -17,14 +17,14 @@ twin = derive_chiral_colorings(e)[0]
 
 for label, coloring in (("direction coloring", None), ("twin coloring", twin)):
     G = geometric_symmetry_group(e, coloring)
-    dets = [orientation(G.matrix(p)) for p in G]
+    dets = [orientation(e.matrix(p)) for p in G]
     print("%-18s %3d isometries  (%d rotations, %d reflections)"
           % (label, G.order, dets.count(1), dets.count(-1)))
 
 print()
 Q = colourful_polytope(e.graph.recolored(twin))
 GQ = geometric_symmetry_group(e, twin)
-cls = classify_symmetry(Q, GQ.group)
+cls = classify_symmetry(Q, GQ)
 print("flag orbits under the 96 rotations: %s -> %s"
       % (cls.orbit_sizes, cls.verdict))
 
@@ -32,7 +32,7 @@ qbot = Q.faces_of_rank(-1)[0]
 print()
 print("facet sections under their stabilizers:")
 for fid in Q.faces_of_rank(3):
-    stab = chain_stabilizer(Q, GQ.group, [fid])
+    stab = chain_stabilizer(Q, GQ, [fid])
     c = classify_symmetry(Q.section(qbot, fid), stab)
     print("  facet %2d: stabilizer order %d, verdict %s, orbits %s"
           % (fid, stab.order, c.verdict, c.orbit_sizes))
@@ -40,13 +40,13 @@ for fid in Q.faces_of_rank(3):
 print()
 f2 = Q.faces_of_rank(2)[0]
 f3 = next(i for i in Q.faces_of_rank(3) if Q.leq(f2, i))
-st = chain_stabilizer(Q, GQ.group, [f2, f3])
+st = chain_stabilizer(Q, GQ, [f2, f3])
 gen = next(p for p in st if p.order() == st.order)
 print("square-in-facet stabilizer: order %d, generator cycles %s"
       % (st.order, gen.cycles()))
 
 v0 = Q.faces_of_rank(0)[0]
 f3v = next(i for i in Q.faces_of_rank(3) if Q.leq(v0, i))
-stv = chain_stabilizer(Q, GQ.group, [v0, f3v])
+stv = chain_stabilizer(Q, GQ, [v0, f3v])
 print("vertex-in-facet stabilizer: order %d, cyclic %s"
       % (stv.order, stv.is_cyclic()))

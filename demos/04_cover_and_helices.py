@@ -47,9 +47,9 @@ for r, fids in sorted(ranks.items()):
 GH = geometric_symmetry_group(cover)
 h2 = H.faces_of_rank(2)[0]
 h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
-st = chain_stabilizer(H, GH.group, [h2, h3])
+st = chain_stabilizer(H, GH, [h2, h3])
 gen = next(p for p in st if p.order() == 8)
-prof = rotation_profile(GH.matrix(gen))
+prof = rotation_profile(cover.matrix(gen))
 print()
 print("octagon-in-facet stabilizer: order %d, angles %s"
       % (st.order, tuple(round(a / math.pi, 6) for a in prof.angles)),

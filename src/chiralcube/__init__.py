@@ -22,15 +22,14 @@ from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
                        check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycle,
                        two_face_cycles)
-from .geometry import (ANGLE_ATOL, EmbeddedGraph, GeometricGroup,
-                       IsometryMatrix, RotationProfile, affine_rank,
-                       all_signed_matrices, classes_hit_all_directions,
-                       cycle_holonomy, derive_chiral_colorings,
-                       exchanging_isometries, geometric_symmetry_group,
-                       hemicube_embedding, hypercube_embedding, lift_cycle,
-                       lift_double_cover, off_text, orientation,
-                       rotation_profile, squares_see_all_colors,
-                       vertex_permutation)
+from .geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
+                       RotationProfile, affine_rank, all_signed_matrices,
+                       classes_hit_all_directions, cycle_holonomy,
+                       derive_chiral_colorings, exchanging_isometries,
+                       geometric_symmetry_group, hemicube_embedding,
+                       hypercube_embedding, lift_cycle, lift_double_cover,
+                       off_text, orientation, rotation_profile,
+                       squares_see_all_colors, vertex_permutation)
 from .classify import (CheckResult, VerificationReport, enantiomorph_check,
                        verify_paper)
 
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANGLE_ATOL", "CheckResult", "ColoredGraph", "Coloring", "EmbeddedGraph",
-    "Face", "FlagGraph", "GeometricGroup", "GraphError", "IsometryMatrix",
+    "Face", "FlagGraph", "GraphError", "IsometryMatrix",
     "NotAnAutomorphismError", "PermutationGroup", "Polytope",
     "RotationProfile", "SymmetryClassification", "VerificationReport",
     "VertexPermutation", "affine_rank", "all_signed_matrices",

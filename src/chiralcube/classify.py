@@ -2,7 +2,7 @@
 
 verify_paper() rebuilds everything from scratch: the quotient-cube graph,
 its regular polytope, the exhaustive coloring search, the chiral twin and
-its mirror, the symmetry groups with their matrices, the zigzag polygon
+its mirror, the symmetry groups and their matrices, the zigzag polygon
 exchange, the sign holonomy, and the double cover with its helical faces.
 Each claim becomes one report row with the expected and computed values;
 a failure is recorded in its row, never raised, so the report always
@@ -127,6 +127,14 @@ def enantiomorph_check(c1, c2, embedding):
     return "enantiomorphic"
 
 
+def _facet_shapes(p):
+    """The set of (f-vector, Schlafli type, polytopal) over p's facets."""
+    bottom = p.faces_of_rank(-1)[0]
+    sections = (p.section(bottom, fid) for fid in p.faces_of_rank(3))
+    return {(f_vector(sec), schlafli_type(sec), check_polytopality(sec) == [])
+            for sec in sections}
+
+
 def verify_paper(*, coloring=None, base_graph=None):
     """Verify every claim about the construction; returns a report.
 
@@ -195,15 +203,9 @@ def verify_paper(*, coloring=None, base_graph=None):
         (4, 3, 3), schlafli_type(P))
     add("p.flag_count", "192 flags", DERIVED, 192, len(P.flag_graph().flags))
 
-    bot = P.faces_of_rank(-1)[0]
-    facet_shapes = set()
-    for fid in P.faces_of_rank(3):
-        sec = P.section(bot, fid)
-        facet_shapes.add((f_vector(sec), schlafli_type(sec),
-                          check_polytopality(sec) == []))
     add("p.facets_cubes", "all 4 facets are 3-cubes",
         "P has 4 facets and each of them is a cube",
-        {((8, 12, 6), (4, 3), True)}, facet_shapes)
+        {((8, 12, 6), (4, 3), True)}, _facet_shapes(P))
 
     AP = color_respecting_automorphisms(g)
     add("p.autos_order", "192 color-respecting automorphisms",
@@ -214,7 +216,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         "regular", classify_symmetry(P, AP).verdict)
 
     GP = geometric_symmetry_group(e)
-    dets = [orientation(GP.matrix(p)) for p in GP]
+    dets = [orientation(e.matrix(p)) for p in GP]
     add("p.geo_order", "realized with all 192 automorphisms as isometries",
         "Recall that P has 192 symmetries.",
         192, GP.order)
@@ -286,12 +288,12 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("q.geo_order", "the twin keeps exactly 96 isometries",
         "Q has precisely 96 symmetries",
         96, GQ.order)
-    qdets = [orientation(GQ.matrix(p)) for p in GQ]
+    qdets = [orientation(e.matrix(p)) for p in GQ]
     add("q.rotations_only", "every surviving isometry preserves orientation",
         "all 96 orientation preserving elements",
         (96, 0), (qdets.count(1), qdets.count(-1)))
 
-    cls_q = classify_symmetry(Q, GQ.group)
+    cls_q = classify_symmetry(Q, GQ)
     add("q.geometrically_chiral",
         "two flag orbits, adjacent flags always in opposite orbits",
         "geometrically chiral, with geometrically chiral facets",
@@ -300,10 +302,10 @@ def verify_paper(*, coloring=None, base_graph=None):
     qbot = Q.faces_of_rank(-1)[0]
     facet_class = set()
     facet_orbits = set()
-    act0 = [induced_face_action(Q, p) for p in GQ.group.generators]
+    act0 = [induced_face_action(Q, p) for p in GQ.generators]
     for fid in Q.faces_of_rank(3):
         sec = Q.section(qbot, fid)
-        stab = chain_stabilizer(Q, GQ.group, [fid])
+        stab = chain_stabilizer(Q, GQ, [fid])
         c = classify_symmetry(sec, stab)
         facet_class.add((stab.order, c.verdict, c.orbit_sizes))
         reach = {fid}
@@ -326,7 +328,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     f2 = Q.faces_of_rank(2)[0]
     f3 = next(i for i in Q.faces_of_rank(3) if Q.leq(f2, i))
-    st = chain_stabilizer(Q, GQ.group, [f2, f3])
+    st = chain_stabilizer(Q, GQ, [f2, f3])
     gen_types = sorted({p.cycle_type() for p in st if p.order() == st.order})
     add("q.stab_square_facet",
         "a square-in-facet chain has cyclic stabilizer of order 4, acting as two 4-cycles",
@@ -335,7 +337,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     v0 = Q.faces_of_rank(0)[0]
     f3v = next(i for i in Q.faces_of_rank(3) if Q.leq(v0, i))
-    stv = chain_stabilizer(Q, GQ.group, [v0, f3v])
+    stv = chain_stabilizer(Q, GQ, [v0, f3v])
     add("q.stab_vertex_facet",
         "a vertex-in-facet chain has cyclic stabilizer of order 3",
         "generated by the 3-fold rotation around the edge of Q containing "
@@ -344,7 +346,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     e1 = Q.faces_of_rank(1)[0]
     v_in = next(i for i in Q.faces_of_rank(0) if Q.leq(i, e1))
-    ste = chain_stabilizer(Q, GQ.group, [v_in, e1])
+    ste = chain_stabilizer(Q, GQ, [v_in, e1])
     add("q.stab_edge_pointwise",
         "fixing an edge with one endpoint leaves a group of order 3",
         "generated by the 3-fold rotation around that edge",
@@ -412,16 +414,10 @@ def verify_paper(*, coloring=None, base_graph=None):
         "Each of the vertices and edges of Q lift to two copies of them",
         True, deck_ok)
 
-    hbot = H.faces_of_rank(-1)[0]
-    hshapes = set()
-    for fid in H.faces_of_rank(3):
-        sec = H.section(hbot, fid)
-        hshapes.add((f_vector(sec), schlafli_type(sec),
-                     check_polytopality(sec) == []))
     add("qhat.facets",
         "all 4 facets have 16 vertices, 24 edges, 6 octagons, type {8,3}",
         "has 16 vertices, 24 edges and 6 faces",
-        {((16, 24, 6), (8, 3), True)}, hshapes)
+        {((16, 24, 6), (8, 3), True)}, _facet_shapes(H))
 
     ranks = {affine_rank([he.coords[v] for v in two_face_cycle(H, fid)])
              for fid in H.faces_of_rank(2)}
@@ -433,7 +429,7 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("qhat.geo_order", "the cover keeps exactly 192 isometries",
         DERIVED,
         192, GH.order)
-    hdets = [orientation(GH.matrix(p)) for p in GH]
+    hdets = [orientation(he.matrix(p)) for p in GH]
     add("qhat.rotations_only", "every isometry of the cover preserves orientation",
         DERIVED,
         (192, 0), (hdets.count(1), hdets.count(-1)))
@@ -448,7 +444,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         192, AH.order)
 
-    cls_h = classify_symmetry(H, GH.group)
+    cls_h = classify_symmetry(H, GH)
     add("qhat.geometrically_chiral",
         "two flag orbits of 192, adjacent flags always in opposite orbits",
         "chiral 4-polytope of full rank",
@@ -456,12 +452,12 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     h2 = H.faces_of_rank(2)[0]
     h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
-    st8 = chain_stabilizer(H, GH.group, [h2, h3])
+    st8 = chain_stabilizer(H, GH, [h2, h3])
     oct_gen = next((p for p in st8 if p.order() == 8), None)
     profile_ok, gen_type = False, None
     if oct_gen is not None:
         gen_type = oct_gen.cycle_type()
-        profile_ok = (rotation_profile(GH.matrix(oct_gen)).pi_multiples
+        profile_ok = (rotation_profile(he.matrix(oct_gen)).pi_multiples
                       == (Fraction(1, 4), Fraction(3, 4)))
     add("qhat.stab_octagon_facet",
         "an octagon-in-facet chain has a cyclic order-8 stabilizer, two 8-cycles, "

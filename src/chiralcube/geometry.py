@@ -7,8 +7,9 @@ graph and the main diagonals.  Symmetries in both settings are signed
 permutation matrices (384 of them, or 192 modulo -I).  This module owns
 everything that needs coordinates: building the two embedded graphs,
 deriving the colorings fixed only by rotations, computing symmetry
-groups as matrix-tagged permutation groups, sign holonomy around cycles,
-the lift to the double cover, rotation angles, and OFF-style export.
+groups as permutation groups whose matrices the embedding looks up,
+sign holonomy around cycles, the lift to the double cover, rotation
+angles, and OFF-style export.
 
 Projective points are stored by their canonical representative, the
 sign choice with first coordinate +1.
@@ -237,6 +238,22 @@ class EmbeddedGraph:
                 table.append((m, p))
         return table
 
+    @cached_property
+    def _matrix_of(self):
+        # vertex permutation -> the matrix inducing it, None where several do
+        out = {}
+        for m, p in self._isometries:
+            out[p] = None if p in out else m
+        return out
+
+    def matrix(self, p):
+        """The isometry inducing vertex permutation p: KeyError if none
+        does, GraphError if several do (the action is not faithful)."""
+        m = self._matrix_of[p]
+        if m is None:
+            raise GraphError("matrix action on vertices is not faithful")
+        return m
+
     def direction_coloring(self):
         return Coloring(self.graph.edge_pairs,
                         tuple(self.direction(u, v) for u, v in self.graph.edge_pairs),
@@ -300,24 +317,6 @@ def vertex_permutation(e, m):
     return None if None in imgs else VertexPermutation(tuple(imgs))
 
 
-@dataclass(frozen=True)
-class GeometricGroup:
-    """A permutation group whose elements remember their matrices."""
-
-    group: PermutationGroup
-    matrices: dict  # VertexPermutation -> IsometryMatrix
-
-    def matrix(self, p):
-        return self.matrices[p]
-
-    @property
-    def order(self):
-        return self.group.order
-
-    def __iter__(self):
-        return iter(self.group.elements)
-
-
 def _maps_coloring(p, src, dst_colors):
     """Does vertex permutation p send coloring src to the coloring whose
     edge -> color dict is dst_colors, up to renaming colors?"""
@@ -342,22 +341,19 @@ def _scan(e, src, dst):
 
 def geometric_symmetry_group(e, coloring=None):
     """Isometries preserving the embedded graph and its coloring (up to
-    a color permutation), as vertex permutations tagged with matrices.
+    a color permutation), as a group of vertex permutations; e.matrix(p)
+    is the isometry behind element p.
 
     coloring defaults to the one carried by e.graph.  The matrix action
     on vertices must be faithful (it is for full-support coordinate
-    sets); GraphError otherwise, since tagging would be ambiguous.
+    sets); GraphError otherwise, since e.matrix would be ambiguous.
     """
     if coloring is None:
         coloring = Coloring.of(e.graph)
-    elements, matrices = [], {}
-    for m, p in _scan(e, coloring, coloring):
-        if p in matrices:
-            raise GraphError("matrix action on vertices is not faithful")
-        matrices[p] = m
-        elements.append(p)
-    group = PermutationGroup(reduce_generators(elements), elements=elements)
-    return GeometricGroup(group, matrices)
+    elements = [p for _, p in _scan(e, coloring, coloring)]
+    if len(set(elements)) != len(elements):
+        raise GraphError("matrix action on vertices is not faithful")
+    return PermutationGroup(reduce_generators(elements), elements=elements)
 
 
 def exchanging_isometries(e, c1, c2):
@@ -483,28 +479,20 @@ def lift_cycle(e, cycle):
     over lift_double_cover's vertex order.
 
     Holonomy +1 gives two disjoint lifted cycles, -1 a single doubled
-    one.  Cycles are canonicalized; the list is sorted.
+    one.  Cycles are canonicalized; the list is sorted.  ValueError for
+    input that cycle_holonomy rejects.
     """
-    if not e.projective:
-        raise ValueError("only projective embeddings have a double cover")
-    index = lift_double_cover(e)._index
     cycle = tuple(cycle)
+    turns = 1 if cycle_holonomy(e, cycle) == 1 else 2
+    index = lift_double_cover(e)._index
+    start = e.coords[cycle[0]]
     out = []
-    starts = [e.coords[cycle[0]], _neg(e.coords[cycle[0]])]
-    done = set()
-    for start in starts:
-        if index[start] in done:
-            continue
-        lifted, cur = [], start
-        k = 0
-        while True:
+    for cur in ((start, _neg(start)) if turns == 1 else (start,)):
+        lifted = []
+        for k in range(turns * len(cycle)):
             lifted.append(index[cur])
-            nxt_rep = e.coords[cycle[(k + 1) % len(cycle)]]
-            cur = next(y for y in (nxt_rep, _neg(nxt_rep)) if _hamming(y, cur) == 1)
-            k += 1
-            if cur == start and k % len(cycle) == 0:
-                break
-        done.update(lifted)
+            nxt = e.coords[cycle[(k + 1) % len(cycle)]]
+            cur = nxt if _hamming(nxt, cur) == 1 else _neg(nxt)
         out.append(canonical_cycle(lifted))
     return sorted(out)
 

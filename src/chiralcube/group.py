@@ -1,11 +1,16 @@
 """Permutation groups acting on vertices, faces and flags.
 
-Groups here are small (a few hundred elements), so they are always fully
-materialized: a PermutationGroup carries its complete sorted element
-list, grown from its generators one coset at a time.  On top of that
-sit the operations that decide regularity versus chirality: inducing a
-face permutation from a vertex permutation, computing flag orbits, and
-classifying the orbit structure.
+PermutationGroup is the one group type, for color-respecting
+automorphisms and isometry groups alike.  Groups here are small (a few
+hundred elements), so they are always fully materialized: a
+PermutationGroup carries its complete sorted element list, grown from
+its generators one coset at a time, and nothing else per element.  An
+element's matrix is looked up on the embedding it came from
+(EmbeddedGraph.matrix), its color map in the witnesses of
+graph.iter_colored_isomorphisms.  On top of that sit the operations
+that decide regularity versus chirality: inducing a face permutation
+from a vertex permutation, computing flag orbits, and classifying the
+orbit structure.
 """
 
 from __future__ import annotations
@@ -96,13 +101,9 @@ def _trusted(images):
 
 
 class PermutationGroup:
-    """A finite permutation group with all elements materialized.
+    """A finite permutation group with all elements materialized."""
 
-    color_perms, when present, attaches to each element the permutation
-    it induces on edge colors (see color_respecting_automorphisms).
-    """
-
-    def __init__(self, generators, elements=None, color_perms=None):
+    def __init__(self, generators, elements=None):
         self.generators = tuple(generators)
         if not self.generators:
             raise ValueError("need at least one generator (use the identity)")
@@ -113,7 +114,6 @@ class PermutationGroup:
             elements = map(_trusted, _span(self.generators, self.degree)[1])
         self.elements = tuple(sorted(elements, key=lambda p: p.images))
         self._element_set = frozenset(self.elements)
-        self.color_perms = dict(color_perms) if color_perms is not None else None
 
     @property
     def order(self):
@@ -134,12 +134,6 @@ class PermutationGroup:
 
     def __repr__(self):
         return "PermutationGroup(order=%d, degree=%d)" % (self.order, self.degree)
-
-    def color_permutation(self, p):
-        """Color permutation attached to element p (KeyError if none)."""
-        if self.color_perms is None:
-            raise KeyError("group carries no color permutations")
-        return self.color_perms[p]
 
     def is_cyclic(self):
         return any(p.order() == self.order for p in self.elements)
@@ -186,18 +180,11 @@ def reduce_generators(elements):
 
 def color_respecting_automorphisms(g):
     """Automorphism group of a ColoredGraph, colors preserved up to a
-    permutation of color names.
-
-    Each element is a vertex permutation; the color permutation it
-    induces is attached (PermutationGroup.color_permutation).
+    permutation of color names.  Each element is a vertex permutation;
+    the color maps stay in iter_colored_isomorphisms' witnesses.
     """
-    elements, color_perms = [], {}
-    for vmap, cmap in iter_colored_isomorphisms(g, g):
-        p = VertexPermutation(vmap)
-        elements.append(p)
-        color_perms[p] = VertexPermutation(cmap)
-    return PermutationGroup(reduce_generators(elements), elements=elements,
-                            color_perms=color_perms)
+    elements = [VertexPermutation(vmap) for vmap, _ in iter_colored_isomorphisms(g, g)]
+    return PermutationGroup(reduce_generators(elements), elements=elements)
 
 
 # ---------------------------------------------------- action on faces
@@ -310,11 +297,6 @@ def chain_stabilizer(p, G, chain):
                 raise ValueError("faces %d and %d are not incident" % (a, b))
     for g in G.generators:  # automorphisms compose: this checks all of G
         induced_face_action(p, g)
-    keep, cp = [], {}
-    for g in G.elements:
-        if all(_face_image(p, p.faces[f], g) == f for f in chain):
-            keep.append(g)
-            if G.color_perms is not None:
-                cp[g] = G.color_perms[g]
-    return PermutationGroup(reduce_generators(keep), elements=keep,
-                            color_perms=cp if G.color_perms is not None else None)
+    keep = [g for g in G.elements
+            if all(_face_image(p, p.faces[f], g) == f for f in chain)]
+    return PermutationGroup(reduce_generators(keep), elements=keep)

@@ -94,14 +94,14 @@ def test_criterion_02_coloring_search(hemi, twins):
 def test_criterion_03_twin_chirality(hemi, twins, P, Q, GQ):
     ok = colored_isomorphism(Q.source_graph, P.source_graph) is not None
     ok = ok and GQ.order == 96
-    ok = ok and all(orientation(GQ.matrix(p)) == 1 for p in GQ)
-    cls = classify_symmetry(Q, GQ.group)
+    ok = ok and all(orientation(hemi.matrix(p)) == 1 for p in GQ)
+    cls = classify_symmetry(Q, GQ)
     ok = (ok and cls.verdict == "chiral" and cls.flag_orbit_count == 2
           and cls.adjacency_crosses_orbits)
     qbot = Q.faces_of_rank(-1)[0]
     for fid in Q.faces_of_rank(3):
         sec = Q.section(qbot, fid)
-        stab = chain_stabilizer(Q, GQ.group, [fid])
+        stab = chain_stabilizer(Q, GQ, [fid])
         ok = ok and classify_symmetry(sec, stab).verdict == "chiral"
     verdict(3, "twin is isomorphic to the regular polytope, 96 rotations, "
                "chiral with chiral facets", ok)
@@ -113,7 +113,7 @@ def test_criterion_04_stabilizers(Q, GQ):
         for f3 in Q.faces_of_rank(3):
             if not Q.leq(f2, f3):
                 continue
-            st = chain_stabilizer(Q, GQ.group, [f2, f3])
+            st = chain_stabilizer(Q, GQ, [f2, f3])
             ok = ok and st.order == 4 and st.is_cyclic()
             ok = ok and all(p.cycle_type() == (4, 4) for p in st
                             if p.order() == 4)
@@ -121,13 +121,13 @@ def test_criterion_04_stabilizers(Q, GQ):
         for f3 in Q.faces_of_rank(3):
             if not Q.leq(v, f3):
                 continue
-            st = chain_stabilizer(Q, GQ.group, [v, f3])
+            st = chain_stabilizer(Q, GQ, [v, f3])
             ok = ok and st.order == 3 and st.is_cyclic()
     for e1 in Q.faces_of_rank(1):
         v = min(Q.faces[e1].vertices)
         vid = next(i for i in Q.faces_of_rank(0)
                    if Q.faces[i].vertices == frozenset([v]))
-        st = chain_stabilizer(Q, GQ.group, [vid, e1])
+        st = chain_stabilizer(Q, GQ, [vid, e1])
         ok = ok and st.order == 3 and st.is_cyclic()
     verdict(4, "square-facet stabilizer C4 of type (4,4), vertex-facet C3, "
                "edge pointwise C3", ok)
@@ -182,16 +182,16 @@ def test_criterion_06_double_cover(hemi, Q, H):
 def test_criterion_07_cover_chirality(cover, H, GH):
     AH = color_respecting_automorphisms(cover.graph)
     ok = AH.order < 384
-    cls = classify_symmetry(H, GH.group)
+    cls = classify_symmetry(H, GH)
     ok = (ok and cls.verdict == "chiral" and cls.flag_orbit_count == 2
           and cls.adjacency_crosses_orbits)
     h2 = H.faces_of_rank(2)[0]
     h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
-    st = chain_stabilizer(H, GH.group, [h2, h3])
+    st = chain_stabilizer(H, GH, [h2, h3])
     gen = next((p for p in st if p.order() == 8), None)
     ok = ok and gen is not None and gen.cycle_type() == (8, 8)
     if gen is not None:
-        m = GH.matrix(gen)
+        m = cover.matrix(gen)
         ok = ok and orientation(m) == 1
         ok = ok and rotation_profile(m).matches(
             (math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
@@ -232,15 +232,15 @@ def test_criterion_10_property_suite(hemi, P, Q, H, AP, GP, GQ, GH,
                 ok = ok and k != j and fg.adjacent(k, i) == j
 
     # orbit sizes divide group orders and sum to flag counts
-    for p, G in ((P, AP), (Q, GQ.group), (H, GH.group)):
+    for p, G in ((P, AP), (Q, GQ), (H, GH)):
         orbits = flag_orbits(p, G)
         sizes = [len(o) for o in orbits]
         ok = ok and sum(sizes) == len(p.flag_graph().flags)
         ok = ok and all(G.order % s == 0 for s in sizes)
 
-    # matrix tagging is a homomorphism, checked on all pairs
+    # the matrix lookup is a homomorphism, checked on all pairs
     for G in (GP, GQ):
-        mats = {p: G.matrix(p) for p in G}
+        mats = {p: hemi.matrix(p) for p in G}
         for p, q in itertools.product(G, repeat=2):
             ok = ok and mats[p] @ mats[q] == mats[p * q]
         if not ok:
@@ -263,7 +263,7 @@ def test_criterion_10_property_suite(hemi, P, Q, H, AP, GP, GQ, GH,
                  enumerate_matching_colorings(hemi.graph,
                                               up_to_color_permutation=True)]
     ok = ok and petrie_polygons(P) == petrie_polygons(P)
-    ok = ok and flag_orbits(Q, GQ.group) == flag_orbits(Q, GQ.group)
+    ok = ok and flag_orbits(Q, GQ) == flag_orbits(Q, GQ)
     a, b = verify_paper(), verify_paper()
     ok = ok and a.to_text() == b.to_text()
     ok = ok and json.dumps(a.to_json()) == json.dumps(b.to_json())

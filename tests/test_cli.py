@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,3 +169,17 @@ def test_numpy_is_not_imported():
                     if line.startswith("import time:")}
         assert "chiralcube.geometry" in imported
         assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+def test_test_extra_names_every_optional_test_dependency():
+    # a test that importorskips a package not in the extra skips on an
+    # install made as README says, and the tier-1 gate fails on that skip
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in extra}
+    skipped = {m.split(".")[0] for path in (root / "tests").glob("*.py")
+               for m in re.findall(r'importorskip\("([^"]+)"\)', path.read_text())}
+    assert {"numpy", "hypothesis", "networkx", "sympy"} <= skipped
+    assert skipped - {"tomllib"} <= declared

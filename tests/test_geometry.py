@@ -286,21 +286,21 @@ def test_group_orders(GP, GQ, GH):
     assert GH.order == 192
 
 
-def test_twin_group_is_rotation_only(GQ):
-    assert all(orientation(GQ.matrix(p)) == 1 for p in GQ)
+def test_twin_group_is_rotation_only(hemi, GQ):
+    assert all(orientation(hemi.matrix(p)) == 1 for p in GQ)
 
 
-def test_cover_group_is_rotation_only(GH):
-    assert all(orientation(GH.matrix(p)) == 1 for p in GH)
+def test_cover_group_is_rotation_only(cover, GH):
+    assert all(orientation(cover.matrix(p)) == 1 for p in GH)
 
 
 def test_matrix_tagging_is_faithful(hemi, GP):
-    seen = {GP.matrix(p) for p in GP}
+    seen = {hemi.matrix(p) for p in GP}
     assert len(seen) == GP.order
 
 
-def test_orientation_preserving_subgroup(GP):
-    rot = {p for p in GP if orientation(GP.matrix(p)) == 1}
+def test_orientation_preserving_subgroup(hemi, GP):
+    rot = {p for p in GP if orientation(hemi.matrix(p)) == 1}
     assert len(rot) == 96
     assert set(PermutationGroup(tuple(rot)).elements) == rot
 
@@ -354,6 +354,20 @@ def test_scans_reject_colorings_over_other_edges(hemi, cube_embedding):
             exchanging_isometries(hemi, c1, c2)
 
 
+def test_unfaithful_action_is_refused():
+    # two points on a line: 4 signed matrices keep the pair, but only 2
+    # vertex permutations come of them
+    e = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 0), (-1, 0)), False)
+    c = Coloring.of(e.graph)
+    with pytest.raises(GraphError, match="not faithful"):
+        geometric_symmetry_group(e, c)
+    with pytest.raises(GraphError, match="not faithful"):
+        e.matrix(VertexPermutation((1, 0)))
+    ex = exchanging_isometries(e, c, c)
+    assert len(ex) == 4
+    assert sorted(d for _, d in ex) == [-1, -1, 1, 1]
+
+
 # ------------------------------------------------------------ holonomy
 
 
@@ -368,14 +382,19 @@ def test_twin_squares_reverse_sign(hemi, Q):
 
 
 def test_holonomy_input_validation(hemi):
+    # lift_cycle rejects exactly what cycle_holonomy rejects
     u, v, _ = hemi.graph.edges[0]
-    with pytest.raises(ValueError):
-        cycle_holonomy(hemi, (u, v))  # back and forth is not a cycle
-    with pytest.raises(ValueError):
-        cycle_holonomy(hemi, (0, 1, 2, 1))  # repeated vertex
     e = hypercube_embedding()
-    with pytest.raises(ValueError):
-        cycle_holonomy(e, (0, 1, 2, 3))  # euclidean input has no holonomy
+    assert (0, 3) not in hemi.graph.edge_pairs
+    for f in (cycle_holonomy, lift_cycle):
+        with pytest.raises(ValueError, match="at least 3"):
+            f(hemi, (u, v))  # back and forth is not a cycle
+        with pytest.raises(ValueError, match="revisits"):
+            f(hemi, (0, 1, 2, 1))  # repeated vertex
+        with pytest.raises(ValueError, match="0, 3 are not adjacent"):
+            f(hemi, (0, 3, 5))
+        with pytest.raises(ValueError, match="projective"):
+            f(e, (0, 1, 2, 3))  # euclidean input has no holonomy
 
 
 def test_holonomy_invariance(hemi, Q):
@@ -415,15 +434,29 @@ def test_lift_cycle_splits_by_holonomy(hemi, P, Q):
     tw = two_face_cycle(Q, Q.faces_of_rank(2)[0])
     up = lift_cycle(hemi, tw)
     assert len(up) == 1 and len(up[0]) == 8
+    # every lift is a closed walk along cover edges through distinct
+    # vertices, and the lifts cover each preimage of the cycle once
+    cover = lift_double_cover(hemi)
+    for cyc in (sq, tw):
+        up = lift_cycle(hemi, cyc)
+        flat = [v for c in up for v in c]
+        assert len(set(flat)) == len(flat) == 2 * len(cyc)
+        preimages = {x for v in cyc
+                     for x in (hemi.coords[v], tuple(-c for c in hemi.coords[v]))}
+        assert {cover.coords[v] for v in flat} == preimages
+        for c in up:
+            for i, v in enumerate(c):
+                w = c[(i + 1) % len(c)]
+                assert (min(v, w), max(v, w)) in cover.graph.edge_pairs
 
 
 def test_octagon_stabilizer_profile(H, GH, cover):
     from chiralcube.group import chain_stabilizer
     h2 = H.faces_of_rank(2)[0]
     h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
-    st = chain_stabilizer(H, GH.group, [h2, h3])
+    st = chain_stabilizer(H, GH, [h2, h3])
     gen = next(p for p in st if p.order() == 8)
-    prof = rotation_profile(GH.matrix(gen))
+    prof = rotation_profile(cover.matrix(gen))
     assert prof.matches((math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
     assert prof.pi_multiples == (Fraction(1, 4), Fraction(3, 4))
 
@@ -527,8 +560,7 @@ def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embeddi
                  (cover, hat), (cube_embedding, cube),
                  (squares, Coloring.of(squares.graph))):
         G = geometric_symmetry_group(e, c)
-        assert G.matrices == dict(_brute_force_scan(e, c, c))
-        assert set(G) == set(G.matrices)
+        assert {p: e.matrix(p) for p in G} == dict(_brute_force_scan(e, c, c))
     for e, c1, c2 in ((hemi, twins[0], twins[1]), (hemi, reg, twins[0]),
                       (hemi, twins[1], twins[1]), (cover, hat, hat_m),
                       (cube_embedding, cube, cube), (hemi, reg, flat),

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chiralcube.graph import Coloring, GraphError
+from chiralcube.graph import Coloring, GraphError, iter_colored_isomorphisms
 from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               VertexPermutation, chain_stabilizer,
                               classify_symmetry,
@@ -117,11 +117,15 @@ def test_automorphism_count_survives_color_relabel(hemi):
 
 
 def test_every_automorphism_carries_a_color_permutation(hemi, AP):
+    # the color maps are read from the witnesses the group was built from
     g = hemi.graph
-    for p in AP:
-        cp = AP.color_permutation(p)
+    witnesses = list(iter_colored_isomorphisms(g, g))
+    assert len(witnesses) == AP.order
+    assert {VertexPermutation(vmap) for vmap, _ in witnesses} == set(AP)
+    for vmap, cmap in witnesses:
+        assert sorted(cmap) == list(range(g.n_colors))
         for u, v, c in g.edges:
-            assert g.color_of(p(u), p(v)) == cp(c)
+            assert g.color_of(vmap[u], vmap[v]) == cmap[c]
 
 
 # ------------------------------------------------------- face actions
@@ -161,7 +165,7 @@ def _scanned_face_action(p, sigma):
 def test_face_action_matches_full_scan(P, AP, Q, GQ, H, GH):
     # induced_face_action builds only half of each face key; the scan
     # matches both halves, under every element of each group
-    for p, G in ((P, AP), (Q, GQ.group), (H, GH.group)):
+    for p, G in ((P, AP), (Q, GQ), (H, GH)):
         for g in G:
             assert induced_face_action(p, g).images == _scanned_face_action(p, g)
     bad = VertexPermutation((0, 1, 2, 4, 3, 5, 6, 7))
@@ -186,18 +190,18 @@ def test_regular_polytope_has_one_orbit(P, AP):
 
 
 def test_twin_has_two_orbits(Q, GQ):
-    orbits = flag_orbits(Q, GQ.group)
+    orbits = flag_orbits(Q, GQ)
     assert sorted(len(o) for o in orbits) == [96, 96]
 
 
 def test_orbit_ids_deterministic(Q, GQ):
-    assert flag_orbits(Q, GQ.group) == flag_orbits(Q, GQ.group)
+    assert flag_orbits(Q, GQ) == flag_orbits(Q, GQ)
 
 
 def test_classification_verdicts(P, AP, Q, GQ):
     cp = classify_symmetry(P, AP)
     assert (cp.verdict, cp.flag_orbit_count) == ("regular", 1)
-    cq = classify_symmetry(Q, GQ.group)
+    cq = classify_symmetry(Q, GQ)
     assert (cq.verdict, cq.orbit_sizes) == ("chiral", (96, 96))
     assert cq.adjacency_crosses_orbits
 
@@ -214,18 +218,18 @@ def test_chain_stabilizer_rejects_non_incident_chain(Q, GQ):
     # two distinct vertices are never comparable
     v0, v1 = Q.faces_of_rank(0)[:2]
     with pytest.raises((GraphError, ValueError)):
-        chain_stabilizer(Q, GQ.group, [v0, v1])
+        chain_stabilizer(Q, GQ, [v0, v1])
 
 
 def test_facet_stabilizer_order(Q, GQ):
-    st = chain_stabilizer(Q, GQ.group, [Q.faces_of_rank(3)[0]])
+    st = chain_stabilizer(Q, GQ, [Q.faces_of_rank(3)[0]])
     assert st.order == 24
 
 
 def test_square_in_facet_stabilizer(Q, GQ):
     f2 = Q.faces_of_rank(2)[0]
     f3 = next(i for i in Q.faces_of_rank(3) if Q.leq(f2, i))
-    st = chain_stabilizer(Q, GQ.group, [f2, f3])
+    st = chain_stabilizer(Q, GQ, [f2, f3])
     assert st.order == 4 and st.is_cyclic()
     gen = next(p for p in st if p.order() == 4)
     assert gen.cycle_type() == (4, 4)
@@ -234,7 +238,7 @@ def test_square_in_facet_stabilizer(Q, GQ):
 def test_edge_pointwise_stabilizer(Q, GQ):
     e1 = Q.faces_of_rank(1)[0]
     v = next(i for i in Q.faces_of_rank(0) if Q.leq(i, e1))
-    st = chain_stabilizer(Q, GQ.group, [v, e1])
+    st = chain_stabilizer(Q, GQ, [v, e1])
     assert st.order == 3 and st.is_cyclic()
 
 
@@ -253,9 +257,9 @@ def _paper_chains(p):
 
 def test_chain_stabilizer_matches_full_face_action(Q, GQ, H, GH, P, AP):
     # the definition: keep the elements whose whole face action fixes
-    # every chain face; AP also carries color permutations
-    cases = [(Q, GQ.group, _paper_chains(Q) + [[f.id] for f in Q.faces]),
-             (H, GH.group, _paper_chains(H)),
+    # every chain face
+    cases = [(Q, GQ, _paper_chains(Q) + [[f.id] for f in Q.faces]),
+             (H, GH, _paper_chains(H)),
              (P, AP, _paper_chains(P))]
     for p, G, chains in cases:
         actions = {g: induced_face_action(p, g) for g in G.elements}
@@ -264,8 +268,6 @@ def test_chain_stabilizer_matches_full_face_action(Q, GQ, H, GH, P, AP):
             st = chain_stabilizer(p, G, chain)
             assert st.elements == tuple(keep)
             assert st.generators == reduce_generators(keep)
-            if G.color_perms is not None:
-                assert st.color_perms == {g: G.color_perms[g] for g in keep}
 
 
 def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
@@ -307,7 +309,7 @@ def _greedy_generators(images, degree):
 
 
 def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
-    for G in (AP, GQ.group, GH.group,
+    for G in (AP, GQ, GH,
               PermutationGroup([VertexPermutation.identity(3)])):
         images = [p.images for p in G.elements]
         assert sorted(_bfs_span(images, G.degree)) == images
@@ -346,14 +348,14 @@ def test_group_orders_match_schreier_sims(AP, cover, Q, GQ):
             [combinatorics.Permutation(list(g.images))
              for g in G.generators]).order()
 
-    groups = [AP, color_respecting_automorphisms(cover.graph), GQ.group]
+    groups = [AP, color_respecting_automorphisms(cover.graph), GQ]
     assert [G.order for G in groups] == [192, 192, 96]
     # every chain test_criterion_04_stabilizers stabilizes
     chains = [[a, b] for r, s in ((2, 3), (0, 3)) for a in Q.faces_of_rank(r)
               for b in Q.faces_of_rank(s) if Q.leq(a, b)]
     chains += [[next(v for v in Q.faces_of_rank(0) if Q.leq(v, e)), e]
                for e in Q.faces_of_rank(1)]
-    groups += [chain_stabilizer(Q, GQ.group, c) for c in chains]
+    groups += [chain_stabilizer(Q, GQ, c) for c in chains]
     assert len(chains) == 24 + 32 + 16
     for G in groups:
         assert schreier_sims_order(G) == G.order
@@ -385,8 +387,9 @@ def test_automorphisms_match_networkx_vf2(hemi, twins, cover):
 
     for g in (hemi.graph, hemi.graph.recolored(twins[0]), cover.graph):
         A = color_respecting_automorphisms(g)
-        want = {(p.images, A.color_permutation(p).images) for p in A}
+        want = set(iter_colored_isomorphisms(g, g))
         assert len(want) == A.order == 192
+        assert {vmap for vmap, _ in want} == {p.images for p in A}
         assert vf2_pairs(g) == want
 
 
@@ -422,6 +425,6 @@ def test_schulte_weiss_distinguished_generators(H, GH):
     meet = set(left) & set(right)
     assert (left.order, right.order, len(meet)) == (48, 12, 3)
     assert meet == set(PermutationGroup((s2,)))
-    assert PermutationGroup((s1, s2, s3)) == GH.group
+    assert PermutationGroup((s1, s2, s3)) == GH
     # no rotation takes the base flag to its 0-adjacent flag: chiral
     assert taking_base_to(fg.adjacent(0, 0)) == []

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (GraphError, colored_isomorphism,
+from .graph import (GraphError, colored_isomorphism, component_labels,
                     enumerate_matching_colorings, validate)
 from .group import (chain_stabilizer, classify_symmetry,
                     color_respecting_automorphisms, induced_face_action)
@@ -301,26 +301,16 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     qbot = Q.faces_of_rank(-1)[0]
     facet_class = set()
-    facet_orbits = set()
-    act0 = [induced_face_action(Q, p) for p in GQ.generators]
     for fid in Q.faces_of_rank(3):
         sec = Q.section(qbot, fid)
         stab = chain_stabilizer(Q, GQ, [fid])
         c = classify_symmetry(sec, stab)
         facet_class.add((stab.order, c.verdict, c.orbit_sizes))
-        reach = {fid}
-        frontier = [fid]
-        while frontier:
-            x = frontier.pop()
-            for a in act0:
-                y = a(x)
-                if y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
-        facet_orbits.add(frozenset(reach))
+    face_orbit = component_labels(
+        list(zip(*(induced_face_action(Q, p).images for p in GQ.generators))))
     add("q.facets_transitive", "the isometries permute the 4 facets transitively",
         DERIVED,
-        1, len(facet_orbits))
+        1, len({face_orbit[f] for f in Q.faces_of_rank(3)}))
     add("q.facets_chiral",
         "each facet is a chiral polyhedron under its stabilizer of order 24",
         "geometrically chiral, with geometrically chiral facets",
@@ -403,12 +393,9 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         (16, 32, 12, 4), f_vector(H))
 
-    deck = {x: i for i, x in enumerate(he.coords)}
-    deck_perm = [deck[tuple(-c for c in x)] for x in he.coords]
-    deck_ok = all(deck_perm[i] != i for i in range(len(deck_perm)))
-    for u, v, c in he.graph.edges:
-        a, b = sorted((deck_perm[u], deck_perm[v]))
-        deck_ok = deck_ok and he.graph.color_of(a, b) == c
+    deck = he.antipode.images
+    deck_ok = all(j != i for i, j in enumerate(deck)) and all(
+        he.graph.color_of(*sorted((deck[u], deck[v]))) == c for u, v, c in he.graph.edges)
     add("qhat.deck_map",
         "the antipodal map is a free color-preserving automorphism of the cover",
         "Each of the vertices and edges of Q lift to two copies of them",

@@ -35,6 +35,11 @@ def _neg(x):
     return tuple(-c for c in x)
 
 
+def _canonical(x):
+    """The sign choice of x whose first nonzero entry is positive."""
+    return _neg(x) if next((c for c in x if c != 0), 0) < 0 else x
+
+
 def _hamming(x, y):
     """Number of coordinates in which x and y differ."""
     return sum(1 for a, b in zip(x, y) if a != b)
@@ -62,8 +67,8 @@ class IsometryMatrix:
         if (sorted(perm) != list(range(len(perm))) or len(signs) != len(perm)
                 or any(s not in (1, -1) for s in signs)):
             raise ValueError("not a signed permutation: %r, %r" % (perm, signs))
-        if self.projective and signs[0] < 0:
-            signs = _neg(signs)
+        if self.projective:
+            signs = _canonical(signs)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
 
@@ -203,8 +208,7 @@ class EmbeddedGraph:
             raise GraphError("coordinate count does not match vertex count")
         if self.projective:
             for x in self.coords:
-                nz = next((c for c in x if c != 0), 0)
-                if nz < 0:
+                if _canonical(x) != x:
                     raise GraphError("projective representative %r not canonical" % (x,))
         # vertex id of each coordinate tuple, built once for every scan
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.coords)})
@@ -254,10 +258,28 @@ class EmbeddedGraph:
             raise GraphError("matrix action on vertices is not faithful")
         return m
 
-    def direction_coloring(self):
+    @cached_property
+    def _directions(self):
         return Coloring(self.graph.edge_pairs,
                         tuple(self.direction(u, v) for u, v in self.graph.edge_pairs),
                         self.dimension)
+
+    def direction_coloring(self):
+        return self._directions
+
+    @cached_property
+    def _cover(self):
+        # read for its coordinates and edges only, so colors do not matter
+        return lift_double_cover(self)
+
+    @cached_property
+    def antipode(self):
+        """The vertex permutation x -> -x; GraphError unless the vertex
+        set is centrally symmetric (never so for projective points)."""
+        images = tuple(self._index.get(_neg(x)) for x in self.coords)
+        if None in images:
+            raise GraphError("vertex set is not centrally symmetric")
+        return VertexPermutation(images)
 
 
 def _hemicube_rep(i):
@@ -311,9 +333,7 @@ def vertex_permutation(e, m):
     imgs = []
     for x in e.coords:
         y = m.apply(x)
-        if e.projective and next((c for c in y if c != 0), 0) < 0:
-            y = _neg(y)
-        imgs.append(e._index.get(y))
+        imgs.append(e._index.get(_canonical(y) if e.projective else y))
     return None if None in imgs else VertexPermutation(tuple(imgs))
 
 
@@ -404,11 +424,10 @@ def derive_chiral_colorings(e):
     images of each other.  Filtering by squares_see_all_colors instead
     gives the same list.
     """
-    found = enumerate_matching_colorings(
+    return enumerate_matching_colorings(
         e.graph, e.graph.n_colors,
         predicate=lambda c: classes_hit_all_directions(e, c),
         up_to_color_permutation=True)
-    return found
 
 
 # ------------------------------------------------- holonomy and lifting
@@ -484,7 +503,7 @@ def lift_cycle(e, cycle):
     """
     cycle = tuple(cycle)
     turns = 1 if cycle_holonomy(e, cycle) == 1 else 2
-    index = lift_double_cover(e)._index
+    index = e._cover._index
     start = e.coords[cycle[0]]
     out = []
     for cur in ((start, _neg(start)) if turns == 1 else (start,)):
@@ -544,17 +563,12 @@ def off_text(e, p, comment=None):
         lines.append("# " + comment)
 
     if e.projective:
-        cover = lift_double_cover(e)
-        cycles = []
-        for fid in p.faces_of_rank(2):
-            cycles.extend(lift_cycle(e, two_face_cycle(p, fid)))
-        cycles = sorted(set(cycles))
+        cover = e._cover
+        cycles = sorted({c for fid in p.faces_of_rank(2)
+                         for c in lift_cycle(e, two_face_cycle(p, fid))})
         lines.append("# double cover of a projective embedding")
-        pairs = sorted((i, cover._index[_neg(x)])
-                       for i, x in enumerate(cover.coords)
-                       if i < cover._index[_neg(x)])
-        lines.append("# antipodal pairs: "
-                     + " ".join("%d:%d" % pr for pr in pairs))
+        lines.append("# antipodal pairs: " + " ".join(
+            "%d:%d" % (i, j) for i, j in enumerate(cover.antipode.images) if i < j))
         coords = cover.coords
         n_edges = len(cover.graph.edges)
     else:

@@ -208,25 +208,32 @@ def components_by_colorset(g, colors):
         raise GraphError("unknown color ids %s (graph has colors 0..%d)"
                          % (bad, g.n_colors - 1))
     sub = [(u, v) for u, v, c in g.edges if c in want]
-    adj = defaultdict(set)
+    adj = [[] for _ in range(g.n_vertices)]
     for u, v in sub:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps, seen = [], set()
-    for start in range(g.n_vertices):
-        if start in seen:
-            continue
-        comp, stack = set(), [start]
+        adj[u].append(v)
+        adj[v].append(u)
+    label, comps = component_labels(adj), {}
+    for x, root in enumerate(label):
+        comps.setdefault(root, ([], []))[0].append(x)
+    for u, v in sub:
+        comps[label[u]][1].append((u, v))
+    return [(tuple(vs), tuple(es)) for vs, es in comps.values()]
+
+
+def component_labels(adj):
+    """label[x]: the least point reachable from point x, where adj[x]
+    lists the points one step from x.  Points are 0..len(adj)-1, and
+    reachability must be symmetric: undirected edges, or the generators
+    of a finite group, whose orbits are then the components."""
+    label = [None] * len(adj)
+    for s in range(len(adj)):
+        stack = [s] if label[s] is None else []
         while stack:
             x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comp_edges = tuple(e for e in sub if e[0] in comp and e[1] in comp)
-        comps.append((tuple(sorted(comp)), tuple(sorted(comp_edges))))
-    return comps
+            if label[x] is None:
+                label[x] = s
+                stack.extend(adj[x])
+    return label
 
 
 # ----------------------------------------------------- coloring search

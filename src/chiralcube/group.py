@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import iter_colored_isomorphisms
+from .graph import component_labels, iter_colored_isomorphisms
 
 
 class NotAnAutomorphismError(ValueError):
@@ -223,27 +223,13 @@ def flag_orbits(p, G):
     ordered by least index; so orbit ids are deterministic.
     """
     fg = p.flag_graph()
-    actions = [induced_face_action(p, g) for g in G.generators]
-    orbit_of = {}
-    orbits = []
-    for i in range(len(fg.flags)):
-        if i in orbit_of:
-            continue
-        comp, stack = set(), [i]
-        while stack:
-            j = stack.pop()
-            if j in comp:
-                continue
-            comp.add(j)
-            flag = fg.flags[j]
-            for a in actions:
-                img = fg.index[tuple(map(a.images.__getitem__, flag))]
-                if img not in comp:
-                    stack.append(img)
-        for j in comp:
-            orbit_of[j] = len(orbits)
-        orbits.append(tuple(sorted(comp)))
-    return tuple(orbits)
+    actions = [induced_face_action(p, g).images for g in G.generators]
+    label = component_labels([[fg.index[tuple(map(a.__getitem__, flag))] for a in actions]
+                              for flag in fg.flags])
+    orbits = {}
+    for j, root in enumerate(label):
+        orbits.setdefault(root, []).append(j)
+    return tuple(map(tuple, orbits.values()))
 
 
 @dataclass(frozen=True)
@@ -263,10 +249,7 @@ def classify_symmetry(p, G):
     """
     orbits = flag_orbits(p, G)
     fg = p.flag_graph()
-    orbit_of = {}
-    for oid, orb in enumerate(orbits):
-        for j in orb:
-            orbit_of[j] = oid
+    orbit_of = {j: orb[0] for orb in orbits for j in orb}
     crosses = all(
         orbit_of[fg.adjacent(j, i)] != orbit_of[j]
         for j in range(len(fg.flags))

@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import GraphError, components_by_colorset, validate
+from .graph import GraphError, component_labels, components_by_colorset, validate
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,9 @@ class Polytope:
         for f in self.faces:
             self._by_rank.setdefault(f.rank, []).append(f.id)
         # keys seen twice are ambiguous; only unique keys are indexed
-        counts = {}
-        for f in self.faces:
-            k = _face_key(f.rank, f.vertices, f.edges)
-            counts[k] = counts.get(k, 0) + 1
-        self._index = {
-            _face_key(f.rank, f.vertices, f.edges): f.id
-            for f in self.faces
-            if counts[_face_key(f.rank, f.vertices, f.edges)] == 1
-        }
+        keys = [_face_key(f.rank, f.vertices, f.edges) for f in self.faces]
+        counts = Counter(keys)
+        self._index = {k: i for i, k in enumerate(keys) if counts[k] == 1}
         self._up = None
         self._cov = None
         self._dia = None
@@ -320,14 +314,7 @@ def _sections_by_flags(p, lo, hi):
     a component under them is one section's flags with a fixed rest.
     """
     fg, (bottom, top) = p.flag_graph(), _bottom_top(p)
-    label = [None] * len(fg.flags)
-    for s in range(len(fg.flags)):
-        stack = [s] if label[s] is None else []
-        while stack:
-            x = stack.pop()
-            if label[x] is None:
-                label[x] = s
-                stack.extend(fg.adj[x][lo + 1:hi])
+    label = component_labels([a[lo + 1:hi] for a in fg.adj])
     size, groups = Counter(label), {}
     for x, fl in enumerate(fg.flags):
         chain = (bottom,) + fl + (top,)

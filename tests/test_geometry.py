@@ -420,6 +420,22 @@ def test_lift_doubles_counts(hemi, cover):
     assert len(cover.graph.edges) == 32
 
 
+def test_antipode_negates_coordinates(cover):
+    a = cover.antipode
+    assert (a * a).is_identity()
+    assert all(a(v) != v for v in range(cover.graph.n_vertices))
+    assert all(cover.coords[a(v)] == tuple(-c for c in cover.coords[v])
+               for v in range(cover.graph.n_vertices))
+
+
+def test_antipode_needs_a_centrally_symmetric_vertex_set(hemi):
+    e = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 1), (1, -1)), False)
+    with pytest.raises(GraphError):
+        e.antipode
+    with pytest.raises(GraphError):
+        hemi.antipode
+
+
 def test_lifted_bicolored_components_are_octagons(cover):
     import itertools
     for pair in itertools.combinations(range(4), 2):
@@ -512,6 +528,32 @@ def test_off_export_projective_doubles(hemi, P):
 
 def test_off_export_stable(hemi, P):
     assert off_text(hemi, P) == off_text(hemi, P)
+
+
+def test_off_export_builds_one_cover(Q, monkeypatch):
+    import chiralcube.geometry as geometry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lift_double_cover(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "lift_double_cover", counted)
+    off_text(hemicube_embedding(), Q)
+    assert len(calls) == 1
+
+
+def test_off_export_lists_the_antipodal_pairs(hemi, P):
+    lines = off_text(hemi, P).splitlines()
+    head = next(i for i, l in enumerate(lines)
+                if len(l.split()) == 3 and not l.startswith("#"))
+    n_vertices = int(lines[head].split()[0])
+    coords = [tuple(map(int, l.split())) for l in lines[head + 1:head + 1 + n_vertices]]
+    line = next(l for l in lines if l.startswith("# antipodal pairs: "))
+    pairs = [tuple(map(int, pr.split(":"))) for pr in line.split(": ", 1)[1].split()]
+    want = [(i, j) for i, x in enumerate(coords) for j, y in enumerate(coords)
+            if i < j and y == tuple(-c for c in x)]
+    assert len(want) == 8 and pairs == want
 
 
 def _brute_force_scan(e, src, dst):

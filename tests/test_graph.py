@@ -113,6 +113,27 @@ def test_components_unknown_color_rejected(hemi):
         components_by_colorset(hemi.graph, (0, 7))
 
 
+def test_components_match_networkx(hemi, cube_embedding, cover):
+    # every color subset of three connected graphs, and of one graph with
+    # two 4-cycles and an isolated vertex; each component is compared
+    # with networkx's vertex set and the subgraph edges inside it
+    nx = pytest.importorskip("networkx")
+    import itertools
+    apart = ColoredGraph(9, 3, ((0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1),
+                                (4, 5, 0), (5, 6, 2), (6, 7, 0), (4, 7, 2)))
+    for g in (hemi.graph, cube_embedding.graph, cover.graph, apart):
+        for r in range(g.n_colors + 1):
+            for colors in itertools.combinations(range(g.n_colors), r):
+                sub = nx.Graph()
+                sub.add_nodes_from(range(g.n_vertices))
+                sub.add_edges_from((u, v) for u, v, c in g.edges if c in colors)
+                want = sorted(
+                    (tuple(sorted(vs)),
+                     tuple(sorted(tuple(sorted(e)) for e in sub.subgraph(vs).edges)))
+                    for vs in nx.connected_components(sub))
+                assert components_by_colorset(g, colors) == want
+
+
 # ------------------------------------------------------------- search
 
 

@@ -211,6 +211,28 @@ def test_trivial_group_is_neither(Q):
     assert classify_symmetry(Q, triv).verdict == "neither"
 
 
+def _element_orbits(p, G):
+    """Flag orbits read from every element of G: flag j's orbit is the
+    set of indices of g(flag j) over all g, and the orbits are listed
+    by least index."""
+    fg = p.flag_graph()
+    actions = [induced_face_action(p, g).images for g in G]
+    orbits = {}
+    for flag in fg.flags:
+        orbit = tuple(sorted({fg.index[tuple(a[f] for f in flag)] for a in actions}))
+        orbits.setdefault(orbit[0], orbit)
+    return tuple(orbits.values())
+
+
+def test_flag_orbits_match_element_oracle(P, AP, Q, GQ, H, GH):
+    triv = PermutationGroup([VertexPermutation.identity(8)])
+    for p, G, sizes in ((P, AP, [192]), (Q, GQ, [96, 96]), (H, GH, [192, 192]),
+                        (Q, triv, [1] * 192)):
+        orbits = flag_orbits(p, G)
+        assert orbits == _element_orbits(p, G)
+        assert sorted(len(o) for o in orbits) == sizes
+
+
 # -------------------------------------------------------- stabilizers
 
 

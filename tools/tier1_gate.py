@@ -17,9 +17,11 @@ face-by-face scans; the test that checks the colored isomorphisms
 found by propagation against a vertex-by-vertex backtracking oracle;
 the test that checks the exact rotation angles read from signed
 cycles against numpy eigenvalues (it skips, and so fails this gate,
-when numpy is not installed); and the property that checks the coset
+when numpy is not installed); the property that checks the coset
 closure of group elements and generators against breadth-first search
-(it skips, and so fails this gate, when hypothesis is not installed).
+(it skips, and so fails this gate, when hypothesis is not installed);
+and the test that checks the flag orbits, labelled by components under
+the generators, against orbits read from every group element.
 
     python3 tools/tier1_gate.py
 """
@@ -43,6 +45,7 @@ REQUIRED = (
     ("tests.test_graph", "test_propagation_matches_backtracking_oracle"),
     ("tests.test_geometry", "test_exact_profile_matches_numpy_eigenvalues"),
     ("tests.test_group", "test_coset_closure_matches_bfs_closure"),
+    ("tests.test_group", "test_flag_orbits_match_element_oracle"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

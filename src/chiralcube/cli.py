@@ -21,9 +21,10 @@ import json
 import sys
 
 from .classify import verify_paper
-from .geometry import (classes_hit_all_directions, derive_chiral_colorings,
-                       hemicube_embedding, hypercube_embedding,
-                       lift_double_cover, off_text, squares_see_all_colors)
+from .geometry import (EmbeddedGraph, classes_hit_all_directions,
+                       derive_chiral_colorings, hemicube_embedding,
+                       hypercube_embedding, lift_double_cover, off_text,
+                       squares_see_all_colors)
 from .graph import enumerate_matching_colorings
 from .polytope import colourful_polytope, f_vector, schlafli_type, to_json
 
@@ -32,23 +33,12 @@ OBJECTS = ("P", "Q", "Q-mirror", "Qhat", "hypercube")
 
 def _make(name):
     """Embedding and polytope for a named object."""
-    e = hemicube_embedding()
-    if name == "P":
-        return e, colourful_polytope(e.graph)
-    if name == "hypercube":
-        h = hypercube_embedding()
-        return h, colourful_polytope(h.graph)
-    twins = derive_chiral_colorings(e)
-    if name == "Q":
-        g = e.graph.recolored(twins[0])
-        return e, colourful_polytope(g)
-    if name == "Q-mirror":
-        g = e.graph.recolored(twins[1])
-        return e, colourful_polytope(g)
-    if name == "Qhat":
-        he = lift_double_cover(e, twins[0])
-        return he, colourful_polytope(he.graph)
-    raise ValueError(name)
+    e = hypercube_embedding() if name == "hypercube" else hemicube_embedding()
+    if name in ("Q", "Q-mirror", "Qhat"):
+        twin = derive_chiral_colorings(e)[name == "Q-mirror"]
+        e = (lift_double_cover(e, twin) if name == "Qhat"
+             else EmbeddedGraph(e.graph.recolored(twin), e.coords, True))
+    return e, colourful_polytope(e.graph)
 
 
 def _emit(text, output):

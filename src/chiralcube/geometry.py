@@ -268,6 +268,15 @@ class EmbeddedGraph:
         return self._directions
 
     @cached_property
+    def _squares(self):
+        # the direction-bicolored squares, as positions into graph.edge_pairs
+        base = self.graph.recolored(self._directions)
+        where = {pr: i for i, pr in enumerate(self.graph.edge_pairs)}
+        return [[where[pr] for pr in es]
+                for pair in itertools.combinations(range(self.dimension), 2)
+                for _, es in components_by_colorset(base, pair) if es]
+
+    @cached_property
     def _cover(self):
         # read for its coordinates and edges only, so colors do not matter
         return lift_double_cover(self)
@@ -349,12 +358,17 @@ def _maps_coloring(p, src, dst_colors):
     return len(set(cmap.values())) == len(cmap)
 
 
+def _same_edges(e, *colorings):
+    """GraphError unless every coloring is over e.graph's edge list."""
+    if any(c.edge_pairs != e.graph.edge_pairs for c in colorings):
+        raise GraphError("coloring is over a different edge list")
+
+
 def _scan(e, src, dst):
     """(matrix, vertex permutation) for every isometry of e taking
     coloring src to coloring dst up to renaming colors.  GraphError
     unless both colorings are over e.graph's edges."""
-    if not src.edge_pairs == dst.edge_pairs == e.graph.edge_pairs:
-        raise GraphError("coloring is over a different edge list")
+    _same_edges(e, src, dst)
     dst_colors = dict(zip(dst.edge_pairs, dst.colors))
     return [(m, p) for m, p in e._isometries if _maps_coloring(p, src, dst_colors)]
 
@@ -385,34 +399,29 @@ def exchanging_isometries(e, c1, c2):
 # ------------------------------------------------- coloring properties
 
 
+def _blocks_see_all(blocks, labels, n):
+    """Does every block of edge positions i carry all n labels labels[i]?"""
+    return all(len({labels[i] for i in b}) == n for b in blocks)
+
+
 def classes_hit_all_directions(e, coloring):
     """Property: every color class contains an edge of every direction.
 
     The direction coloring itself fails this (each class is one
-    direction); a class transversal to directions is as far from the
-    direction coloring as possible.
+    direction); a transversal class is as far from it as possible.
+    GraphError unless the coloring is over e.graph's edges.
     """
-    dirs = e.direction_coloring()
-    for c, pairs in coloring.classes().items():
-        seen = {dirs.color_of(u, v) for u, v in pairs}
-        if seen != set(range(e.dimension)):
-            return False
-    return True
+    _same_edges(e, coloring)
+    classes = [[i for i, d in enumerate(coloring.colors) if d == c]
+               for c in set(coloring.colors)]
+    return _blocks_see_all(classes, e._directions.colors, e.dimension)
 
 
 def squares_see_all_colors(e, coloring):
-    """Property: on every direction-bicolored square (2-face of the
-    direction-colored poset), the coloring shows all its colors."""
-    dirs = e.direction_coloring()
-    base = e.graph.recolored(dirs)
-    for pair in itertools.combinations(range(e.dimension), 2):
-        for verts, es in components_by_colorset(base, pair):
-            if not es:
-                continue
-            seen = {coloring.color_of(u, v) for u, v in es}
-            if seen != set(range(coloring.n_colors)):
-                return False
-    return True
+    """Property: every direction-bicolored square (a 2-face of the direction-
+    colored poset) shows all colors; GraphError unless over e.graph's edges."""
+    _same_edges(e, coloring)
+    return _blocks_see_all(e._squares, coloring.colors, coloring.n_colors)
 
 
 def derive_chiral_colorings(e):
@@ -424,10 +433,8 @@ def derive_chiral_colorings(e):
     images of each other.  Filtering by squares_see_all_colors instead
     gives the same list.
     """
-    return enumerate_matching_colorings(
-        e.graph, e.graph.n_colors,
-        predicate=lambda c: classes_hit_all_directions(e, c),
-        up_to_color_permutation=True)
+    every = enumerate_matching_colorings(e.graph, up_to_color_permutation=True)
+    return [c for c in every if classes_hit_all_directions(e, c)]
 
 
 # ------------------------------------------------- holonomy and lifting
@@ -466,13 +473,14 @@ def lift_double_cover(e, coloring=None):
     Vertices become the full sign vectors (both preimages of each
     projective point); each edge lifts to the two axis edges joining
     preimages at Hamming distance one.  The coloring (default: the one
-    on e.graph) is inherited by both lifts.  Returns the Euclidean
-    EmbeddedGraph; the lifted coloring is on its graph.
+    on e.graph, over its edges or GraphError) is inherited by both lifts;
+    the Euclidean EmbeddedGraph returned carries the lifted coloring.
     """
     if not e.projective:
         raise ValueError("only projective embeddings have a double cover")
     if coloring is None:
         coloring = Coloring.of(e.graph)
+    _same_edges(e, coloring)
     dim = e.dimension
     reps = [tuple(x) for x in e.coords]
     cover_coords = reps + [_neg(x) for x in reps]

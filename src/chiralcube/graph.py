@@ -134,12 +134,6 @@ class Coloring:
             u, v = v, u
         return self.colors[self.edge_pairs.index((u, v))]
 
-    def classes(self):
-        cls = defaultdict(list)
-        for (u, v), c in zip(self.edge_pairs, self.colors):
-            cls[c].append((u, v))
-        return {c: tuple(es) for c, es in cls.items()}
-
     def permuted(self, color_map):
         """Rename colors: color c becomes color_map[c]."""
         return Coloring(self.edge_pairs, tuple(color_map[c] for c in self.colors),
@@ -239,20 +233,17 @@ def component_labels(adj):
 # ----------------------------------------------------- coloring search
 
 
-def enumerate_matching_colorings(g, k=None, predicate=None,
-                                 up_to_color_permutation=False):
-    """All proper k-edge-colorings of g's skeleton, by backtracking.
+def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
+    """All proper k-edge-colorings of g's skeleton, k = g.n_colors.
 
     g must be k-regular (its own colors are ignored); then properness
     forces every color class to be a perfect matching.  With
     up_to_color_permutation=True only canonical representatives are
     produced (colors first appear in increasing order along the edge
-    list), one per color-permutation class.  `predicate`, if given,
-    filters completed colorings.  Output order is lexicographic in the
-    color tuple, hence deterministic.
+    list), one per color-permutation class.  Found by backtracking, in
+    lexicographic order of the color tuple, hence deterministic.
     """
-    if k is None:
-        k = g.n_colors
+    k = g.n_colors
     deg = g.degrees()
     bad = [v for v in range(g.n_vertices) if deg[v] != k]
     if bad:
@@ -266,9 +257,7 @@ def enumerate_matching_colorings(g, k=None, predicate=None,
 
     def extend(i, next_new):
         if i == m:
-            col = Coloring(pairs, tuple(assign), k)
-            if predicate is None or predicate(col):
-                out.append(col)
+            out.append(Coloring(pairs, tuple(assign), k))
             return
         u, v = pairs[i]
         limit = min(k, next_new + 1) if up_to_color_permutation else k

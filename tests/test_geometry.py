@@ -1,6 +1,9 @@
 """Embeddings, signed-permutation isometries, holonomy, lifting, OFF export."""
 
+import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,7 @@ from chiralcube.geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
                                  rotation_profile, squares_see_all_colors,
                                  vertex_permutation)
 from chiralcube.graph import (ColoredGraph, Coloring, GraphError,
-                             components_by_colorset)
+                             components_by_colorset, enumerate_matching_colorings)
 from chiralcube.group import PermutationGroup, VertexPermutation
 from chiralcube.polytope import two_face_cycle
 
@@ -352,6 +355,75 @@ def test_scans_reject_colorings_over_other_edges(hemi, cube_embedding):
     for c1, c2 in ((reg, short), (short, reg), (reg, cube)):
         with pytest.raises(ValueError):
             exchanging_isometries(hemi, c1, c2)
+    for read in (classes_hit_all_directions, squares_see_all_colors,
+                 lift_double_cover):
+        for c in (short, cube):
+            with pytest.raises(GraphError, match="different edge list"):
+                read(hemi, c)
+
+
+def _oracle_squares(e):
+    """Edge sets of the connected components of each direction-pair
+    subgraph of e, read with networkx and e.direction."""
+    nx = pytest.importorskip("networkx")
+    out = []
+    for pair in itertools.combinations(range(e.dimension), 2):
+        sub = nx.Graph([(u, v) for u, v in e.graph.edge_pairs
+                        if e.direction(u, v) in pair])
+        out += [{tuple(sorted(x)) for x in sub.subgraph(comp).edges}
+                for comp in nx.connected_components(sub)]
+    return out
+
+
+def test_coloring_properties_match_networkx_oracle(hemi, cube_embedding):
+    labelled = enumerate_matching_colorings(hemi.graph)
+    assert len(labelled) == 576
+    cases = []
+    for c in labelled:
+        cover = lift_double_cover(hemi, c)
+        cases += [(hemi, c), (cover, Coloring.of(cover.graph))]
+    # matching colorings fail squares in pairs; colorings in 2 to 4 colors
+    # that need not be proper also fail one square alone
+    rng = random.Random(0)
+    for e in (hemi, cube_embedding) * 300:
+        n, pairs = rng.randint(2, 4), e.graph.edge_pairs
+        cases.append((e, Coloring(pairs, tuple(rng.randrange(n) for _ in pairs), n)))
+    squares, got = {}, Counter()
+    for e, col in cases:
+        key = (e.coords, e.graph.edge_pairs)
+        if key not in squares:
+            squares[key] = _oracle_squares(e)
+        color = dict(zip(col.edge_pairs, col.colors))
+        hit = all({e.direction(u, v) for (u, v), d in color.items() if d == k}
+                  == set(range(e.dimension)) for k in set(col.colors))
+        seen = all({color[x] for x in sq} == set(range(col.n_colors))
+                   for sq in squares[key])
+        assert (classes_hit_all_directions(e, col),
+                squares_see_all_colors(e, col)) == (hit, seen)
+        got[hit, seen] += 1
+    assert got == {(True, True): 123, (True, False): 212,
+                   (False, True): 6, (False, False): 1411}
+
+
+def test_squares_are_built_once_per_embedding(monkeypatch):
+    import chiralcube.geometry as geometry
+    calls = []
+
+    def counted(g, colors):
+        calls.append(colors)
+        return components_by_colorset(g, colors)
+
+    monkeypatch.setattr(geometry, "components_by_colorset", counted)
+    e = hemicube_embedding()
+    # the rows of the colorings census: the regular coloring, the twins
+    # and every labelled coloring
+    every = ([e.direction_coloring()] + derive_chiral_colorings(e)
+             + enumerate_matching_colorings(e.graph))
+    assert len(every) == 579
+    for c in every:
+        classes_hit_all_directions(e, c)
+        squares_see_all_colors(e, c)
+    assert len(calls) == 6
 
 
 def test_unfaithful_action_is_refused():

@@ -157,14 +157,6 @@ def test_hemicube_coloring_counts(hemi):
     assert len({c.canonical().colors for c in raw}) == 24
 
 
-def test_search_respects_predicate(hemi):
-    g = hemi.graph
-    want = Coloring.of(g).canonical().colors
-    found = enumerate_matching_colorings(
-        g, predicate=lambda c: c.colors == want, up_to_color_permutation=True)
-    assert len(found) == 1
-
-
 def test_search_rejects_wrong_regularity():
     path = ColoredGraph(3, 2, ((0, 1, 0), (1, 2, 1)))
     with pytest.raises(GraphError):

@@ -20,8 +20,11 @@ cycles against numpy eigenvalues (it skips, and so fails this gate,
 when numpy is not installed); the property that checks the coset
 closure of group elements and generators against breadth-first search
 (it skips, and so fails this gate, when hypothesis is not installed);
-and the test that checks the flag orbits, labelled by components under
-the generators, against orbits read from every group element.
+the test that checks the flag orbits, labelled by components under
+the generators, against orbits read from every group element; and the
+test that checks both coloring properties, read from cached squares and
+edge positions, against directions and squares found with networkx (it
+skips, and so fails this gate, when networkx is not installed).
 
     python3 tools/tier1_gate.py
 """
@@ -46,6 +49,7 @@ REQUIRED = (
     ("tests.test_geometry", "test_exact_profile_matches_numpy_eigenvalues"),
     ("tests.test_group", "test_coset_closure_matches_bfs_closure"),
     ("tests.test_group", "test_flag_orbits_match_element_oracle"),
+    ("tests.test_geometry", "test_coloring_properties_match_networkx_oracle"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -91,8 +91,8 @@ class IsometryMatrix:
         return tuple(s * vec[j] for j, s in zip(self.perm, self.signs))
 
     def __matmul__(self, other):
-        if self.projective != other.projective:
-            raise ValueError("cannot mix projective and euclidean matrices")
+        if self.projective != other.projective or self.dimension != other.dimension:
+            raise ValueError("cannot mix %r and %r" % (self, other))
         return IsometryMatrix(
             tuple(other.perm[j] for j in self.perm),
             tuple(s * other.signs[j] for j, s in zip(self.perm, self.signs)),
@@ -233,11 +233,18 @@ class EmbeddedGraph:
 
     @cached_property
     def _isometries(self):
-        # (matrix, vertex permutation) for each signed permutation matrix
-        # preserving the vertex set; every isometry scan filters this table
+        # (matrix, vertex permutation) for each signed matrix preserving the
+        # vertex set, filtered by every isometry scan; vp(D_s P_pi) is
+        # vp(D_s) * vp(P_pi), or m walked whole if a factor leaves the set
+        n, ms = self.dimension, all_signed_matrices(self.dimension, self.projective)
+        ds = {s: vertex_permutation(self, IsometryMatrix(range(n), s, self.projective))
+              for s in {m.signs for m in ms}}
+        ps = {q: vertex_permutation(self, IsometryMatrix(q, (1,) * n, self.projective))
+              for q in {m.perm for m in ms}}
         table = []
-        for m in all_signed_matrices(self.dimension, self.projective):
-            p = vertex_permutation(self, m)
+        for m in ms:
+            d, q = ds[m.signs], ps[m.perm]
+            p = vertex_permutation(self, m) if d is None or q is None else d * q
             if p is not None:
                 table.append((m, p))
         return table
@@ -337,8 +344,11 @@ def hypercube_embedding():
 
 
 def vertex_permutation(e, m):
-    """Permutation of e's vertices induced by the matrix m, or None if m
-    does not preserve the vertex set."""
+    """Permutation of e's vertices induced by the matrix m, or None if m does
+    not preserve them; ValueError for another dimension or projective m on
+    euclidean e, where m and -m act differently."""
+    if m.dimension != e.dimension or m.projective > e.projective:
+        raise ValueError("%r does not act on this embedding" % (m,))
     imgs = []
     for x in e.coords:
         y = m.apply(x)

@@ -57,6 +57,12 @@ def test_matmul_matches_application():
     assert (a @ b).apply(v) == a.apply(b.apply(v))
 
 
+def test_matmul_rejects_mixed_dimensions():
+    for a, b in ((3, 4), (4, 5), (4, 3)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            IsometryMatrix.identity(a) @ IsometryMatrix.identity(b)
+
+
 def test_inverse():
     a = IsometryMatrix((2, 0, 3, 1), (1, -1, -1, 1))
     assert (a @ a.inverse()) == IsometryMatrix.identity()
@@ -266,6 +272,30 @@ def test_embedding_rejects_noncanonical_reps(hemi):
 # ----------------------------------------------------- symmetry groups
 
 
+def _cube(n, projective):
+    """The n-cube, or its antipodal quotient, by the rule of
+    hypercube_embedding and hemicube_embedding with n in place of 4."""
+    reps = [tuple(1 - 2 * ((i >> k) & 1) for k in range(n)) for i in range(2 ** n)]
+    if projective:
+        reps = [(1,) + x[:-1] for x in reps[:2 ** (n - 1)]]
+    edges = []
+    for i, j in itertools.combinations(range(len(reps)), 2):
+        x, y = reps[i], reps[j]
+        diffs = [k for k in range(n) if x[k] != y[k]]
+        if projective and len(diffs) == n - 1:
+            diffs = [k for k in range(n) if x[k] == y[k]]  # a main diagonal
+        if len(diffs) == 1:
+            edges.append((i, j, diffs[0]))
+    return EmbeddedGraph(ColoredGraph(len(reps), n, tuple(edges)), tuple(reps),
+                         projective)
+
+
+def _dense_table(e):
+    """The isometry table by walking every signed matrix whole."""
+    return [(m, p) for m in all_signed_matrices(e.dimension, e.projective)
+            if (p := vertex_permutation(e, m)) is not None]
+
+
 def test_matrix_to_permutation(hemi):
     m = IsometryMatrix.identity(projective=True)
     p = vertex_permutation(hemi, m)
@@ -281,6 +311,23 @@ def test_matrix_to_permutation(hemi):
         if img[0] == -1:
             img = tuple(-c for c in img)
         assert hemi.coords[q(v)] == img
+
+
+def test_matrix_to_permutation_rejects_other_dimensions(hemi):
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="does not act"):
+            vertex_permutation(hemi, IsometryMatrix.identity(n, projective=True))
+
+
+def test_matrix_to_permutation_rejects_projective_on_euclidean(hemi, cube_embedding):
+    m = IsometryMatrix((0, 2, 1, 3), (1, 1, -1, 1), projective=True)
+    with pytest.raises(ValueError, match="does not act"):
+        vertex_permutation(cube_embedding, m)
+    # euclidean matrices act on projective points: m and -m alike
+    euclid = IsometryMatrix(m.perm, m.signs)
+    minus = IsometryMatrix(m.perm, tuple(-s for s in m.signs))
+    assert vertex_permutation(hemi, euclid) == vertex_permutation(hemi, minus) \
+        == vertex_permutation(hemi, m)
 
 
 def test_group_orders(GP, GQ, GH):
@@ -438,6 +485,44 @@ def test_unfaithful_action_is_refused():
     ex = exchanging_isometries(e, c, c)
     assert len(ex) == 4
     assert sorted(d for _, d in ex) == [-1, -1, 1, 1]
+
+
+def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding):
+    # the table composes each matrix's vertex permutation from its sign and
+    # permutation factors; the oracle walks every matrix whole
+    two = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 0), (-1, 0)), False)
+    # the powers of a quarter turn keep this orbit; neither factor of a
+    # quarter turn does, so those two entries come from the fallback walk
+    c4 = EmbeddedGraph(ColoredGraph(4, 1, ()), ((1, 2), (-2, 1), (-1, -2), (2, -1)),
+                       False)
+    for e, size in ((hemi, 192), (cover, 384), (cube_embedding, 384), (two, 4),
+                    (c4, 4)):
+        assert len(e._isometries) == size
+        assert e._isometries == _dense_table(e)
+    sizes = {2: (8, 4), 3: (48, 24), 4: (384, 192), 5: (3840, 1920)}
+    for n, want in sizes.items():
+        cubes = (_cube(n, False), _cube(n, True))
+        assert tuple(len(e._isometries) for e in cubes) == want
+        for e in cubes:
+            assert e._isometries == _dense_table(e)
+    assert _cube(4, False).coords == cube_embedding.coords
+    assert _cube(4, True).graph == hemi.graph and _cube(4, True).coords == hemi.coords
+
+
+def test_isometry_tables_walk_only_the_factors(monkeypatch):
+    import chiralcube.geometry as geometry
+    calls = []
+
+    def counted(e, m):
+        calls.append(m)
+        return vertex_permutation(e, m)
+
+    monkeypatch.setattr(geometry, "vertex_permutation", counted)
+    e = hemicube_embedding()
+    assert (len(e._isometries), len(e._cover._isometries)) == (192, 384)
+    # 2^3 sign classes + 4! permutations, then 2^4 + 4!; a dense walk makes
+    # 192 + 384 calls
+    assert len(calls) == 8 + 24 + 16 + 24 == 72
 
 
 # ------------------------------------------------------------ holonomy

@@ -10,7 +10,7 @@ This package builds all of these objects and mechanically verifies every
 combinatorial and geometric claim about them.
 """
 
-from .graph import (ColoredGraph, Coloring, GraphError, colored_isomorphism,
+from .graph import (ColoredGraph, GraphError, colored_isomorphism,
                     components_by_colorset, enumerate_matching_colorings,
                     iter_colored_isomorphisms, validate)
 from .group import (NotAnAutomorphismError, PermutationGroup,
@@ -36,7 +36,7 @@ from .classify import (CheckResult, VerificationReport, enantiomorph_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANGLE_ATOL", "CheckResult", "ColoredGraph", "Coloring", "EmbeddedGraph",
+    "ANGLE_ATOL", "CheckResult", "ColoredGraph", "EmbeddedGraph",
     "Face", "FlagGraph", "GraphError", "IsometryMatrix",
     "NotAnAutomorphismError", "PermutationGroup", "Polytope",
     "RotationProfile", "SymmetryClassification", "VerificationReport",

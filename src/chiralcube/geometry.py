@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .graph import (ColoredGraph, Coloring, GraphError, components_by_colorset,
+from .graph import (ColoredGraph, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
 from .group import PermutationGroup, VertexPermutation, reduce_generators
 from .polytope import canonical_cycle, two_face_cycle
@@ -206,6 +206,8 @@ class EmbeddedGraph:
     def __post_init__(self):
         if len(self.coords) != self.graph.n_vertices:
             raise GraphError("coordinate count does not match vertex count")
+        if len({len(x) for x in self.coords}) > 1:
+            raise GraphError("coordinates of unequal length")
         if self.projective:
             for x in self.coords:
                 if _canonical(x) != x:
@@ -267,21 +269,20 @@ class EmbeddedGraph:
 
     @cached_property
     def _directions(self):
-        return Coloring(self.graph.edge_pairs,
-                        tuple(self.direction(u, v) for u, v in self.graph.edge_pairs),
-                        self.dimension)
+        return ColoredGraph(self.graph.n_vertices, self.dimension, tuple(
+            (u, v, self.direction(u, v)) for u, v, _ in self.graph.edges))
 
     def direction_coloring(self):
+        """The graph's edges colored by their directions."""
         return self._directions
 
     @cached_property
     def _squares(self):
         # the direction-bicolored squares, as positions into graph.edge_pairs
-        base = self.graph.recolored(self._directions)
         where = {pr: i for i, pr in enumerate(self.graph.edge_pairs)}
         return [[where[pr] for pr in es]
                 for pair in itertools.combinations(range(self.dimension), 2)
-                for _, es in components_by_colorset(base, pair) if es]
+                for _, es in components_by_colorset(self._directions, pair) if es]
 
     @cached_property
     def _cover(self):
@@ -330,14 +331,8 @@ def hemicube_embedding():
 
 def hypercube_embedding():
     """The 4-cube: 16 vertices {1,-1}^4, 32 axis edges colored by
-    direction."""
-    edges = []
-    for i, j in itertools.combinations(range(16), 2):
-        x, y = _hypercube_rep(i), _hypercube_rep(j)
-        if _hamming(x, y) == 1:
-            edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
-    g = ColoredGraph(16, 4, tuple(edges))
-    return EmbeddedGraph(g, tuple(_hypercube_rep(i) for i in range(16)), False)
+    direction, built as the double cover of the quotient."""
+    return lift_double_cover(hemicube_embedding())
 
 
 # ------------------------------------------------------ symmetry groups
@@ -360,7 +355,7 @@ def _maps_coloring(p, src, dst_colors):
     """Does vertex permutation p send coloring src to the coloring whose
     edge -> color dict is dst_colors, up to renaming colors?"""
     cmap, im = {}, p.images
-    for (u, v), c in zip(src.edge_pairs, src.colors):
+    for u, v, c in src.edges:
         a, b = im[u], im[v]
         c2 = dst_colors.get((a, b) if a < b else (b, a))
         if c2 is None or cmap.setdefault(c, c2) != c2:
@@ -368,18 +363,12 @@ def _maps_coloring(p, src, dst_colors):
     return len(set(cmap.values())) == len(cmap)
 
 
-def _same_edges(e, *colorings):
-    """GraphError unless every coloring is over e.graph's edge list."""
-    if any(c.edge_pairs != e.graph.edge_pairs for c in colorings):
-        raise GraphError("coloring is over a different edge list")
-
-
 def _scan(e, src, dst):
     """(matrix, vertex permutation) for every isometry of e taking
     coloring src to coloring dst up to renaming colors.  GraphError
     unless both colorings are over e.graph's edges."""
-    _same_edges(e, src, dst)
-    dst_colors = dict(zip(dst.edge_pairs, dst.colors))
+    src = e.graph.recolored(src)
+    dst_colors = {(u, v): c for u, v, c in e.graph.recolored(dst).edges}
     return [(m, p) for m, p in e._isometries if _maps_coloring(p, src, dst_colors)]
 
 
@@ -388,12 +377,12 @@ def geometric_symmetry_group(e, coloring=None):
     a color permutation), as a group of vertex permutations; e.matrix(p)
     is the isometry behind element p.
 
-    coloring defaults to the one carried by e.graph.  The matrix action
-    on vertices must be faithful (it is for full-support coordinate
-    sets); GraphError otherwise, since e.matrix would be ambiguous.
+    coloring defaults to e.graph.  The matrix action on vertices must be
+    faithful (it is for full-support coordinate sets); GraphError
+    otherwise, since e.matrix would be ambiguous.
     """
     if coloring is None:
-        coloring = Coloring.of(e.graph)
+        coloring = e.graph
     elements = [p for _, p in _scan(e, coloring, coloring)]
     if len(set(elements)) != len(elements):
         raise GraphError("matrix action on vertices is not faithful")
@@ -421,16 +410,15 @@ def classes_hit_all_directions(e, coloring):
     direction); a transversal class is as far from it as possible.
     GraphError unless the coloring is over e.graph's edges.
     """
-    _same_edges(e, coloring)
-    classes = [[i for i, d in enumerate(coloring.colors) if d == c]
-               for c in set(coloring.colors)]
+    colors = e.graph.recolored(coloring).colors
+    classes = [[i for i, d in enumerate(colors) if d == c] for c in set(colors)]
     return _blocks_see_all(classes, e._directions.colors, e.dimension)
 
 
 def squares_see_all_colors(e, coloring):
     """Property: every direction-bicolored square (a 2-face of the direction-
     colored poset) shows all colors; GraphError unless over e.graph's edges."""
-    _same_edges(e, coloring)
+    coloring = e.graph.recolored(coloring)
     return _blocks_see_all(e._squares, coloring.colors, coloring.n_colors)
 
 
@@ -482,15 +470,13 @@ def lift_double_cover(e, coloring=None):
 
     Vertices become the full sign vectors (both preimages of each
     projective point); each edge lifts to the two axis edges joining
-    preimages at Hamming distance one.  The coloring (default: the one
-    on e.graph, over its edges or GraphError) is inherited by both lifts;
-    the Euclidean EmbeddedGraph returned carries the lifted coloring.
+    preimages at Hamming distance one.  The coloring (default: e.graph;
+    over its edges or GraphError) is inherited by both lifts; the
+    Euclidean EmbeddedGraph returned carries the lifted coloring.
     """
     if not e.projective:
         raise ValueError("only projective embeddings have a double cover")
-    if coloring is None:
-        coloring = Coloring.of(e.graph)
-    _same_edges(e, coloring)
+    coloring = e.graph if coloring is None else e.graph.recolored(coloring)
     dim = e.dimension
     reps = [tuple(x) for x in e.coords]
     cover_coords = reps + [_neg(x) for x in reps]
@@ -501,7 +487,7 @@ def lift_double_cover(e, coloring=None):
     index = {x: i for i, x in enumerate(cover_coords)}
 
     lifted = set()
-    for (u, v), c in zip(coloring.edge_pairs, coloring.colors):
+    for u, v, c in coloring.edges:
         for xu in (reps[u], _neg(reps[u])):
             for xv in (reps[v], _neg(reps[v])):
                 if _hamming(xu, xv) == 1:

@@ -28,20 +28,26 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class ColoredGraph:
+    """A graph with one color per edge.  A coloring of a skeleton is a
+    ColoredGraph over the skeleton's edge list, so many colorings of one
+    skeleton are enumerated, filtered and compared as graphs."""
+
     n_vertices: int
     n_colors: int
     edges: tuple  # of (u, v, color), u < v, sorted
 
     def __post_init__(self):
-        norm = []
-        for u, v, c in self.edges:
+        norm, n, k = [], self.n_vertices, self.n_colors
+        for e in self.edges:
+            u, v, c = e
             if u == v:
                 raise GraphError("loop at vertex %d" % u)
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError("edge (%d,%d) out of range" % (u, v))
-            if not (0 <= c < self.n_colors):
+            if not (0 <= c < k):
                 raise GraphError("color %d out of range" % c)
-            norm.append((u, v, c) if u < v else (v, u, c))
+            # an oriented triple is kept, not copied: colorings share them
+            norm.append(tuple(e) if u < v else (v, u, c))
         norm.sort()
         pairs = [e[:2] for e in norm]
         if len(set(pairs)) != len(pairs):
@@ -49,10 +55,17 @@ class ColoredGraph:
             raise GraphError("duplicate edge (%d,%d)" % dup)
         object.__setattr__(self, "edges", tuple(norm))
 
+    # edge_pairs and colors are rebuilt on each read, so that colorings hold
+    # no copies; a list comprehension builds them faster than a generator
     @property
     def edge_pairs(self):
         """Endpoint pairs in canonical order, colors stripped."""
-        return tuple((u, v) for u, v, _ in self.edges)
+        return tuple([(u, v) for u, v, _ in self.edges])
+
+    @property
+    def colors(self):
+        """Edge colors, parallel to edge_pairs."""
+        return tuple([c for _, _, c in self.edges])
 
     def color_of(self, u, v):
         if u > v:
@@ -77,14 +90,26 @@ class ColoredGraph:
         return {c: tuple(sorted(es)) for c, es in cls.items()}
 
     def recolored(self, coloring):
-        """Same skeleton, colors replaced by `coloring` (a Coloring)."""
-        if coloring.edge_pairs != self.edge_pairs:
+        """This skeleton colored by `coloring`: the coloring itself, a
+        ColoredGraph over the same vertices and edge list; GraphError
+        for one over another skeleton."""
+        if (coloring.n_vertices, coloring.edge_pairs) != (
+                self.n_vertices, self.edge_pairs):
             raise GraphError("coloring is over a different edge list")
-        return ColoredGraph(
-            self.n_vertices,
-            coloring.n_colors,
-            tuple((u, v, c) for (u, v), c in zip(self.edge_pairs, coloring.colors)),
-        )
+        return coloring
+
+    def permuted(self, color_map):
+        """Rename colors: color c becomes color_map[c]."""
+        return ColoredGraph(self.n_vertices, self.n_colors,
+                            tuple((u, v, color_map[c]) for u, v, c in self.edges))
+
+    def canonical(self):
+        """Representative of the color-permutation class: colors relabeled
+        in order of first appearance along the canonical edge list."""
+        rename = {}
+        for c in self.colors:
+            rename.setdefault(c, len(rename))
+        return self.permuted(rename)
 
     def to_json(self):
         return {
@@ -100,56 +125,6 @@ class ColoredGraph:
             int(data["n_colors"]),
             tuple((int(u), int(v), int(c)) for u, v, c in data["edges"]),
         )
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A color assignment over a fixed canonical edge list.
-
-    Kept separate from ColoredGraph so that many colorings of one skeleton
-    can be enumerated, filtered and compared without copying the graph.
-    """
-
-    edge_pairs: tuple  # of (u, v), u < v, strictly increasing
-    colors: tuple      # parallel to edge_pairs
-    n_colors: int
-
-    def __post_init__(self):
-        if len(self.edge_pairs) != len(self.colors):
-            raise GraphError("colors not parallel to edge list")
-        if tuple(sorted(set(self.edge_pairs))) != tuple(self.edge_pairs):
-            raise GraphError("edge list not canonical")
-        if any(u >= v for u, v in self.edge_pairs):
-            raise GraphError("edge list not canonical")
-        if any(not (0 <= c < self.n_colors) for c in self.colors):
-            raise GraphError("color out of range")
-
-    @staticmethod
-    def of(g):
-        """Extract the coloring carried by a ColoredGraph."""
-        return Coloring(g.edge_pairs, tuple(c for _, _, c in g.edges), g.n_colors)
-
-    def color_of(self, u, v):
-        if u > v:
-            u, v = v, u
-        return self.colors[self.edge_pairs.index((u, v))]
-
-    def permuted(self, color_map):
-        """Rename colors: color c becomes color_map[c]."""
-        return Coloring(self.edge_pairs, tuple(color_map[c] for c in self.colors),
-                        self.n_colors)
-
-    def canonical(self):
-        """Representative of the color-permutation class: colors relabeled
-        in order of first appearance along the canonical edge list."""
-        rename, nxt = {}, 0
-        out = []
-        for c in self.colors:
-            if c not in rename:
-                rename[c] = nxt
-                nxt += 1
-            out.append(rename[c])
-        return Coloring(self.edge_pairs, tuple(out), self.n_colors)
 
 
 # ----------------------------------------------------------- validation
@@ -234,7 +209,8 @@ def component_labels(adj):
 
 
 def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
-    """All proper k-edge-colorings of g's skeleton, k = g.n_colors.
+    """All proper k-edge-colorings of g's skeleton, k = g.n_colors, as
+    ColoredGraphs over g's edge list.
 
     g must be k-regular (its own colors are ignored); then properness
     forces every color class to be a perfect matching.  With
@@ -251,20 +227,22 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
 
     pairs = g.edge_pairs
     m = len(pairs)
+    # one (u, v, c) per edge and color, shared by every coloring found
+    triples = [[(u, v, c) for c in range(k)] for u, v in pairs]
     used = [set() for _ in range(g.n_vertices)]  # colors present at vertex
-    assign = [0] * m
+    chosen = [None] * m  # the triple of each edge so far
     out = []
 
     def extend(i, next_new):
         if i == m:
-            out.append(Coloring(pairs, tuple(assign), k))
+            out.append(ColoredGraph(g.n_vertices, k, tuple(chosen)))
             return
         u, v = pairs[i]
         limit = min(k, next_new + 1) if up_to_color_permutation else k
         for c in range(limit):
             if c in used[u] or c in used[v]:
                 continue
-            assign[i] = c
+            chosen[i] = triples[i][c]
             used[u].add(c)
             used[v].add(c)
             extend(i + 1, max(next_new, c + 1))

@@ -12,7 +12,7 @@ import chiralcube
 from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
                                  enantiomorph_check, verify_paper)
 from chiralcube.geometry import hypercube_embedding
-from chiralcube.graph import ColoredGraph, Coloring
+from chiralcube.graph import ColoredGraph
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +99,8 @@ def test_colorings_over_other_edges_reported_not_raised(hemi, cube_embedding):
     # the direction coloring without its first edge, and the 4-cube's
     # coloring of its 32 edges: neither is over the quotient's edge list
     reg = hemi.direction_coloring()
-    short = Coloring(reg.edge_pairs[1:], reg.colors[1:], reg.n_colors)
-    for c in (short, Coloring.of(cube_embedding.graph)):
+    short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
+    for c in (short, cube_embedding.graph):
         r = verify_paper(coloring=c)  # must not raise
         assert all(row.passed for row in r.checks[:-1])
         last = r.checks[-1]

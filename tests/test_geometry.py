@@ -18,7 +18,7 @@ from chiralcube.geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
                                  lift_double_cover, off_text, orientation,
                                  rotation_profile, squares_see_all_colors,
                                  vertex_permutation)
-from chiralcube.graph import (ColoredGraph, Coloring, GraphError,
+from chiralcube.graph import (ColoredGraph, GraphError,
                              components_by_colorset, enumerate_matching_colorings)
 from chiralcube.group import PermutationGroup, VertexPermutation
 from chiralcube.polytope import two_face_cycle
@@ -395,8 +395,8 @@ def test_twins_are_mirror_images(hemi, twins):
 
 def test_scans_reject_colorings_over_other_edges(hemi, cube_embedding):
     reg = hemi.direction_coloring()
-    short = Coloring(reg.edge_pairs[1:], reg.colors[1:], reg.n_colors)
-    cube = Coloring.of(cube_embedding.graph)
+    short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
+    cube = cube_embedding.graph
     with pytest.raises(ValueError):
         geometric_symmetry_group(hemi, short)
     for c1, c2 in ((reg, short), (short, reg), (reg, cube)):
@@ -428,13 +428,14 @@ def test_coloring_properties_match_networkx_oracle(hemi, cube_embedding):
     cases = []
     for c in labelled:
         cover = lift_double_cover(hemi, c)
-        cases += [(hemi, c), (cover, Coloring.of(cover.graph))]
+        cases += [(hemi, c), (cover, cover.graph)]
     # matching colorings fail squares in pairs; colorings in 2 to 4 colors
     # that need not be proper also fail one square alone
     rng = random.Random(0)
     for e in (hemi, cube_embedding) * 300:
         n, pairs = rng.randint(2, 4), e.graph.edge_pairs
-        cases.append((e, Coloring(pairs, tuple(rng.randrange(n) for _ in pairs), n)))
+        cases.append((e, ColoredGraph(e.graph.n_vertices, n, tuple(
+            (u, v, rng.randrange(n)) for u, v in pairs))))
     squares, got = {}, Counter()
     for e, col in cases:
         key = (e.coords, e.graph.edge_pairs)
@@ -477,7 +478,7 @@ def test_unfaithful_action_is_refused():
     # two points on a line: 4 signed matrices keep the pair, but only 2
     # vertex permutations come of them
     e = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 0), (-1, 0)), False)
-    c = Coloring.of(e.graph)
+    c = e.graph
     with pytest.raises(GraphError, match="not faithful"):
         geometric_symmetry_group(e, c)
     with pytest.raises(GraphError, match="not faithful"):
@@ -566,10 +567,11 @@ def test_holonomy_invariance(hemi, Q):
 # ------------------------------------------------------------- lifting
 
 
-def test_regular_lift_is_the_hypercube(hemi, cube_embedding):
-    lifted = lift_double_cover(hemi, hemi.direction_coloring())
-    assert lifted.graph == cube_embedding.graph
-    assert lifted.coords == cube_embedding.coords
+def test_regular_lift_is_the_hypercube(hemi):
+    lifted, cube = lift_double_cover(hemi, hemi.direction_coloring()), _cube(4, False)
+    assert lifted.graph == cube.graph
+    assert lifted.coords == cube.coords
+    assert not lifted.projective
 
 
 def test_lift_doubles_counts(hemi, cover):
@@ -583,6 +585,11 @@ def test_antipode_negates_coordinates(cover):
     assert all(a(v) != v for v in range(cover.graph.n_vertices))
     assert all(cover.coords[a(v)] == tuple(-c for c in cover.coords[v])
                for v in range(cover.graph.n_vertices))
+
+
+def test_coordinates_of_unequal_length_are_refused():
+    with pytest.raises(GraphError, match="unequal length"):
+        EmbeddedGraph(ColoredGraph(2, 1, ()), ((1, 0), (1, 0, 0)), False)
 
 
 def test_antipode_needs_a_centrally_symmetric_vertex_set(hemi):
@@ -746,18 +753,19 @@ def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embeddi
     reg = hemi.direction_coloring()
     mirror_cover = lift_double_cover(hemi, twins[1])
     assert mirror_cover.graph.edge_pairs == cover.graph.edge_pairs
-    hat, hat_m = Coloring.of(cover.graph), Coloring.of(mirror_cover.graph)
-    cube = Coloring.of(cube_embedding.graph)
+    hat, hat_m = cover.graph, mirror_cover.graph
+    cube = cube_embedding.graph
     # a one-colour coloring, and the squares of directions 1 and 2 alone,
     # which not every isometry of the vertex set preserves
-    flat = Coloring(reg.edge_pairs, (0,) * len(reg.colors), reg.n_colors)
+    flat = ColoredGraph(reg.n_vertices, reg.n_colors,
+                        tuple((u, v, 0) for u, v in reg.edge_pairs))
     squares = EmbeddedGraph(
         ColoredGraph(8, 4, tuple(x for x in hemi.graph.edges if x[2] in (1, 2))),
         hemi.coords, True)
     # P, Q, the mirror, Q-hat, the 4-cube and the squares
     for e, c in ((hemi, reg), (hemi, twins[0]), (hemi, twins[1]),
                  (cover, hat), (cube_embedding, cube),
-                 (squares, Coloring.of(squares.graph))):
+                 (squares, squares.graph)):
         G = geometric_symmetry_group(e, c)
         assert {p: e.matrix(p) for p in G} == dict(_brute_force_scan(e, c, c))
     for e, c1, c2 in ((hemi, twins[0], twins[1]), (hemi, reg, twins[0]),

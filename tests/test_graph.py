@@ -4,10 +4,11 @@ import pytest
 
 from chiralcube.geometry import lift_double_cover
 from chiralcube.group import color_respecting_automorphisms
-from chiralcube.graph import (ColoredGraph, Coloring, GraphError,
+from chiralcube.graph import (ColoredGraph, GraphError,
                               colored_isomorphism, components_by_colorset,
                               enumerate_matching_colorings,
                               iter_colored_isomorphisms, validate)
+from chiralcube.polytope import colourful_polytope
 
 
 def six_cycle():
@@ -58,7 +59,15 @@ def test_color_classes():
 
 def test_recolored_roundtrip():
     g = six_cycle()
-    assert g.recolored(Coloring.of(g)) == g
+    assert g.recolored(g) == g
+
+
+def test_recolored_rejects_another_skeleton():
+    # an extra isolated vertex, or one edge fewer
+    g = six_cycle()
+    for other in (ColoredGraph(7, 2, g.edges), ColoredGraph(6, 2, g.edges[1:])):
+        with pytest.raises(GraphError, match="different edge list"):
+            g.recolored(other)
 
 
 def test_json_roundtrip():
@@ -157,6 +166,25 @@ def test_hemicube_coloring_counts(hemi):
     assert len({c.canonical().colors for c in raw}) == 24
 
 
+def test_colorings_are_graphs(hemi, cube_embedding):
+    # a coloring is a ColoredGraph over the skeleton: it builds its own
+    # polytope, is its own recoloring, and is canonical as found
+    for c in enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True):
+        assert isinstance(c, ColoredGraph)
+        assert (colourful_polytope(c).faces
+                == colourful_polytope(hemi.graph.recolored(c)).faces)
+        assert c.canonical() == c
+    for e in (hemi, cube_embedding):
+        assert e.direction_coloring() == e.graph
+
+
+def test_labelled_colorings_share_edge_triples(hemi):
+    # one (u, v, c) object per edge and color, whatever the coloring
+    labelled = enumerate_matching_colorings(hemi.graph)
+    assert len(labelled) == 576
+    assert len({id(t) for c in labelled for t in c.edges}) == 16 * 4
+
+
 def test_search_rejects_wrong_regularity():
     path = ColoredGraph(3, 2, ((0, 1, 0), (1, 2, 1)))
     with pytest.raises(GraphError):
@@ -181,7 +209,7 @@ def test_identity_isomorphism_found(hemi):
 
 def test_isomorphism_handles_color_renaming(hemi):
     g = hemi.graph
-    swapped = g.recolored(Coloring.of(g).permuted({0: 1, 1: 0, 2: 3, 3: 2}))
+    swapped = g.recolored(g.permuted({0: 1, 1: 0, 2: 3, 3: 2}))
     vm, cm = colored_isomorphism(g, swapped)
     # the identity vertex map with the color swap must be among witnesses
     assert any(vm == tuple(range(8)) and cm == (1, 0, 3, 2)
@@ -350,7 +378,7 @@ def k4():
 def test_propagation_matches_backtracking_oracle(hemi, cube_embedding):
     base = hemi.graph
     cube = lift_double_cover(hemi, hemi.direction_coloring()).graph
-    renamed = base.recolored(Coloring.of(base).permuted({0: 2, 1: 3, 2: 0, 3: 1}))
+    renamed = base.recolored(base.permuted({0: 2, 1: 3, 2: 0, 3: 1}))
     cycle3, cycle4 = (ColoredGraph(6, k, six_cycle().edges) for k in (3, 4))
     improper = ColoredGraph(6, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0),
                                    (4, 5, 1), (0, 5, 1)))

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chiralcube.graph import Coloring, GraphError, iter_colored_isomorphisms
+from chiralcube.graph import GraphError, iter_colored_isomorphisms
 from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               VertexPermutation, chain_stabilizer,
                               classify_symmetry,
@@ -112,7 +112,7 @@ def test_chiral_graph_automorphism_count(hemi, twins):
 
 def test_automorphism_count_survives_color_relabel(hemi):
     g = hemi.graph
-    relabeled = g.recolored(Coloring.of(g).permuted({0: 3, 1: 2, 2: 1, 3: 0}))
+    relabeled = g.recolored(g.permuted({0: 3, 1: 2, 2: 1, 3: 0}))
     assert color_respecting_automorphisms(relabeled).order == 192
 
 

@@ -24,9 +24,12 @@ the test that checks the flag orbits, labelled by components under
 the generators, against orbits read from every group element; and the
 test that checks both coloring properties, read from cached squares and
 edge positions, against directions and squares found with networkx (it
-skips, and so fails this gate, when networkx is not installed); and the
+skips, and so fails this gate, when networkx is not installed); the
 test that checks each isometry table, composed from the walks of its
-sign and permutation factors, against a walk of every signed matrix.
+sign and permutation factors, against a walk of every signed matrix;
+and the test that checks the isometry scans, which walk the edges of
+each coloring, against dense matrix application with colors read
+through color_of.
 
     python3 tools/tier1_gate.py
 """
@@ -53,6 +56,7 @@ REQUIRED = (
     ("tests.test_group", "test_flag_orbits_match_element_oracle"),
     ("tests.test_geometry", "test_coloring_properties_match_networkx_oracle"),
     ("tests.test_geometry", "test_isometry_table_matches_dense_walk"),
+    ("tests.test_geometry", "test_isometry_scans_match_dense_application"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

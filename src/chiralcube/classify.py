@@ -119,7 +119,10 @@ def enantiomorph_check(c1, c2, embedding):
     every one of them reverses orientation (mirror twins).  "neither":
     no isometry relates them at all.
     """
-    ex = exchanging_isometries(embedding, c1, c2)
+    return _exchange_verdict(exchanging_isometries(embedding, c1, c2))
+
+
+def _exchange_verdict(ex):  # ex: the pairs exchanging_isometries returns
     if not ex:
         return "neither"
     if any(d == 1 for _, d in ex):
@@ -254,11 +257,11 @@ def verify_paper(*, coloring=None, base_graph=None):
     c_q = coloring if coloring is not None else twins[0]
     c_m = twins[0] if c_q.canonical() == twins[1] else twins[1]
 
+    ex = exchanging_isometries(e, twins[0], twins[1])
     add("colorings.mirror_pair",
         "the two colorings are mirror images, not directly congruent",
         "the two enantiomorphic forms of Q",
-        "enantiomorphic", enantiomorph_check(twins[0], twins[1], e))
-    ex = exchanging_isometries(e, twins[0], twins[1])
+        "enantiomorphic", _exchange_verdict(ex))
     exd = [d for _, d in ex]
     add("colorings.exchange_counts",
         "no rotation and 96 reflections exchange the twins",

@@ -528,25 +528,25 @@ def affine_rank(points):
 
     0 for a single point, 1 for a segment, 2 for a planar polygon; a
     genuinely skew polygon in R^4 reaches 3 or 4 (4 means the vertex set
-    affinely spans the whole space, a polygon of full rank).
+    affinely spans the whole space, a polygon of full rank).  Fraction-
+    free: a row r below pivot row pr becomes pr[col] * r - r[col] * pr.
     """
     points = [tuple(p) for p in points]
     if len(points) <= 1:
         return 0
     base = points[0]
-    rows = [[Fraction(x - b) for x, b in zip(p, base)] for p in points[1:]]
-    rank, col_start = 0, 0
-    ncols = len(base)
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    rank = 0
+    for col in range(len(base)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r] = [pr[col] * a - f * b for a, b in zip(rows[r], pr)]
         rank += 1
     return rank
 

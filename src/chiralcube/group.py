@@ -204,16 +204,20 @@ def induced_face_action(p, sigma):
     """Permutation of p's face ids induced by vertex permutation sigma.
 
     Raises NotAnAutomorphismError naming a witness face if some face
-    image is not a face of p.
+    image is not a face of p.  Each action found is kept on p, keyed by
+    sigma's images; a failure is not kept.
     """
-    images = []
-    for f in p.faces:
-        j = _face_image(p, f, sigma)
-        if j is None:
-            raise NotAnAutomorphismError(
-                f.id, "image of face %d under %r is not a face" % (f.id, sigma.images))
-        images.append(j)
-    return VertexPermutation(tuple(images))
+    action = p._actions.get(sigma.images)
+    if action is None:
+        images = []
+        for f in p.faces:
+            j = _face_image(p, f, sigma)
+            if j is None:
+                raise NotAnAutomorphismError(
+                    f.id, "image of face %d under %r is not a face" % (f.id, sigma.images))
+            images.append(j)
+        action = p._actions[sigma.images] = VertexPermutation(tuple(images))
+    return action
 
 
 def flag_orbits(p, G):
@@ -272,7 +276,9 @@ def classify_symmetry(p, G):
 def chain_stabilizer(p, G, chain):
     """Subgroup of G fixing each face in `chain` (ids of pairwise
     incident faces).  ValueError if two chain faces are incomparable;
-    NotAnAutomorphismError if G does not act on p's faces."""
+    NotAnAutomorphismError if G does not act on p's faces.  Once G acts,
+    g fixes face f exactly when it maps into f the half of f's key that
+    face_index reads: the vertices (rank <= 0) or the edges of f."""
     chain = tuple(chain)
     for a in chain:
         for b in chain:
@@ -280,6 +286,13 @@ def chain_stabilizer(p, G, chain):
                 raise ValueError("faces %d and %d are not incident" % (a, b))
     for g in G.generators:  # automorphisms compose: this checks all of G
         induced_face_action(p, g)
+    tests = []  # per chain face: its pairs, both ways round, and their two ends
+    for f in map(p.faces.__getitem__, chain):
+        pairs = [(v, v) for v in f.vertices] if f.rank <= 0 else list(f.edges)
+        tests.append((set(pairs).union((b, a) for a, b in pairs),
+                      [a for a, _ in pairs], [b for _, b in pairs]))
     keep = [g for g in G.elements
-            if all(_face_image(p, p.faces[f], g) == f for f in chain)]
+            if all(into.issuperset(zip(map(g.images.__getitem__, us),
+                                       map(g.images.__getitem__, vs)))
+                   for into, us, vs in tests)]
     return PermutationGroup(reduce_generators(keep), elements=keep)

@@ -64,6 +64,7 @@ class Polytope:
         self._cov = None
         self._dia = None
         self._fg = None
+        self._actions = {}  # group.induced_face_action: vertex images -> face action
 
     # ------------------------------------------------------ structure
 
@@ -80,11 +81,17 @@ class Polytope:
                 and f.edges <= g.edges)
 
     def _ups(self):
+        """_ups()[i]: the faces above face i, i included, in increasing id
+        order, from those holding one vertex of face i (all if none)."""
         if self._up is None:
-            fs = self.faces
-            self._up = [frozenset(g.id for g in fs if f.rank <= g.rank
-                                  and f.vertices <= g.vertices
-                                  and f.edges <= g.edges) for f in fs]
+            fs, holding = self.faces, {}
+            for g in fs:
+                for v in g.vertices:
+                    holding.setdefault(v, []).append(g)
+            self._up = [frozenset(
+                g.id for g in (holding[next(iter(f.vertices))] if f.vertices else fs)
+                if f.rank <= g.rank and f.vertices <= g.vertices
+                and f.edges <= g.edges) for f in fs]
         return self._up
 
     def _diamonds(self):
@@ -174,39 +181,34 @@ def _bottom_top(p):
 
 
 def _build_flag_graph(p):
+    """Flags grown one rank at a time, in increasing order; an i-adjacent
+    flag swaps fl[i] for its diamond partner, found by code sum fl[i] n^i."""
     bottom, top = _bottom_top(p)
     ups, diamonds = p._ups(), p._diamonds()
-
-    flags = []
-
-    def grow(chain, below):
-        r = len(chain)
-        if r == p.rank:
-            if top in ups[chain[-1]]:
-                flags.append(tuple(chain))
-            return
-        for f in p.faces_of_rank(r):
-            if f in ups[below]:
-                grow(chain + [f], f)
-            elif below == bottom:
-                raise GraphError("face %d (rank 0) is not above the rank -1 face" % f)
-
-    grow([], bottom)
-    flags.sort()
+    for f in p.faces_of_rank(0):
+        if f not in ups[bottom]:
+            raise GraphError("face %d (rank 0) is not above the rank -1 face" % f)
+    chains = [(bottom,)]
+    for r in range(p.rank):
+        nxt = {f: [g for g in p.faces_of_rank(r) if g in ups[f]]
+               for f in p.faces_of_rank(r - 1)}
+        chains = [c + (g,) for c in chains for g in nxt[c[-1]]]
+    flags = [c[1:] for c in chains if top in ups[c[-1]]]
     index = {fl: i for i, fl in enumerate(flags)}
 
+    weights = [len(p.faces) ** i for i in range(p.rank)]
+    codes = [sum(map(int.__mul__, fl, weights)) for fl in flags]
+    by_code = {c: i for i, c in enumerate(codes)}
     adj = []
-    for fl in flags:
-        row = []
-        for i in range(p.rank):
-            lo = fl[i - 1] if i > 0 else bottom
-            hi = fl[i + 1] if i < p.rank - 1 else top
-            mids = [m for m in diamonds[lo, hi] if m != fl[i]]
-            if len(mids) != 1:
+    for fl, code in zip(flags, codes):
+        chain, row = (bottom, *fl, top), []
+        for i, w in enumerate(weights):
+            mids = diamonds[chain[i], chain[i + 2]]
+            if len(mids) != 2:
                 raise GraphError(
                     "diamond fails between faces %d and %d: %d alternatives"
-                    % (lo, hi, len(mids) + 1))
-            row.append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
+                    % (chain[i], chain[i + 2], len(mids)))
+            row.append(by_code[code + (mids[0] + mids[1] - 2 * fl[i]) * w])
         adj.append(tuple(row))
     return FlagGraph(tuple(flags), index, tuple(adj))
 
@@ -315,11 +317,11 @@ def _sections_by_flags(p, lo, hi):
     """
     fg, (bottom, top) = p.flag_graph(), _bottom_top(p)
     label = component_labels([a[lo + 1:hi] for a in fg.adj])
-    size, groups = Counter(label), {}
-    for x, fl in enumerate(fg.flags):
-        chain = (bottom,) + fl + (top,)
-        groups.setdefault((chain[lo + 1], chain[hi + 1]), {}).setdefault(
-            fl[lo + 1:hi], label[x])
+    size, groups, cols = Counter(label), {}, list(zip(*fg.flags))
+    fs = cols[lo] if lo >= 0 else itertools.repeat(bottom)
+    gs = cols[hi] if hi < p.rank else itertools.repeat(top)
+    for f, g, fl, x in zip(fs, gs, fg.flags, label):
+        groups.setdefault((f, g), {}).setdefault(fl[lo + 1:hi], x)
     return {key: (len(mids), size[mids[min(mids)]])
             for key, mids in groups.items()}
 

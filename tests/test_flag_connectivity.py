@@ -236,6 +236,19 @@ def _flag_graph_by_between(p):
     return FlagGraph(tuple(flags), index, tuple(adj))
 
 
+@functools.cache
+def _covers_by_scan(p):
+    """The covers of each face i, by a scan: the faces j != i above i
+    that lie strictly above no other face above i, in the iteration
+    order of i's up-set."""
+    ups = _ups_by_leq(p)
+    out = []
+    for i in range(len(p.faces)):
+        strictly_above = set().union(*(ups[k] - {k} for k in ups[i] if k != i))
+        out.append(tuple(j for j in ups[i] if j != i and j not in strictly_above))
+    return out
+
+
 def _check_polytopality_by_between(p):
     """check_polytopality as it was before the table, on face scans and
     the section-by-section connectivity step throughout."""
@@ -248,7 +261,7 @@ def _check_polytopality_by_between(p):
     if problems:
         return problems
     bottom, top = bots[0], tops[0]
-    ups = _ups_by_leq(p)
+    ups, covers = _ups_by_leq(p), _covers_by_scan(p)
     for i, f in enumerate(p.faces):
         if i not in ups[bottom]:
             problems.append("face %d (rank %d) is not above the rank -1 face"
@@ -258,10 +271,8 @@ def _check_polytopality_by_between(p):
         if ups[i] == {i}:
             problems.append("face %d (rank %d) has nothing above it" % (i, f.rank))
             continue
-        strictly_above = set().union(*(ups[k] - {k} for k in ups[i] if k != i))
-        for j in ups[i]:
-            if (j != i and j not in strictly_above
-                    and p.faces[j].rank != f.rank + 1):
+        for j in covers[i]:
+            if p.faces[j].rank != f.rank + 1:
                 problems.append(
                     "cover %d -> %d jumps rank %d -> %d (not graded)"
                     % (i, j, f.rank, p.faces[j].rank))
@@ -292,6 +303,10 @@ def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
     raised, kinds = 0, set()
     for p in corpus:
         assert p._ups() == _ups_by_leq(p)
+        # the table's iteration orders, which _diamonds, _covers and the
+        # diagnostics follow, against sets built in increasing id order
+        assert [list(u) for u in p._ups()] == [list(u) for u in _ups_by_leq(p)]
+        assert p._covers() == _covers_by_scan(p)
         assert list(p._diamonds().items()) == _diamonds_by_between(p)
         got = check_polytopality(p)
         assert got == _check_polytopality_by_between(p)

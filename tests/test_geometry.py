@@ -651,6 +651,29 @@ def test_affine_rank_basics():
     assert affine_rank(square) == 2
 
 
+def test_affine_rank_matches_sympy_rank():
+    # seeded random integer point sets in dimensions 1-6, up to 9
+    # points; in many of them some points lie on lines through two
+    # others, so the rank falls short of both the dimension and n - 1
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20131106)
+    short = 0
+    for _ in range(400):
+        dim, n = rng.randint(1, 6), rng.randint(1, 9)
+        pts = [[rng.randint(-4, 4) for _ in range(dim)]
+               for _ in range(rng.randint(1, n))]
+        while len(pts) < n:
+            a, b = rng.sample(pts, 2) if len(pts) > 1 else (pts[0], pts[0])
+            k = rng.randint(-3, 3)
+            pts.append([x + k * (y - x) for x, y in zip(a, b)])
+        rng.shuffle(pts)
+        want = sympy.Matrix([[x - b for x, b in zip(p, pts[0])]
+                             for p in pts]).rank()
+        assert affine_rank(pts) == want
+        short += want < min(dim, n - 1)
+    assert short > 100
+
+
 def test_cover_two_faces_are_helices(H, cover):
     for fid in H.faces_of_rank(2):
         pts = [cover.coords[v] for v in two_face_cycle(H, fid)]

@@ -164,14 +164,21 @@ def _scanned_face_action(p, sigma):
 
 def test_face_action_matches_full_scan(P, AP, Q, GQ, H, GH):
     # induced_face_action builds only half of each face key; the scan
-    # matches both halves, under every element of each group
-    for p, G in ((P, AP), (Q, GQ), (H, GH)):
-        for g in G:
-            assert induced_face_action(p, g).images == _scanned_face_action(p, g)
+    # matches both halves, under every element of each group.  Actions
+    # are kept on the polytope, so a second call reads the kept one: it
+    # must still match, and a failure must raise again, not be kept.
+    for _ in range(2):
+        for p, G in ((P, AP), (Q, GQ), (H, GH)):
+            for g in G:
+                assert induced_face_action(p, g).images == _scanned_face_action(p, g)
     bad = VertexPermutation((0, 1, 2, 4, 3, 5, 6, 7))
-    with pytest.raises(NotAnAutomorphismError) as info:
-        induced_face_action(P, bad)
-    assert _scanned_face_action(P, bad) == ("missing", info.value.face_id)
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(NotAnAutomorphismError) as info:
+            induced_face_action(P, bad)
+        witnesses.append(info.value.face_id)
+    assert _scanned_face_action(P, bad) == ("missing", witnesses[0])
+    assert witnesses[1] == witnesses[0]
 
 
 def test_face_action_is_a_homomorphism(P, AP):

@@ -90,6 +90,15 @@ def test_flag_graph_shape(P):
     assert [P.faces[x].rank for x in f] == [0, 1, 2, 3]
 
 
+def test_rank_zero_section_has_one_empty_flag(P):
+    # a vertex-in-edge section has rank 0 and no proper faces: its one
+    # flag is the empty tuple
+    e = P.faces_of_rank(1)[0]
+    v = next(i for i in P.faces_of_rank(0) if P.leq(i, e))
+    fg = P.section(v, e).flag_graph()
+    assert (fg.flags, fg.index, fg.adj) == (((),), {(): 0}, ((),))
+
+
 def test_flag_adjacency_changes_one_rank(P):
     fg = P.flag_graph()
     for j in range(len(fg.flags)):

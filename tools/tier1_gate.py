@@ -21,15 +21,20 @@ when numpy is not installed); the property that checks the coset
 closure of group elements and generators against breadth-first search
 (it skips, and so fails this gate, when hypothesis is not installed);
 the test that checks the flag orbits, labelled by components under
-the generators, against orbits read from every group element; and the
+the generators, against orbits read from every group element; the
 test that checks both coloring properties, read from cached squares and
 edge positions, against directions and squares found with networkx (it
 skips, and so fails this gate, when networkx is not installed); the
 test that checks each isometry table, composed from the walks of its
 sign and permutation factors, against a walk of every signed matrix;
-and the test that checks the isometry scans, which walk the edges of
+the test that checks the isometry scans, which walk the edges of
 each coloring, against dense matrix application with colors read
-through color_of.
+through color_of; the test that checks the face actions, built from
+half of each face key and kept on the polytope, against a scan of
+every face, twice, and that a failing permutation raises again; and
+the test that checks each chain stabilizer, which tests that elements
+map the vertices or edges of each chain face into that face, against
+the whole face action of every group element.
 
     python3 tools/tier1_gate.py
 """
@@ -57,6 +62,8 @@ REQUIRED = (
     ("tests.test_geometry", "test_coloring_properties_match_networkx_oracle"),
     ("tests.test_geometry", "test_isometry_table_matches_dense_walk"),
     ("tests.test_geometry", "test_isometry_scans_match_dense_application"),
+    ("tests.test_group", "test_face_action_matches_full_scan"),
+    ("tests.test_group", "test_chain_stabilizer_matches_full_face_action"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

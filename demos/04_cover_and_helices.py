@@ -8,9 +8,9 @@ affinely, and the octagon-in-facet stabilizer turns one invariant plane
 by pi/4 while turning the perpendicular plane by 3pi/4.
 """
 
-import math
+from fractions import Fraction
 
-from chiralcube import (ANGLE_ATOL, affine_rank, chain_stabilizer,
+from chiralcube import (affine_rank, chain_stabilizer,
                         colourful_polytope, cycle_holonomy,
                         derive_chiral_colorings, f_vector,
                         geometric_symmetry_group, hemicube_embedding,
@@ -52,7 +52,6 @@ gen = next(p for p in st if p.order() == 8)
 prof = rotation_profile(cover.matrix(gen))
 print()
 print("octagon-in-facet stabilizer: order %d, angles %s"
-      % (st.order, tuple(round(a / math.pi, 6) for a in prof.angles)),
-      "(in units of pi)")
-assert prof.matches((math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
-print("matches (pi/4, 3pi/4) within %g" % ANGLE_ATOL)
+      % (st.order, ", ".join("%s pi" % f for f in prof.pi_multiples)))
+assert prof.pi_multiples == (Fraction(1, 4), Fraction(3, 4))
+print("matches (pi/4, 3pi/4) exactly")

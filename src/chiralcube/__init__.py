@@ -3,9 +3,11 @@
 The antipodal quotient of the 4-cube carries a complete bipartite graph
 K_{4,4} whose proper 4-colorings with perfect-matching classes each
 generate an abstract 4-polytope.  The direction coloring gives a regular
-polytope; exactly two colorings (mirror twins) survive only rotations,
-and lifting one of them back to R^4 produces a finite 4-polytope with
-helical octagonal faces whose full symmetry group contains no reflection.
+polytope.  Two colorings (mirror twins) have color classes transversal
+to the edge directions; they are the only colorings kept by 96
+isometries, all of them rotations.  Lifting one of them back to R^4
+produces a finite 4-polytope with helical octagonal faces whose full
+symmetry group contains no reflection.
 This package builds all of these objects and mechanically verifies every
 combinatorial and geometric claim about them.
 """
@@ -22,8 +24,8 @@ from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
                        check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycle,
                        two_face_cycles)
-from .geometry import (ANGLE_ATOL, EmbeddedGraph, IsometryMatrix,
-                       RotationProfile, affine_rank, all_signed_matrices,
+from .geometry import (EmbeddedGraph, IsometryMatrix, RotationProfile,
+                       affine_rank, all_signed_matrices,
                        classes_hit_all_directions, cycle_holonomy,
                        derive_chiral_colorings, exchanging_isometries,
                        geometric_symmetry_group, hemicube_embedding,
@@ -36,7 +38,7 @@ from .classify import (CheckResult, VerificationReport, enantiomorph_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANGLE_ATOL", "CheckResult", "ColoredGraph", "EmbeddedGraph",
+    "CheckResult", "ColoredGraph", "EmbeddedGraph",
     "Face", "FlagGraph", "GraphError", "IsometryMatrix",
     "NotAnAutomorphismError", "PermutationGroup", "Polytope",
     "RotationProfile", "SymmetryClassification", "VerificationReport",

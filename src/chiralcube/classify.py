@@ -52,10 +52,6 @@ class VerificationReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def anchors(self):
-        """Every distinct anchor string carried by some check row."""
-        return sorted({c.anchor for c in self.checks})
-
     def to_json(self):
         return {
             "passed": self.passed,

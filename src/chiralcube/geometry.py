@@ -25,10 +25,8 @@ from fractions import Fraction
 
 from .graph import (ColoredGraph, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
-from .group import PermutationGroup, VertexPermutation, reduce_generators
+from .group import PermutationGroup, VertexPermutation, _trusted, reduce_generators
 from .polytope import canonical_cycle, two_face_cycle
-
-ANGLE_ATOL = 1e-9
 
 
 def _neg(x):
@@ -105,21 +103,10 @@ class IsometryMatrix:
             perm[j], signs[j] = i, s
         return IsometryMatrix(tuple(perm), tuple(signs), self.projective)
 
-    def _signed_cycles(self):
-        """(length k, sign product s) of each cycle of the permutation; on
-        those k coordinates the characteristic polynomial is x^k - s."""
-        seen = set()
-        for i in range(len(self.perm)):
-            k, s, j = 0, 1, i
-            while j not in seen:
-                seen.add(j)
-                k, s, j = k + 1, s * self.signs[j], self.perm[j]
-            if k:
-                yield k, s
-
     def det(self):
-        # each cycle contributes (-1)^(k-1) s
-        return math.prod(s if k % 2 else -s for k, s in self._signed_cycles())
+        # sgn(perm) * prod(signs), a k-cycle having sign (-1)^(k-1)
+        n_cycles = len(_trusted(self.perm).cycles())
+        return (-1) ** (len(self.perm) - n_cycles) * math.prod(self.signs)
 
 
 _SIGNED_MATRICES = {}
@@ -151,35 +138,33 @@ def orientation(m):
 class RotationProfile:
     """Rotation angles of an SO(4) element as exact Fraction multiples of
     pi: two in [0, 1], sorted, each from a complex-conjugate eigenvalue
-    pair.  angles gives them in radians, as floats."""
+    pair."""
 
     pi_multiples: tuple
-
-    @property
-    def angles(self):
-        return tuple(float(f) * math.pi for f in self.pi_multiples)
-
-    def matches(self, expected, atol=ANGLE_ATOL):
-        return (len(self.angles) == len(expected)
-                and all(abs(a - b) <= atol
-                        for a, b in zip(self.angles, sorted(expected))))
 
 
 def rotation_profile(m):
     """Angle pair of a rotation matrix (det +1, euclidean).
 
     Eigenvalues of an orthogonal 4x4 rotation come in conjugate pairs
-    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  A signed k-cycle
-    with sign product s gives the k roots of x^k = s, of arguments
-    (2t + [s < 0]) pi / k.  ValueError for projective, orientation-
-    reversing or non-4x4 input, where the profile is not defined.
+    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  A k-cycle of
+    the permutation with sign product s has characteristic polynomial
+    x^k - s on its coordinates, so it gives the k roots of x^k = s, of
+    arguments (2t + [s < 0]) pi / k.  ValueError for projective,
+    orientation-reversing or non-4x4 input, where the profile is not
+    defined.
     """
     if m.projective:
         raise ValueError("rotation angles are sign-ambiguous projectively")
     if m.dimension != 4 or m.det() != 1:
         raise ValueError("rotation profile requires a 4x4 matrix of det +1")
-    args = sorted(min(a, 2 - a) for k, s in m._signed_cycles()
-                  for a in (Fraction(2 * t + (s < 0), k) for t in range(k)))
+    args = []
+    for c in _trusted(m.perm).cycles():
+        s = math.prod(map(m.signs.__getitem__, c))
+        for t in range(len(c)):
+            a = Fraction(2 * t + (s < 0), len(c))
+            args.append(min(a, 2 - a))
+    args.sort()
     if args[0] != args[1] or args[2] != args[3]:
         raise ValueError("eigenvalue arguments do not pair: %r" % (args,))
     return RotationProfile((args[0], args[2]))
@@ -426,10 +411,11 @@ def derive_chiral_colorings(e):
     """The matching colorings of e whose classes are transversal to the
     edge directions, one representative per color-permutation class.
 
-    For the projective quotient graph these are exactly the colorings
-    fixed by no orientation-reversing isometry; there are two, mirror
-    images of each other.  Filtering by squares_see_all_colors instead
-    gives the same list.
+    For the projective quotient graph there are two, mirror images of
+    each other.  Of the 24 classes they are the only ones whose isometry
+    group has order 96 and holds no reflection; 12 classes of order 16
+    hold no reflection either.  Filtering by squares_see_all_colors
+    instead gives the same list.
     """
     every = enumerate_matching_colorings(e.graph, up_to_color_permutation=True)
     return [c for c in every if classes_hit_all_directions(e, c)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -117,14 +117,6 @@ class ColoredGraph:
             "n_colors": self.n_colors,
             "edges": [[u, v, c] for u, v, c in self.edges],
         }
-
-    @staticmethod
-    def from_json(data):
-        return ColoredGraph(
-            int(data["n_vertices"]),
-            int(data["n_colors"]),
-            tuple((int(u), int(v), int(c)) for u, v, c in data["edges"]),
-        )
 
 
 # ----------------------------------------------------------- validation

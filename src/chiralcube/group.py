@@ -65,22 +65,19 @@ class VertexPermutation:
     def inverse(self):
         return _trusted(tuple(sorted(range(len(self.images)), key=self.images.__getitem__)))
 
-    def is_identity(self):
-        return all(self.images[x] == x for x in range(len(self.images)))
-
     def cycles(self):
         """Disjoint cycles (fixed points included), each starting at its
         least point, sorted by starting point."""
-        seen, out = set(), []
-        for x in range(len(self.images)):
-            if x in seen:
-                continue
-            cyc, y = [], x
-            while y not in seen:
-                seen.add(y)
-                cyc.append(y)
-                y = self.images[y]
-            out.append(tuple(cyc))
+        im, out = self.images, []
+        seen = [False] * len(im)
+        for x in range(len(im)):
+            if not seen[x]:
+                cyc, y = [], x
+                while not seen[y]:
+                    seen[y] = True
+                    cyc.append(y)
+                    y = im[y]
+                out.append(tuple(cyc))
         return tuple(out)
 
     def cycle_type(self):
@@ -137,13 +134,6 @@ class PermutationGroup:
 
     def is_cyclic(self):
         return any(p.order() == self.order for p in self.elements)
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "order": self.order,
-            "generators": [list(g.images) for g in self.generators],
-        }
 
 
 def _span(perms, degree):
@@ -254,11 +244,8 @@ def classify_symmetry(p, G):
     orbits = flag_orbits(p, G)
     fg = p.flag_graph()
     orbit_of = {j: orb[0] for orb in orbits for j in orb}
-    crosses = all(
-        orbit_of[fg.adjacent(j, i)] != orbit_of[j]
-        for j in range(len(fg.flags))
-        for i in range(p.rank)
-    )
+    crosses = all(orbit_of[k] != orbit_of[j]
+                  for j, row in enumerate(fg.adj) for k in row)
     if len(orbits) == 1:
         verdict = "regular"
     elif len(orbits) == 2 and crosses:

@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import GraphError, component_labels, components_by_colorset, validate
+from .group import _trusted
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,6 @@ class Polytope:
         keys = [_face_key(f.rank, f.vertices, f.edges) for f in self.faces]
         counts = Counter(keys)
         self._index = {k: i for i, k in enumerate(keys) if counts[k] == 1}
-        self._up = None
-        self._cov = None
-        self._dia = None
-        self._fg = None
         self._actions = {}  # group.induced_face_action: vertex images -> face action
 
     # ------------------------------------------------------ structure
@@ -80,50 +78,46 @@ class Polytope:
         return (f.rank <= g.rank and f.vertices <= g.vertices
                 and f.edges <= g.edges)
 
+    @cached_property
     def _ups(self):
-        """_ups()[i]: the faces above face i, i included, in increasing id
+        """_ups[i]: the faces above face i, i included, in increasing id
         order, from those holding one vertex of face i (all if none)."""
-        if self._up is None:
-            fs, holding = self.faces, {}
-            for g in fs:
-                for v in g.vertices:
-                    holding.setdefault(v, []).append(g)
-            self._up = [frozenset(
-                g.id for g in (holding[next(iter(f.vertices))] if f.vertices else fs)
-                if f.rank <= g.rank and f.vertices <= g.vertices
-                and f.edges <= g.edges) for f in fs]
-        return self._up
+        fs, holding = self.faces, {}
+        for g in fs:
+            for v in g.vertices:
+                holding.setdefault(v, []).append(g)
+        return [frozenset(
+            g.id for g in (holding[next(iter(f.vertices))] if f.vertices else fs)
+            if f.rank <= g.rank and f.vertices <= g.vertices
+            and f.edges <= g.edges) for f in fs]
 
+    @cached_property
     def _diamonds(self):
         """{(lo, hi): mids} for every lo <= hi two ranks apart: mids are
         the faces m one rank above lo with lo <= m <= hi, ids increasing.
-        Keys run over lo, then over _ups()[lo] in its iteration order."""
-        if self._dia is None:
-            ups, dia = self._ups(), {}
-            for lo, up in enumerate(ups):
-                r = self.faces[lo].rank
-                above = [m for m in self.faces_of_rank(r + 1) if m in up]
-                for hi in up:
-                    if self.faces[hi].rank == r + 2:
-                        dia[lo, hi] = [m for m in above if hi in ups[m]]
-            self._dia = dia
-        return self._dia
+        Keys run over lo, then over _ups[lo] in its iteration order."""
+        ups, dia = self._ups, {}
+        for lo, up in enumerate(ups):
+            r = self.faces[lo].rank
+            above = [m for m in self.faces_of_rank(r + 1) if m in up]
+            for hi in up:
+                if self.faces[hi].rank == r + 2:
+                    dia[lo, hi] = [m for m in above if hi in ups[m]]
+        return dia
 
+    @cached_property
     def _covers(self):
-        """_covers()[i]: ids of the faces covering face i, in the
-        iteration order of _ups()[i]."""
-        if self._cov is None:
-            ups = self._ups()
-            self._cov = []
-            for i, up in enumerate(ups):
-                strictly_above = set().union(*(ups[k] - {k} for k in up if k != i))
-                self._cov.append(tuple(j for j in up
-                                       if j != i and j not in strictly_above))
-        return self._cov
+        """_covers[i]: ids of the faces covering face i, in the
+        iteration order of _ups[i]."""
+        ups, cov = self._ups, []
+        for i, up in enumerate(ups):
+            strictly_above = set().union(*(ups[k] - {k} for k in up if k != i))
+            cov.append(tuple(j for j in up if j != i and j not in strictly_above))
+        return cov
 
     def covers(self):
         """All covering pairs (i, j): i < j with no face strictly between."""
-        return tuple(sorted((i, j) for i, js in enumerate(self._covers())
+        return tuple(sorted((i, j) for i, js in enumerate(self._covers)
                             for j in js))
 
     def section(self, bottom, top):
@@ -133,7 +127,7 @@ class Polytope:
         """
         if not self.leq(bottom, top):
             raise ValueError("bottom %d is not below top %d" % (bottom, top))
-        ups = self._ups()
+        ups = self._ups
         ids = sorted(i for i in range(len(self.faces))
                      if i in ups[bottom] and top in ups[i])
         shift = self.faces[bottom].rank + 1
@@ -145,10 +139,12 @@ class Polytope:
 
     # ----------------------------------------------------------- flags
 
+    @cached_property
+    def _flag_graph(self):
+        return _build_flag_graph(self)
+
     def flag_graph(self):
-        if self._fg is None:
-            self._fg = _build_flag_graph(self)
-        return self._fg
+        return self._flag_graph
 
 
 @dataclass(frozen=True)
@@ -164,12 +160,6 @@ class FlagGraph:
     index: dict
     adj: tuple
 
-    def adjacent(self, j, i):
-        return self.adj[j][i]
-
-    def __len__(self):
-        return len(self.flags)
-
 
 def _bottom_top(p):
     bots = p.faces_of_rank(-1)
@@ -184,7 +174,7 @@ def _build_flag_graph(p):
     """Flags grown one rank at a time, in increasing order; an i-adjacent
     flag swaps fl[i] for its diamond partner, found by code sum fl[i] n^i."""
     bottom, top = _bottom_top(p)
-    ups, diamonds = p._ups(), p._diamonds()
+    ups, diamonds = p._ups, p._diamonds
     for f in p.faces_of_rank(0):
         if f not in ups[bottom]:
             raise GraphError("face %d (rank 0) is not above the rank -1 face" % f)
@@ -246,7 +236,7 @@ def check_polytopality(p):
     Checks, in order: unique improper faces, gradedness (every face is
     above the rank -1 face, covers step one rank), the diamond condition
     (each pair of faces two ranks apart has two faces between, read from
-    p._diamonds() and reported in its order), and strong flag
+    p._diamonds and reported in its order), and strong flag
     connectivity (every section of rank at least 2 is flag-connected),
     read off p.flag_graph() one rank pair at a time with no section
     built (see _sections_by_flags).
@@ -262,7 +252,7 @@ def check_polytopality(p):
         return problems
     bottom, top = bots[0], tops[0]
 
-    ups, covers = p._ups(), p._covers()
+    ups, covers = p._ups, p._covers
     for i, f in enumerate(p.faces):
         if i not in ups[bottom]:
             problems.append("face %d (rank %d) is not above the rank -1 face"
@@ -280,7 +270,7 @@ def check_polytopality(p):
     if problems:
         return problems
 
-    for (i, j), mids in p._diamonds().items():
+    for (i, j), mids in p._diamonds.items():
         if len(mids) != 2:
             problems.append("diamond fails: faces %d < %d have %d faces between"
                             % (i, j, len(mids)))
@@ -338,20 +328,14 @@ def schlafli_type(p):
 
     p_i is the length of the orbit of a flag under the rotation
     rho_{i-1} rho_i; it must not depend on the flag.  The rotation is
-    tabulated once per i and each of its cycles is walked once.
+    tabulated once per i, as a permutation of the flags, and its cycle
+    lengths are read.
     """
     fg = p.flag_graph()
     out = []
     for i in range(1, p.rank):
-        step = [fg.adj[fg.adj[j][i - 1]][i] for j in range(len(fg.flags))]
-        lengths, seen = set(), [False] * len(step)
-        for start in range(len(step)):
-            steps, cur = 0, start
-            while not seen[cur]:
-                seen[cur] = True
-                cur, steps = step[cur], steps + 1
-            if steps:
-                lengths.add(steps)
+        step = _trusted(tuple(fg.adj[row[i - 1]][i] for row in fg.adj))
+        lengths = {len(c) for c in step.cycles()}
         if len(lengths) != 1:
             return None
         out.append(lengths.pop())
@@ -371,39 +355,30 @@ def canonical_cycle(cycle):
     return best
 
 
-def _flag_vertex(p, fg, j):
-    return min(p.faces[fg.flags[j][0]].vertices)
-
-
 def petrie_polygons(p):
     """Canonical vertex cycles of the zigzag walks of p.
 
     The walk applies rho_0, rho_1, ..., rho_{n-1} in order, repeatedly;
-    the vertices visited before each pass, collected until the starting
-    flag recurs, form one polygon.  Each walk starts at the least flag
-    not yet at the start of a pass, so every zigzag is walked once (any
-    start gives the same canonical cycle); the polygons come out sorted,
-    so the output is deterministic.  Only rank 4 is supported
-    (the walk itself generalizes but nothing here is tested below it).
+    the vertices of the flags at the start of each pass, collected until
+    the starting flag recurs, form one polygon.  So the polygons are the
+    cycles of that pass, tabulated once as a permutation of the flags,
+    each read from its least flag (any start gives the same canonical
+    cycle); they come out sorted, so the output is deterministic.  Only
+    rank 4 is supported (the walk itself generalizes but nothing here is
+    tested below it).
     """
     if p.rank != 4:
         raise GraphError("petrie walk needs a rank-4 polytope, got rank %d"
                          % p.rank)
     fg = p.flag_graph()
-    seen, started = set(), [False] * len(fg.flags)
-    for j in range(len(fg.flags)):
-        if started[j]:
-            continue
-        verts, cur = [], j
-        while True:
-            started[cur] = True
-            verts.append(_flag_vertex(p, fg, cur))
-            for i in range(p.rank):
-                cur = fg.adjacent(cur, i)
-            if cur == j:
-                break
-        seen.add(canonical_cycle(verts))
-    return tuple(sorted(seen))
+    step = []
+    for cur in range(len(fg.flags)):
+        for i in range(p.rank):
+            cur = fg.adj[cur][i]
+        step.append(cur)
+    verts = [min(p.faces[fl[0]].vertices) for fl in fg.flags]
+    return tuple(sorted({canonical_cycle(map(verts.__getitem__, c))
+                         for c in _trusted(tuple(step)).cycles()}))
 
 
 def two_face_cycle(p, fid):

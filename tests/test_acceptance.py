@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, one verdict line each.
 
 Each test prints "criterion N: PASS/FAIL" before asserting, so the
-verdict survives in captured output either way.  Numbers are exact
-integer equalities except rotation angles, which use the 1e-9 tolerance
-the geometry module fixes.
+verdict survives in captured output either way.  Every number is
+compared exactly: integers, and rotation angles as Fraction multiples
+of pi.
 
 Criterion 5 checks "the 2-faces of Q are Petrie polygons of the hemicube
 P and vice-versa" as containment in both directions: the sentence says
@@ -22,9 +22,10 @@ counted straight from the graph's edges.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 from chiralcube.classify import verify_paper
-from chiralcube.geometry import (ANGLE_ATOL, affine_rank, cycle_holonomy,
+from chiralcube.geometry import (affine_rank, cycle_holonomy,
                                  classes_hit_all_directions,
                                  exchanging_isometries, lift_cycle,
                                  lift_double_cover, orientation,
@@ -193,8 +194,8 @@ def test_criterion_07_cover_chirality(cover, H, GH):
     if gen is not None:
         m = cover.matrix(gen)
         ok = ok and orientation(m) == 1
-        ok = ok and rotation_profile(m).matches(
-            (math.pi / 4, 3 * math.pi / 4), ANGLE_ATOL)
+        ok = ok and rotation_profile(m).pi_multiples == (Fraction(1, 4),
+                                                         Fraction(3, 4))
     verdict(7, "cover is not regular, geometrically chiral, octagon "
                "stabilizer turns pi/4 and 3pi/4", ok)
 
@@ -228,8 +229,8 @@ def test_criterion_10_property_suite(hemi, P, Q, H, AP, GP, GQ, GH,
         fg = p.flag_graph()
         for j in range(len(fg.flags)):
             for i in range(p.rank):
-                k = fg.adjacent(j, i)
-                ok = ok and k != j and fg.adjacent(k, i) == j
+                k = fg.adj[j][i]
+                ok = ok and k != j and fg.adj[k][i] == j
 
     # orbit sizes divide group orders and sum to flag counts
     for p, G in ((P, AP), (Q, GQ), (H, GH)):
@@ -274,6 +275,6 @@ def test_criterion_10_property_suite(hemi, P, Q, H, AP, GP, GQ, GH,
 
 def test_report_carries_declared_anchors():
     report = verify_paper()
-    have = set(report.anchors())
+    have = {c.anchor for c in report.checks}
     missing = [a for a in ANCHORS if a not in have]
     assert missing == [], "report lost anchors: %r" % (missing,)

@@ -15,7 +15,7 @@ LAST_LINES = {
     "02_coloring_census.py":
         "exchanging isometries: 0 orientation-preserving, 96 reversing",
     "03_twin_symmetry.py": "vertex-in-facet stabilizer: order 3, cyclic True",
-    "04_cover_and_helices.py": "matches (pi/4, 3pi/4) within 1e-09",
+    "04_cover_and_helices.py": "matches (pi/4, 3pi/4) exactly",
 }
 
 

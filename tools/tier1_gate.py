@@ -34,7 +34,13 @@ half of each face key and kept on the polytope, against a scan of
 every face, twice, and that a failing permutation raises again; and
 the test that checks each chain stabilizer, which tests that elements
 map the vertices or edges of each chain face into that face, against
-the whole face action of every group element.
+the whole face action of every group element; the test that checks the
+Schlafli types and Petrie polygons, read from the cycles of one
+tabulated flag permutation, against walks from every flag; and the
+property that checks signed permutation matrices, their determinants
+read from the cycle count of the permutation among them, against dense
+integer matrices (it skips, and so fails this gate, when hypothesis is
+not installed).
 
     python3 tools/tier1_gate.py
 """
@@ -64,6 +70,8 @@ REQUIRED = (
     ("tests.test_geometry", "test_isometry_scans_match_dense_application"),
     ("tests.test_group", "test_face_action_matches_full_scan"),
     ("tests.test_group", "test_chain_stabilizer_matches_full_face_action"),
+    ("tests.test_polytope", "test_flag_walks_match_all_flags_oracles"),
+    ("tests.test_geometry", "test_signed_permutations_match_dense_matrices"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -104,7 +104,10 @@ class IsometryMatrix:
         return IsometryMatrix(tuple(perm), tuple(signs), self.projective)
 
     def det(self):
-        # sgn(perm) * prod(signs), a k-cycle having sign (-1)^(k-1)
+        # sgn(perm) * prod(signs), a k-cycle having sign (-1)^(k-1);
+        # projectively +-m are one class, of opposite signs in odd dimension
+        if self.projective and len(self.perm) % 2:
+            raise ValueError("determinant is ambiguous in odd projective dimension")
         n_cycles = len(_trusted(self.perm).cycles())
         return (-1) ** (len(self.perm) - n_cycles) * math.prod(self.signs)
 
@@ -127,10 +130,7 @@ def all_signed_matrices(n=4, projective=False):
 
 
 def orientation(m):
-    """Determinant, +1 or -1.  Well defined projectively in even
-    dimension (negating an even-dimensional matrix keeps the sign)."""
-    if m.projective and m.dimension % 2 != 0:
-        raise ValueError("orientation is ambiguous in odd projective dimension")
+    """Determinant, +1 or -1 (see IsometryMatrix.det)."""
     return m.det()
 
 

@@ -216,10 +216,14 @@ def flag_orbits(p, G):
     Returns a tuple of orbits, each a sorted tuple of flag indices,
     ordered by least index; so orbit ids are deterministic.
     """
-    fg = p.flag_graph()
-    actions = [induced_face_action(p, g).images for g in G.generators]
-    label = component_labels([[fg.index[tuple(map(a.__getitem__, flag))] for a in actions]
-                              for flag in fg.flags])
+    fg, m = p.flag_graph(), len(p.faces)
+    cols, images = list(zip(*fg.flags))[::-1], []
+    for g in G.generators:  # image codes sum a[fl[r]] m^r, by Horner's rule
+        a, codes = induced_face_action(p, g).images, [0] * len(fg.flags)
+        for col in cols:
+            codes = [c * m + a[f] for c, f in zip(codes, col)]
+        images.append(map(fg.by_code.__getitem__, codes))
+    label = component_labels(list(zip(*images)))
     orbits = {}
     for j, root in enumerate(label):
         orbits.setdefault(root, []).append(j)

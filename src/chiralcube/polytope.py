@@ -123,19 +123,27 @@ class Polytope:
     def section(self, bottom, top):
         """The interval [bottom, top] as a polytope in its own right.
 
-        Face ranks are shifted so the bottom face gets rank -1.
+        Face ranks shift so the bottom face gets rank -1.  An interval is
+        convex, so its order tables are this poset's, renumbered.
         """
         if not self.leq(bottom, top):
             raise ValueError("bottom %d is not below top %d" % (bottom, top))
         ups = self._ups
-        ids = sorted(i for i in range(len(self.faces))
-                     if i in ups[bottom] and top in ups[i])
+        ids = sorted(i for i in ups[bottom] if top in ups[i])
+        new = {i: k for k, i in enumerate(ids)}
         shift = self.faces[bottom].rank + 1
         faces = tuple(
             Face(new_id, self.faces[i].rank - shift, self.faces[i].colors,
                  self.faces[i].vertices, self.faces[i].edges)
             for new_id, i in enumerate(ids))
-        return Polytope(self.faces[top].rank - shift, faces)
+        sec = Polytope(self.faces[top].rank - shift, faces)
+        sec._ups = [frozenset(sorted(new[j] for j in ups[i] if j in new)) for i in ids]
+        sec._covers = [tuple(k for k in up if ids[k] in self._covers[i])
+                       for i, up in zip(ids, sec._ups)]
+        sec._diamonds = {(a, b): [new[m] for m in self._diamonds[i, ids[b]]]
+                         for a, (i, up) in enumerate(zip(ids, sec._ups))
+                         for b in up if faces[b].rank == faces[a].rank + 2}
+        return sec
 
     # ----------------------------------------------------------- flags
 
@@ -152,12 +160,13 @@ class FlagGraph:
     """All flags of a polytope with their i-adjacency involutions.
 
     A flag is a tuple of proper face ids, one per rank 0..n-1 (improper
-    faces are in every flag and omitted).  adj[j][i] is the unique flag
-    differing from flag j exactly in rank i.
+    faces are in every flag and omitted).  by_code maps the code
+    sum fl[i] m^i of flag fl, m the number of faces, to its position j.
+    adj[j][i] is the unique flag differing from flag j exactly in rank i.
     """
 
     flags: tuple
-    index: dict
+    by_code: dict
     adj: tuple
 
 
@@ -184,7 +193,6 @@ def _build_flag_graph(p):
                for f in p.faces_of_rank(r - 1)}
         chains = [c + (g,) for c in chains for g in nxt[c[-1]]]
     flags = [c[1:] for c in chains if top in ups[c[-1]]]
-    index = {fl: i for i, fl in enumerate(flags)}
 
     weights = [len(p.faces) ** i for i in range(p.rank)]
     codes = [sum(map(int.__mul__, fl, weights)) for fl in flags]
@@ -200,7 +208,7 @@ def _build_flag_graph(p):
                     % (chain[i], chain[i + 2], len(mids)))
             row.append(by_code[code + (mids[0] + mids[1] - 2 * fl[i]) * w])
         adj.append(tuple(row))
-    return FlagGraph(tuple(flags), index, tuple(adj))
+    return FlagGraph(tuple(flags), by_code, tuple(adj))
 
 
 # ------------------------------------------------------------- builders
@@ -239,7 +247,7 @@ def check_polytopality(p):
     p._diamonds and reported in its order), and strong flag
     connectivity (every section of rank at least 2 is flag-connected),
     read off p.flag_graph() one rank pair at a time with no section
-    built (see _sections_by_flags).
+    built, by a component count (see _sections_by_flags).
     """
     problems = []
     bots = p.faces_of_rank(-1)
@@ -278,15 +286,16 @@ def check_polytopality(p):
         return problems
 
     # strong flag connectivity: the checks above put every face on a flag
-    sections = {}
+    sections = {(lo, hi): _sections_by_flags(p, lo, hi)
+                for lo in range(-1, p.rank - 2) for hi in range(lo + 3, p.rank + 1)}
+    if all(v is None for v in sections.values()):
+        return problems
     for i in range(len(p.faces)):
         for j in ups[i]:
-            lo, hi = p.faces[i].rank, p.faces[j].rank
-            if hi - lo < 3:
+            got = sections.get((p.faces[i].rank, p.faces[j].rank))
+            if got is None:
                 continue
-            if (lo, hi) not in sections:
-                sections[lo, hi] = _sections_by_flags(p, lo, hi)
-            n, reached = sections[lo, hi].get((i, j), (0, 0))
+            n, reached = got.get((i, j), (0, 0))
             if not n:
                 problems.append("section [%d, %d] has no flags" % (i, j))
             elif reached != n:
@@ -298,16 +307,23 @@ def check_polytopality(p):
 
 def _sections_by_flags(p, lo, hi):
     """{(f, g): (n, r)} for faces f of rank lo and g of rank hi on a flag
-    of p: section [f, g] has n flags, and r are reached from its least.
+    of p: section [f, g] has n flags, and r are reached from its least;
+    None if every such section is flag-connected.
 
     Needs every face of p on a flag.  Then the flags of [f, g] are the
     parts fl[lo+1:hi] of p's flags fl through f and g, linked by the
-    i-adjacencies of p with lo < i < hi.  These keep the other ranks, so
-    a component under them is one section's flags with a fixed rest.
+    i-adjacencies of p with lo < i < hi.  These keep the rest
+    fl[:lo+1] + fl[hi:], so their components refine the classes of equal
+    rests, each the flags of one section, and are as many exactly when
+    every section is flag-connected: the table is built only if not.
     """
     fg, (bottom, top) = p.flag_graph(), _bottom_top(p)
     label = component_labels([a[lo + 1:hi] for a in fg.adj])
-    size, groups, cols = Counter(label), {}, list(zip(*fg.flags))
+    cols = list(zip(*fg.flags))
+    rest = cols[:lo + 1] + cols[hi:]
+    if len(set(label)) == (len(set(zip(*rest))) if rest else 1):
+        return None
+    size, groups = Counter(label), {}
     fs = cols[lo] if lo >= 0 else itertools.repeat(bottom)
     gs = cols[hi] if hi < p.rank else itertools.repeat(top)
     for f, g, fl, x in zip(fs, gs, fg.flags, label):

@@ -27,11 +27,14 @@ def _renumbered(faces):
                  for k, f in enumerate(faces))
 
 
-def _glued(p, q):
-    """Vertex-disjoint copies of the proper faces of p and q, of equal
-    rank, under one rank -1 and one top face: graded, diamond, but two
-    flag components."""
-    n = 1 + max(p.faces[p.faces_of_rank(p.rank)[0]].vertices)
+def _glued(p, q, n=None):
+    """Copies of the proper faces of p and q, of equal rank, with q's
+    vertices shifted by n (by default past p's, so the copies are
+    vertex-disjoint), under one rank -1 and one top face; a face of both
+    copies is kept once.  Vertex-disjoint copies are graded, diamond,
+    but two flag components."""
+    if n is None:
+        n = 1 + max(p.faces[p.faces_of_rank(p.rank)[0]].vertices)
 
     def shifted(f):
         return Face(0, f.rank, f.colors, frozenset(v + n for v in f.vertices),
@@ -41,9 +44,11 @@ def _glued(p, q):
     top2 = shifted(q.faces[q.faces_of_rank(q.rank)[0]])
     both = Face(0, top.rank, top.colors, top.vertices | top2.vertices,
                 top.edges | top2.edges)
+    own = {(f.rank, f.vertices, f.edges) for f in p.faces}
     return Polytope(p.rank, _renumbered(
         [bottom] + [f for f in p.faces if 0 <= f.rank < p.rank]
-        + [shifted(f) for f in q.faces if 0 <= f.rank < q.rank] + [both]))
+        + [g for g in map(shifted, q.faces) if 0 <= g.rank < q.rank
+           and (g.rank, g.vertices, g.edges) not in own] + [both]))
 
 
 def _cube3():
@@ -124,6 +129,38 @@ def test_glued_posets_are_not_flag_connected(glued):
     # the count is of the component of the least flag, which is the cube's
     assert check_polytopality(uneven) == [
         "section [0, 40] is not flag-connected (48 of 72 flags reached)"]
+
+
+def test_cubes_sharing_a_vertex_fail_at_its_vertex_figure():
+    # two 3-cubes on vertices 0..7 and 7..14 share vertex 7 (face 8):
+    # the whole poset and the vertex figure [8, 52], two triangles, are
+    # both disconnected, so the per-section table is read at a proper
+    # section too
+    cube = _cube3()
+    p = _glued(cube, cube, 7)
+    assert len(p.faces) == 53 and p.faces[8].vertices == {7}
+    got = check_polytopality(p)
+    assert got == [
+        "section [0, 52] is not flag-connected (48 of 96 flags reached)",
+        "section [8, 52] is not flag-connected (6 of 12 flags reached)"]
+    assert got == _strong_connectivity_by_sections(p)
+
+
+def test_section_tables_match_fresh_build(P, Q, H, cube4):
+    # a section inherits its order tables from its parent; they must be
+    # those of the same faces built afresh, iteration orders included
+    n = 0
+    for p in (P, Q, H, cube4):
+        for i in range(len(p.faces)):
+            for j in p._ups[i]:
+                sec = p.section(i, j)
+                fresh = Polytope(sec.rank, sec.faces)
+                assert ([list(u) for u in sec._ups]
+                        == [list(u) for u in fresh._ups])
+                assert sec._covers == fresh._covers
+                assert list(sec._diamonds.items()) == list(fresh._diamonds.items())
+                n += 1
+    assert n == 2052
 
 
 def test_face_not_above_the_rank_minus_one_face_reported():
@@ -233,7 +270,9 @@ def _flag_graph_by_between(p):
                     % (lo, hi, len(mids) + 1))
             row.append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
         adj.append(tuple(row))
-    return FlagGraph(tuple(flags), index, tuple(adj))
+    by_code = {sum(f * len(p.faces) ** r for r, f in enumerate(fl)): j
+               for fl, j in index.items()}
+    return FlagGraph(tuple(flags), by_code, tuple(adj))
 
 
 @functools.cache
@@ -292,7 +331,7 @@ def _flag_graph_or_error(build, p):
         fg = build(p)
     except GraphError as e:
         return str(e)
-    return fg.flags, fg.index, fg.adj
+    return fg.flags, fg.by_code, fg.adj
 
 
 def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):

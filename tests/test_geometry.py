@@ -50,6 +50,16 @@ def test_determinants():
     assert minus.det() == 1  # (-1)^4
 
 
+def test_det_raises_in_odd_projective_dimension():
+    # +-I are one class modulo -I, of determinants +1 and -1
+    m = IsometryMatrix((0, 1, 2), (1, 1, 1), True)
+    assert m == IsometryMatrix((0, 1, 2), (-1, -1, -1), True)
+    for f in (IsometryMatrix.det, orientation):
+        with pytest.raises(ValueError, match="ambiguous"):
+            f(m)
+    assert IsometryMatrix((0, 1, 2), (-1, -1, -1)).det() == -1
+
+
 def test_matmul_matches_application():
     a = IsometryMatrix((1, 2, 3, 0), (1, -1, 1, -1))
     b = IsometryMatrix((3, 2, 1, 0), (-1, 1, 1, 1))

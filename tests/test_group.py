@@ -253,10 +253,11 @@ def _element_orbits(p, G):
     set of indices of g(flag j) over all g, and the orbits are listed
     by least index."""
     fg = p.flag_graph()
+    index = {fl: j for j, fl in enumerate(fg.flags)}
     actions = [induced_face_action(p, g).images for g in G]
     orbits = {}
     for flag in fg.flags:
-        orbit = tuple(sorted({fg.index[tuple(a[f] for f in flag)] for a in actions}))
+        orbit = tuple(sorted({index[tuple(a[f] for f in flag)] for a in actions}))
         orbits.setdefault(orbit[0], orbit)
     return tuple(orbits.values())
 
@@ -468,7 +469,8 @@ def test_schulte_weiss_distinguished_generators(H, GH):
 
     def taking_base_to(j):
         return [g for g, a in actions.items()
-                if fg.index[tuple(map(a, fg.flags[0]))] == j]
+                if fg.by_code[sum(a(f) * len(H.faces) ** r
+                                  for r, f in enumerate(fg.flags[0]))] == j]
 
     sigmas = [taking_base_to(fg.adj[fg.adj[0][i - 1]][i])
               for i in (1, 2, 3)]

@@ -36,11 +36,13 @@ the test that checks each chain stabilizer, which tests that elements
 map the vertices or edges of each chain face into that face, against
 the whole face action of every group element; the test that checks the
 Schlafli types and Petrie polygons, read from the cycles of one
-tabulated flag permutation, against walks from every flag; and the
+tabulated flag permutation, against walks from every flag; the
 property that checks signed permutation matrices, their determinants
 read from the cycle count of the permutation among them, against dense
 integer matrices (it skips, and so fails this gate, when hypothesis is
-not installed).
+not installed); and the test that checks the order tables each section
+inherits from its parent against those of its faces built afresh, over
+every interval of P, Q, Q-hat and the 4-cube.
 
     python3 tools/tier1_gate.py
 """
@@ -72,6 +74,7 @@ REQUIRED = (
     ("tests.test_group", "test_chain_stabilizer_matches_full_face_action"),
     ("tests.test_polytope", "test_flag_walks_match_all_flags_oracles"),
     ("tests.test_geometry", "test_signed_permutations_match_dense_matrices"),
+    ("tests.test_flag_connectivity", "test_section_tables_match_fresh_build"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

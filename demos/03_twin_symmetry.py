@@ -9,15 +9,14 @@ chain stabilizers come out cyclic with the expected cycle types.
 
 from chiralcube import (chain_stabilizer, classify_symmetry,
                         colourful_polytope, derive_chiral_colorings,
-                        geometric_symmetry_group, hemicube_embedding,
-                        orientation)
+                        geometric_symmetry_group, hemicube_embedding)
 
 e = hemicube_embedding()
 twin = derive_chiral_colorings(e)[0]
 
 for label, coloring in (("direction coloring", None), ("twin coloring", twin)):
     G = geometric_symmetry_group(e, coloring)
-    dets = [orientation(e.matrix(p)) for p in G]
+    dets = [e.matrix(p).det() for p in G]
     print("%-18s %3d isometries  (%d rotations, %d reflections)"
           % (label, G.order, dets.count(1), dets.count(-1)))
 

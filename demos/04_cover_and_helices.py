@@ -52,6 +52,6 @@ gen = next(p for p in st if p.order() == 8)
 prof = rotation_profile(cover.matrix(gen))
 print()
 print("octagon-in-facet stabilizer: order %d, angles %s"
-      % (st.order, ", ".join("%s pi" % f for f in prof.pi_multiples)))
-assert prof.pi_multiples == (Fraction(1, 4), Fraction(3, 4))
+      % (st.order, ", ".join("%s pi" % f for f in prof)))
+assert prof == (Fraction(1, 4), Fraction(3, 4))
 print("matches (pi/4, 3pi/4) exactly")

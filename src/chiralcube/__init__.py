@@ -24,13 +24,12 @@ from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
                        check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycle,
                        two_face_cycles)
-from .geometry import (EmbeddedGraph, IsometryMatrix, RotationProfile,
-                       affine_rank, all_signed_matrices,
-                       classes_hit_all_directions, cycle_holonomy,
-                       derive_chiral_colorings, exchanging_isometries,
-                       geometric_symmetry_group, hemicube_embedding,
-                       hypercube_embedding, lift_cycle, lift_double_cover,
-                       off_text, orientation, rotation_profile,
+from .geometry import (EmbeddedGraph, IsometryMatrix, affine_rank,
+                       all_signed_matrices, classes_hit_all_directions,
+                       cycle_holonomy, derive_chiral_colorings,
+                       exchanging_isometries, geometric_symmetry_group,
+                       hemicube_embedding, hypercube_embedding, lift_cycle,
+                       lift_double_cover, off_text, rotation_profile,
                        squares_see_all_colors, vertex_permutation)
 from .classify import (CheckResult, VerificationReport, enantiomorph_check,
                        verify_paper)
@@ -41,7 +40,7 @@ __all__ = [
     "CheckResult", "ColoredGraph", "EmbeddedGraph",
     "Face", "FlagGraph", "GraphError", "IsometryMatrix",
     "NotAnAutomorphismError", "PermutationGroup", "Polytope",
-    "RotationProfile", "SymmetryClassification", "VerificationReport",
+    "SymmetryClassification", "VerificationReport",
     "VertexPermutation", "affine_rank", "all_signed_matrices",
     "canonical_cycle", "chain_stabilizer", "check_polytopality",
     "classes_hit_all_directions", "classify_symmetry",
@@ -51,7 +50,7 @@ __all__ = [
     "exchanging_isometries", "f_vector", "flag_orbits",
     "geometric_symmetry_group", "hemicube_embedding",
     "hypercube_embedding", "induced_face_action", "iter_colored_isomorphisms",
-    "lift_cycle", "lift_double_cover", "off_text", "orientation",
+    "lift_cycle", "lift_double_cover", "off_text",
     "petrie_polygons", "reduce_generators", "rotation_profile",
     "schlafli_type", "squares_see_all_colors", "two_face_cycle",
     "two_face_cycles", "validate", "verify_paper", "vertex_permutation",

@@ -25,8 +25,8 @@ from .group import (chain_stabilizer, classify_symmetry,
 from .geometry import (EmbeddedGraph, affine_rank, cycle_holonomy,
                        classes_hit_all_directions, derive_chiral_colorings,
                        exchanging_isometries, geometric_symmetry_group,
-                       hemicube_embedding, lift_double_cover, orientation,
-                       rotation_profile, squares_see_all_colors)
+                       hemicube_embedding, lift_double_cover, rotation_profile,
+                       squares_see_all_colors)
 from .polytope import (check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycle,
                        two_face_cycles)
@@ -126,6 +126,13 @@ def _exchange_verdict(ex):  # ex: the pairs exchanging_isometries returns
     return "enantiomorphic"
 
 
+def _turns(e, G):
+    """(rotations, reflections): the isometries of e behind G's elements,
+    counted by determinant."""
+    dets = [e.matrix(p).det() for p in G]
+    return dets.count(1), dets.count(-1)
+
+
 def _facet_shapes(p):
     """The set of (f-vector, Schlafli type, polytopal) over p's facets."""
     bottom = p.faces_of_rank(-1)[0]
@@ -154,6 +161,17 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     def report():
         return VerificationReport(tuple(checks))
+
+    def polytope(key, claim, graph):
+        # the colourful polytope of graph() with its polytopality row, or
+        # None with the row failed when either step raises GraphError
+        try:
+            p = colourful_polytope(graph())
+        except GraphError as err:
+            fail(key, claim, DERIVED, [], err)
+            return None
+        add(key, claim, DERIVED, [], check_polytopality(p))
+        return p
 
     # ---------------------------------------------------------- base graph
     e0 = hemicube_embedding()
@@ -185,15 +203,10 @@ def verify_paper(*, coloring=None, base_graph=None):
         return report()
 
     # ------------------------------------------------- the regular polytope
-    try:
-        P = colourful_polytope(g)
-    except GraphError as err:
-        fail("p.polytopal", "color components form an abstract 4-polytope",
-             DERIVED, [], err)
+    P = polytope("p.polytopal", "color components form an abstract 4-polytope",
+                 lambda: g)
+    if P is None:
         return report()
-    add("p.polytopal", "color components form an abstract 4-polytope",
-        DERIVED,
-        [], check_polytopality(P))
     add("p.f_vector", "8 vertices, 16 edges, 12 squares, 4 facets",
         DERIVED,
         (8, 16, 12, 4), f_vector(P))
@@ -215,13 +228,12 @@ def verify_paper(*, coloring=None, base_graph=None):
         "regular", classify_symmetry(P, AP).verdict)
 
     GP = geometric_symmetry_group(e)
-    dets = [orientation(e.matrix(p)) for p in GP]
     add("p.geo_order", "realized with all 192 automorphisms as isometries",
         "Recall that P has 192 symmetries.",
         192, GP.order)
     add("p.geo_reflections", "96 rotations and 96 reflections",
         DERIVED,
-        (96, 96), (dets.count(1), dets.count(-1)))
+        (96, 96), _turns(e, GP))
 
     # -------------------------------------------------- the coloring search
     twins = derive_chiral_colorings(e)
@@ -246,9 +258,9 @@ def verify_paper(*, coloring=None, base_graph=None):
         "any of these properties defines the chiral colourings",
         True, by_a == by_b)
 
+    q_claim = "twin coloring builds an abstract 4-polytope"
     if len(twins) != 2:
-        fail("q.polytopal", "twin coloring builds an abstract 4-polytope",
-             DERIVED, [], "no twin pair to continue with")
+        fail("q.polytopal", q_claim, DERIVED, [], "no twin pair to continue with")
         return report()
     c_q = coloring if coloring is not None else twins[0]
     c_m = twins[0] if c_q.canonical() == twins[1] else twins[1]
@@ -265,32 +277,24 @@ def verify_paper(*, coloring=None, base_graph=None):
         (0, 96), (exd.count(1), exd.count(-1)))
 
     # ------------------------------------------------------- the chiral twin
-    try:
-        gq = g.recolored(c_q)
-        Q = colourful_polytope(gq)
-    except GraphError as err:
-        fail("q.polytopal", "twin coloring builds an abstract 4-polytope",
-             DERIVED, [], err)
+    Q = polytope("q.polytopal", q_claim, lambda: g.recolored(c_q))
+    if Q is None:
         return report()
-    add("q.polytopal", "twin coloring builds an abstract 4-polytope",
-        DERIVED,
-        [], check_polytopality(Q))
     add("q.schlafli", "the twin has type {4,3,3}",
         DERIVED,
         (4, 3, 3), schlafli_type(Q))
     add("q.abstractly_regular_poset",
         "underlying abstract polytope is the same as the regular one",
         "P and Q are combinatorially isomorphic",
-        True, colored_isomorphism(gq, g) is not None)
+        True, colored_isomorphism(c_q, g) is not None)
 
     GQ = geometric_symmetry_group(e, c_q)
     add("q.geo_order", "the twin keeps exactly 96 isometries",
         "Q has precisely 96 symmetries",
         96, GQ.order)
-    qdets = [orientation(e.matrix(p)) for p in GQ]
     add("q.rotations_only", "every surviving isometry preserves orientation",
         "all 96 orientation preserving elements",
-        (96, 0), (qdets.count(1), qdets.count(-1)))
+        (96, 0), _turns(e, GQ))
 
     cls_q = classify_symmetry(Q, GQ)
     add("q.geometrically_chiral",
@@ -368,7 +372,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         {1}, {cycle_holonomy(e, two_face_cycle(P, i)) for i in P.faces_of_rank(2)})
 
-    cube_e = lift_double_cover(e, e.direction_coloring())
+    cube_e = lift_double_cover(e, e.direction_coloring)
     cube = colourful_polytope(cube_e.graph)
     add("lift.regular_lift_is_cube",
         "lifting the direction coloring gives the 4-cube",
@@ -376,15 +380,10 @@ def verify_paper(*, coloring=None, base_graph=None):
         ((16, 32, 24, 8), (4, 3, 3)), (f_vector(cube), schlafli_type(cube)))
 
     he = lift_double_cover(e, c_q)
-    try:
-        H = colourful_polytope(he.graph)
-    except GraphError as err:
-        fail("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
-             DERIVED, [], err)
+    H = polytope("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
+                 lambda: he.graph)
+    if H is None:
         return report()
-    add("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
-        DERIVED,
-        [], check_polytopality(H))
     add("qhat.schlafli", "the cover has type {8,3,3}",
         "Q̂ has Schläfli type {8,3,3}",
         (8, 3, 3), schlafli_type(H))
@@ -415,10 +414,9 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("qhat.geo_order", "the cover keeps exactly 192 isometries",
         DERIVED,
         192, GH.order)
-    hdets = [orientation(he.matrix(p)) for p in GH]
     add("qhat.rotations_only", "every isometry of the cover preserves orientation",
         DERIVED,
-        (192, 0), (hdets.count(1), hdets.count(-1)))
+        (192, 0), _turns(he, GH))
 
     AH = color_respecting_automorphisms(he.graph)
     add("qhat.not_regular",
@@ -443,7 +441,7 @@ def verify_paper(*, coloring=None, base_graph=None):
     profile_ok, gen_type = False, None
     if oct_gen is not None:
         gen_type = oct_gen.cycle_type()
-        profile_ok = (rotation_profile(he.matrix(oct_gen)).pi_multiples
+        profile_ok = (rotation_profile(he.matrix(oct_gen))
                       == (Fraction(1, 4), Fraction(3, 4)))
     add("qhat.stab_octagon_facet",
         "an octagon-in-facet chain has a cyclic order-8 stabilizer, two 8-cycles, "

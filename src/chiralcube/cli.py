@@ -72,7 +72,7 @@ def cmd_build(args):
     if args.format == "json":
         data = to_json(p)
         data["object"] = args.object
-        data["graph"] = p.source_graph.to_json()
+        data["graph"] = e.graph.to_json()
         _emit(_dump_json(data), args.output)
     else:
         _emit(_build_text(args.object, e, p), args.output)
@@ -91,7 +91,7 @@ def cmd_colorings(args):
             "all_colors_on_every_square": squares_see_all_colors(e, c),
         }
 
-    regular = row(e.direction_coloring())
+    regular = row(e.direction_coloring)
     twins = [row(c) for c in derive_chiral_colorings(e)]
     found = enumerate_matching_colorings(
         e.graph, up_to_color_permutation=args.up_to_color_permutation)
@@ -174,7 +174,6 @@ def main(argv=None):
 
     p_exp = sub.add_parser("export", help="write OFF geometry")
     p_exp.add_argument("object", choices=OBJECTS)
-    p_exp.add_argument("--format", choices=("off",), default="off")
     p_exp.add_argument("--output", default=None)
     p_exp.set_defaults(fn=cmd_export)
 

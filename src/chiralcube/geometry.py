@@ -129,30 +129,16 @@ def all_signed_matrices(n=4, projective=False):
     return _SIGNED_MATRICES[key]
 
 
-def orientation(m):
-    """Determinant, +1 or -1 (see IsometryMatrix.det)."""
-    return m.det()
-
-
-@dataclass(frozen=True)
-class RotationProfile:
-    """Rotation angles of an SO(4) element as exact Fraction multiples of
-    pi: two in [0, 1], sorted, each from a complex-conjugate eigenvalue
-    pair."""
-
-    pi_multiples: tuple
-
-
 def rotation_profile(m):
     """Angle pair of a rotation matrix (det +1, euclidean).
 
     Eigenvalues of an orthogonal 4x4 rotation come in conjugate pairs
-    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted.  A k-cycle of
-    the permutation with sign product s has characteristic polynomial
-    x^k - s on its coordinates, so it gives the k roots of x^k = s, of
-    arguments (2t + [s < 0]) pi / k.  ValueError for projective,
-    orientation-reversing or non-4x4 input, where the profile is not
-    defined.
+    e^{+-i a}, e^{+-i b}; the profile is (a, b) sorted, exact Fraction
+    multiples of pi in [0, 1].  A k-cycle of the permutation with sign
+    product s has characteristic polynomial x^k - s on its coordinates,
+    so it gives the k roots of x^k = s, of arguments (2t + [s < 0]) pi / k.
+    ValueError for projective, orientation-reversing or non-4x4 input,
+    where the profile is not defined.
     """
     if m.projective:
         raise ValueError("rotation angles are sign-ambiguous projectively")
@@ -167,7 +153,7 @@ def rotation_profile(m):
     args.sort()
     if args[0] != args[1] or args[2] != args[3]:
         raise ValueError("eigenvalue arguments do not pair: %r" % (args,))
-    return RotationProfile((args[0], args[2]))
+    return args[0], args[2]
 
 
 # ----------------------------------------------------------- embeddings
@@ -253,21 +239,19 @@ class EmbeddedGraph:
         return m
 
     @cached_property
-    def _directions(self):
-        return ColoredGraph(self.graph.n_vertices, self.dimension, tuple(
-            (u, v, self.direction(u, v)) for u, v, _ in self.graph.edges))
-
     def direction_coloring(self):
         """The graph's edges colored by their directions."""
-        return self._directions
+        return ColoredGraph(self.graph.n_vertices, self.dimension, tuple(
+            (u, v, self.direction(u, v)) for u, v, _ in self.graph.edges))
 
     @cached_property
     def _squares(self):
         # the direction-bicolored squares, as positions into graph.edge_pairs
         where = {pr: i for i, pr in enumerate(self.graph.edge_pairs)}
+        d = self.direction_coloring
         return [[where[pr] for pr in es]
                 for pair in itertools.combinations(range(self.dimension), 2)
-                for _, es in components_by_colorset(self._directions, pair) if es]
+                for _, es in components_by_colorset(d, pair) if es]
 
     @cached_property
     def _cover(self):
@@ -377,7 +361,7 @@ def geometric_symmetry_group(e, coloring=None):
 def exchanging_isometries(e, c1, c2):
     """All isometries taking coloring c1 to coloring c2 (up to color
     renaming), with their orientations: a list of (matrix, det) pairs."""
-    return [(m, orientation(m)) for m, _ in _scan(e, c1, c2)]
+    return [(m, m.det()) for m, _ in _scan(e, c1, c2)]
 
 
 # ------------------------------------------------- coloring properties
@@ -397,7 +381,7 @@ def classes_hit_all_directions(e, coloring):
     """
     colors = e.graph.recolored(coloring).colors
     classes = [[i for i, d in enumerate(colors) if d == c] for c in set(colors)]
-    return _blocks_see_all(classes, e._directions.colors, e.dimension)
+    return _blocks_see_all(classes, e.direction_coloring.colors, e.dimension)
 
 
 def squares_see_all_colors(e, coloring):

@@ -242,6 +242,7 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
             used[v].remove(c)
 
     extend(0, 0)
+    del extend  # the closure refers to itself: break the cycle, free its cells now
     return out
 
 

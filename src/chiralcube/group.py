@@ -62,9 +62,6 @@ class VertexPermutation:
             raise ValueError("degrees differ: %r * %r" % (self.images, other.images))
         return _trusted(tuple(map(self.images.__getitem__, other.images)))
 
-    def inverse(self):
-        return _trusted(tuple(sorted(range(len(self.images)), key=self.images.__getitem__)))
-
     def cycles(self):
         """Disjoint cycles (fixed points included), each starting at its
         least point, sorted by starting point."""
@@ -110,24 +107,13 @@ class PermutationGroup:
         if elements is None:
             elements = map(_trusted, _span(self.generators, self.degree)[1])
         self.elements = tuple(sorted(elements, key=lambda p: p.images))
-        self._element_set = frozenset(self.elements)
 
     @property
     def order(self):
         return len(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, p):
-        return p in self._element_set
-
-    def __eq__(self, other):
-        return (isinstance(other, PermutationGroup)
-                and self.elements == other.elements)
 
     def __repr__(self):
         return "PermutationGroup(order=%d, degree=%d)" % (self.order, self.degree)
@@ -233,8 +219,6 @@ def flag_orbits(p, G):
 @dataclass(frozen=True)
 class SymmetryClassification:
     verdict: str              # "regular" | "chiral" | "neither"
-    flag_orbit_count: int
-    adjacency_crosses_orbits: bool
     orbit_sizes: tuple
 
 
@@ -256,12 +240,7 @@ def classify_symmetry(p, G):
         verdict = "chiral"
     else:
         verdict = "neither"
-    return SymmetryClassification(
-        verdict=verdict,
-        flag_orbit_count=len(orbits),
-        adjacency_crosses_orbits=crosses,
-        orbit_sizes=tuple(len(o) for o in orbits),
-    )
+    return SymmetryClassification(verdict, tuple(len(o) for o in orbits))
 
 
 def chain_stabilizer(p, G, chain):

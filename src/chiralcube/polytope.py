@@ -48,10 +48,9 @@ class Polytope:
     f.rank <= g.rank, f.vertices <= g.vertices and f.edges <= g.edges.
     """
 
-    def __init__(self, rank, faces, source_graph=None):
+    def __init__(self, rank, faces):
         self.rank = rank
         self.faces = tuple(faces)
-        self.source_graph = source_graph
         for i, f in enumerate(self.faces):
             if f.id != i:
                 raise ValueError("face ids must equal positions (face %d)" % i)
@@ -232,7 +231,7 @@ def colourful_polytope(g):
             for verts, es in components_by_colorset(g, cs):
                 faces.append(Face(len(faces), r, frozenset(cs),
                                   frozenset(verts), frozenset(es)))
-    return Polytope(n, tuple(faces), source_graph=g)
+    return Polytope(n, tuple(faces))
 
 
 # ------------------------------------------------------------ checking

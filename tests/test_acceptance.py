@@ -28,8 +28,8 @@ from chiralcube.classify import verify_paper
 from chiralcube.geometry import (affine_rank, cycle_holonomy,
                                  classes_hit_all_directions,
                                  exchanging_isometries, lift_cycle,
-                                 lift_double_cover, orientation,
-                                 rotation_profile, squares_see_all_colors)
+                                 lift_double_cover, rotation_profile,
+                                 squares_see_all_colors)
 from chiralcube.graph import colored_isomorphism, enumerate_matching_colorings
 from chiralcube.group import (chain_stabilizer, classify_symmetry,
                               color_respecting_automorphisms, flag_orbits)
@@ -92,13 +92,12 @@ def test_criterion_02_coloring_search(hemi, twins):
                "filters agree", ok)
 
 
-def test_criterion_03_twin_chirality(hemi, twins, P, Q, GQ):
-    ok = colored_isomorphism(Q.source_graph, P.source_graph) is not None
+def test_criterion_03_twin_chirality(hemi, twins, Q, GQ):
+    ok = colored_isomorphism(twins[0], hemi.graph) is not None
     ok = ok and GQ.order == 96
-    ok = ok and all(orientation(hemi.matrix(p)) == 1 for p in GQ)
+    ok = ok and all(hemi.matrix(p).det() == 1 for p in GQ)
     cls = classify_symmetry(Q, GQ)
-    ok = (ok and cls.verdict == "chiral" and cls.flag_orbit_count == 2
-          and cls.adjacency_crosses_orbits)
+    ok = ok and cls.verdict == "chiral" and len(cls.orbit_sizes) == 2
     qbot = Q.faces_of_rank(-1)[0]
     for fid in Q.faces_of_rank(3):
         sec = Q.section(qbot, fid)
@@ -184,8 +183,7 @@ def test_criterion_07_cover_chirality(cover, H, GH):
     AH = color_respecting_automorphisms(cover.graph)
     ok = AH.order < 384
     cls = classify_symmetry(H, GH)
-    ok = (ok and cls.verdict == "chiral" and cls.flag_orbit_count == 2
-          and cls.adjacency_crosses_orbits)
+    ok = ok and cls.verdict == "chiral" and len(cls.orbit_sizes) == 2
     h2 = H.faces_of_rank(2)[0]
     h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
     st = chain_stabilizer(H, GH, [h2, h3])
@@ -193,9 +191,8 @@ def test_criterion_07_cover_chirality(cover, H, GH):
     ok = ok and gen is not None and gen.cycle_type() == (8, 8)
     if gen is not None:
         m = cover.matrix(gen)
-        ok = ok and orientation(m) == 1
-        ok = ok and rotation_profile(m).pi_multiples == (Fraction(1, 4),
-                                                         Fraction(3, 4))
+        ok = ok and m.det() == 1
+        ok = ok and rotation_profile(m) == (Fraction(1, 4), Fraction(3, 4))
     verdict(7, "cover is not regular, geometrically chiral, octagon "
                "stabilizer turns pi/4 and 3pi/4", ok)
 
@@ -203,7 +200,7 @@ def test_criterion_07_cover_chirality(cover, H, GH):
 def test_criterion_08_helices(hemi, cover, H):
     ok = all(affine_rank([cover.coords[v] for v in two_face_cycle(H, fid)]) == 4
              for fid in H.faces_of_rank(2))
-    lifted = lift_double_cover(hemi, hemi.direction_coloring())
+    lifted = lift_double_cover(hemi, hemi.direction_coloring)
     cube = colourful_polytope(lifted.graph)
     ok = ok and all(
         affine_rank([lifted.coords[v] for v in two_face_cycle(cube, fid)]) == 2

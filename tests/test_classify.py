@@ -69,7 +69,7 @@ def test_report_is_deterministic(report):
 
 
 def test_regular_coloring_injection_fails_chirality(hemi):
-    sabotaged = verify_paper(coloring=hemi.direction_coloring())
+    sabotaged = verify_paper(coloring=hemi.direction_coloring)
     assert not sabotaged.passed
     failed = {c.key for c in sabotaged.checks if not c.passed}
     assert "q.geometrically_chiral" in failed
@@ -98,7 +98,7 @@ def test_broken_base_graph_reported_not_raised():
 def test_colorings_over_other_edges_reported_not_raised(hemi, cube_embedding):
     # the direction coloring without its first edge, and the 4-cube's
     # coloring of its 32 edges: neither is over the quotient's edge list
-    reg = hemi.direction_coloring()
+    reg = hemi.direction_coloring
     short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
     for c in (short, cube_embedding.graph):
         r = verify_paper(coloring=c)  # must not raise
@@ -109,10 +109,22 @@ def test_colorings_over_other_edges_reported_not_raised(hemi, cube_embedding):
         r.to_text()
 
 
+def test_no_twin_pair_reported_not_raised(hemi):
+    # the quotient graph without its colour-3 edges is 3-regular and
+    # 3-coloured: it has no direction-transversal colourings to continue with
+    g = ColoredGraph(8, 3, tuple(x for x in hemi.graph.edges if x[2] != 3))
+    r = verify_paper(base_graph=g)  # must not raise
+    assert len(r.checks) == 16
+    last = r.checks[-1]
+    assert (last.key, last.passed) == ("q.polytopal", False)
+    assert last.computed == "unavailable (no twin pair to continue with)"
+    r.to_text()
+
+
 def test_enantiomorph_verdicts(hemi, twins):
     assert enantiomorph_check(twins[0], twins[1], hemi) == "enantiomorphic"
     assert enantiomorph_check(twins[0], twins[0], hemi) == "same form"
-    reg = hemi.direction_coloring()
+    reg = hemi.direction_coloring
     assert enantiomorph_check(reg, twins[0], hemi) == "neither"
 
 

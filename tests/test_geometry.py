@@ -15,7 +15,7 @@ from chiralcube.geometry import (EmbeddedGraph, IsometryMatrix,
                                  exchanging_isometries,
                                  geometric_symmetry_group, hemicube_embedding,
                                  hypercube_embedding, lift_cycle,
-                                 lift_double_cover, off_text, orientation,
+                                 lift_double_cover, off_text,
                                  rotation_profile, squares_see_all_colors,
                                  vertex_permutation)
 from chiralcube.graph import (ColoredGraph, GraphError,
@@ -54,9 +54,8 @@ def test_det_raises_in_odd_projective_dimension():
     # +-I are one class modulo -I, of determinants +1 and -1
     m = IsometryMatrix((0, 1, 2), (1, 1, 1), True)
     assert m == IsometryMatrix((0, 1, 2), (-1, -1, -1), True)
-    for f in (IsometryMatrix.det, orientation):
-        with pytest.raises(ValueError, match="ambiguous"):
-            f(m)
+    with pytest.raises(ValueError, match="ambiguous"):
+        m.det()
     assert IsometryMatrix((0, 1, 2), (-1, -1, -1)).det() == -1
 
 
@@ -96,7 +95,7 @@ def test_orientation_well_defined_projectively():
     for m in all_signed_matrices(projective=True):
         lift = IsometryMatrix(m.perm, m.signs)
         flipped = IsometryMatrix(m.perm, tuple(-s for s in m.signs))
-        assert lift.det() == flipped.det() == orientation(m)
+        assert lift.det() == flipped.det() == m.det()
 
 
 def _dense_apply(rows, x):
@@ -173,14 +172,14 @@ def test_det_matches_dense_on_every_signed_matrix():
 
 def test_profile_of_identity():
     prof = rotation_profile(IsometryMatrix.identity())
-    assert prof.pi_multiples == (0, 0)
+    assert prof == (0, 0)
 
 
 def test_profile_of_single_plane_quarter_turn():
     # rotate the (0,1) plane by 90 degrees, fix the rest
     m = IsometryMatrix((1, 0, 2, 3), (-1, 1, 1, 1))
     assert m.det() == 1
-    assert rotation_profile(m).pi_multiples == (0, Fraction(1, 2))
+    assert rotation_profile(m) == (0, Fraction(1, 2))
 
 
 def test_profile_rejects_reflections():
@@ -219,11 +218,11 @@ def test_exact_profile_matches_numpy_eigenvalues():
         assert abs(args[0] - args[1]) <= atol
         assert abs(args[2] - args[3]) <= atol
         prof = rotation_profile(m)
-        assert len(prof.pi_multiples) == 2
+        assert len(prof) == 2
         assert all(abs(float(f) * math.pi - a) <= atol
-                   for f, a in zip(prof.pi_multiples, (args[0], args[2])))
-        assert all(0 <= f <= 1 for f in prof.pi_multiples)
-        assert list(prof.pi_multiples) == sorted(prof.pi_multiples)
+                   for f, a in zip(prof, (args[0], args[2])))
+        assert all(0 <= f <= 1 for f in prof)
+        assert list(prof) == sorted(prof)
         rotations += 1
     assert (rotations, reflections) == (192, 192)
 
@@ -248,7 +247,7 @@ def test_hemicube_is_complete_bipartite(hemi):
 
 
 def test_hemicube_carries_direction_coloring(hemi):
-    assert hemi.direction_coloring().colors == \
+    assert hemi.direction_coloring.colors == \
         tuple(c for _, _, c in hemi.graph.edges)
 
 
@@ -356,11 +355,11 @@ def test_group_orders(GP, GQ, GH):
 
 
 def test_twin_group_is_rotation_only(hemi, GQ):
-    assert all(orientation(hemi.matrix(p)) == 1 for p in GQ)
+    assert all(hemi.matrix(p).det() == 1 for p in GQ)
 
 
 def test_cover_group_is_rotation_only(cover, GH):
-    assert all(orientation(cover.matrix(p)) == 1 for p in GH)
+    assert all(cover.matrix(p).det() == 1 for p in GH)
 
 
 def test_matrix_tagging_is_faithful(hemi, GP):
@@ -369,7 +368,7 @@ def test_matrix_tagging_is_faithful(hemi, GP):
 
 
 def test_orientation_preserving_subgroup(hemi, GP):
-    rot = {p for p in GP if orientation(hemi.matrix(p)) == 1}
+    rot = {p for p in GP if hemi.matrix(p).det() == 1}
     assert len(rot) == 96
     assert set(PermutationGroup(tuple(rot)).elements) == rot
 
@@ -400,7 +399,7 @@ def test_twin_bicolored_cycles_are_squares(hemi, twins):
 
 
 def test_regular_coloring_fails_both_properties(hemi):
-    reg = hemi.direction_coloring()
+    reg = hemi.direction_coloring
     assert not classes_hit_all_directions(hemi, reg)
     assert not squares_see_all_colors(hemi, reg)
 
@@ -413,7 +412,7 @@ def test_twins_are_mirror_images(hemi, twins):
 
 
 def test_scans_reject_colorings_over_other_edges(hemi, cube_embedding):
-    reg = hemi.direction_coloring()
+    reg = hemi.direction_coloring
     short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
     cube = cube_embedding.graph
     with pytest.raises(ValueError):
@@ -484,7 +483,7 @@ def test_squares_are_built_once_per_embedding(monkeypatch):
     e = hemicube_embedding()
     # the rows of the colorings census: the regular coloring, the twins
     # and every labelled coloring
-    every = ([e.direction_coloring()] + derive_chiral_colorings(e)
+    every = ([e.direction_coloring] + derive_chiral_colorings(e)
              + enumerate_matching_colorings(e.graph))
     assert len(every) == 579
     for c in every:
@@ -587,7 +586,7 @@ def test_holonomy_invariance(hemi, Q):
 
 
 def test_regular_lift_is_the_hypercube(hemi):
-    lifted, cube = lift_double_cover(hemi, hemi.direction_coloring()), _cube(4, False)
+    lifted, cube = lift_double_cover(hemi, hemi.direction_coloring), _cube(4, False)
     assert lifted.graph == cube.graph
     assert lifted.coords == cube.coords
     assert not lifted.projective
@@ -656,7 +655,7 @@ def test_octagon_stabilizer_profile(H, GH, cover):
     st = chain_stabilizer(H, GH, [h2, h3])
     gen = next(p for p in st if p.order() == 8)
     prof = rotation_profile(cover.matrix(gen))
-    assert prof.pi_multiples == (Fraction(1, 4), Fraction(3, 4))
+    assert prof == (Fraction(1, 4), Fraction(3, 4))
 
 
 # --------------------------------------------------------- affine rank
@@ -700,7 +699,7 @@ def test_cover_two_faces_are_helices(H, cover):
 
 def test_regular_lift_two_faces_are_planar(hemi):
     from chiralcube.polytope import colourful_polytope
-    lifted = lift_double_cover(hemi, hemi.direction_coloring())
+    lifted = lift_double_cover(hemi, hemi.direction_coloring)
     cube = colourful_polytope(lifted.graph)
     for fid in cube.faces_of_rank(2):
         pts = [lifted.coords[v] for v in two_face_cycle(cube, fid)]
@@ -791,7 +790,7 @@ def _brute_force_scan(e, src, dst):
 
 
 def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embedding):
-    reg = hemi.direction_coloring()
+    reg = hemi.direction_coloring
     mirror_cover = lift_double_cover(hemi, twins[1])
     assert mirror_cover.graph.edge_pairs == cover.graph.edge_pairs
     hat, hat_m = cover.graph, mirror_cover.graph
@@ -813,5 +812,5 @@ def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embeddi
                       (hemi, twins[1], twins[1]), (cover, hat, hat_m),
                       (cube_embedding, cube, cube), (hemi, reg, flat),
                       (hemi, flat, reg)):
-        expected = [(m, orientation(m)) for _, m in _brute_force_scan(e, c1, c2)]
+        expected = [(m, m.det()) for _, m in _brute_force_scan(e, c1, c2)]
         assert exchanging_isometries(e, c1, c2) == expected

@@ -1,7 +1,10 @@
 """Colored graph container, coloring search, colored isomorphism."""
 
+import gc
+
 import pytest
 
+from chiralcube.classify import verify_paper
 from chiralcube.geometry import lift_double_cover
 from chiralcube.group import color_respecting_automorphisms
 from chiralcube.graph import (ColoredGraph, GraphError,
@@ -177,7 +180,7 @@ def test_colorings_are_graphs(hemi, cube_embedding):
                 == colourful_polytope(hemi.graph.recolored(c)).faces)
         assert c.canonical() == c
     for e in (hemi, cube_embedding):
-        assert e.direction_coloring() == e.graph
+        assert e.direction_coloring == e.graph
 
 
 def test_labelled_colorings_share_edge_triples(hemi):
@@ -198,6 +201,22 @@ def test_search_is_deterministic(hemi):
     b = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
     assert [c.colors for c in a] == [c.colors for c in b]
 
+
+
+def test_search_leaves_no_cyclic_garbage(hemi):
+    # the search recurses through a closure; one that kept referring to
+    # itself would hold every coloring found until the cycle collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_matching_colorings(hemi.graph)
+        enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+        verify_paper()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 # --------------------------------------------------------- isomorphism
 
@@ -379,7 +398,7 @@ def k4():
 
 def test_propagation_matches_backtracking_oracle(hemi, cube_embedding):
     base = hemi.graph
-    cube = lift_double_cover(hemi, hemi.direction_coloring()).graph
+    cube = lift_double_cover(hemi, hemi.direction_coloring).graph
     renamed = base.recolored(base.permuted({0: 2, 1: 3, 2: 0, 3: 1}))
     cycle3, cycle4 = (ColoredGraph(6, k, six_cycle().edges) for k in (3, 4))
     improper = ColoredGraph(6, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0),

@@ -12,6 +12,8 @@ This package builds all of these objects and mechanically verifies every
 combinatorial and geometric claim about them.
 """
 
+import types as _types
+
 from .graph import (ColoredGraph, GraphError, colored_isomorphism,
                     components_by_colorset, enumerate_matching_colorings,
                     iter_colored_isomorphisms, validate)
@@ -36,22 +38,7 @@ from .classify import (CheckResult, VerificationReport, enantiomorph_check,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult", "ColoredGraph", "EmbeddedGraph",
-    "Face", "FlagGraph", "GraphError", "IsometryMatrix",
-    "NotAnAutomorphismError", "PermutationGroup", "Polytope",
-    "SymmetryClassification", "VerificationReport",
-    "VertexPermutation", "affine_rank", "all_signed_matrices",
-    "canonical_cycle", "chain_stabilizer", "check_polytopality",
-    "classes_hit_all_directions", "classify_symmetry",
-    "colored_isomorphism", "colourful_polytope", "color_respecting_automorphisms",
-    "components_by_colorset", "cycle_holonomy", "derive_chiral_colorings",
-    "enantiomorph_check", "enumerate_matching_colorings",
-    "exchanging_isometries", "f_vector", "flag_orbits",
-    "geometric_symmetry_group", "hemicube_embedding",
-    "hypercube_embedding", "induced_face_action", "iter_colored_isomorphisms",
-    "lift_cycle", "lift_double_cover", "off_text",
-    "petrie_polygons", "reduce_generators", "rotation_profile",
-    "schlafli_type", "squares_see_all_colors", "two_face_cycle",
-    "two_face_cycles", "validate", "verify_paper", "vertex_permutation",
-]
+# the public names are those imported above: no module, nothing private
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(obj, _types.ModuleType))

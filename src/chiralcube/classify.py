@@ -28,8 +28,7 @@ from .geometry import (EmbeddedGraph, affine_rank, cycle_holonomy,
                        hemicube_embedding, lift_double_cover, rotation_profile,
                        squares_see_all_colors)
 from .polytope import (check_polytopality, colourful_polytope, f_vector,
-                       petrie_polygons, schlafli_type, two_face_cycle,
-                       two_face_cycles)
+                       petrie_polygons, schlafli_type, two_face_cycles)
 
 DERIVED = "derived"
 
@@ -102,8 +101,6 @@ def _jsonable(x):
     if isinstance(x, (set, frozenset)):
         # key=repr: heterogeneous failure values must still sort
         return sorted((_jsonable(v) for v in x), key=repr)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
     return x
 
 
@@ -133,12 +130,17 @@ def _turns(e, G):
     return dets.count(1), dets.count(-1)
 
 
+def _facets(p):
+    """(id, section) for each facet of p, a face of rank n - 1, built
+    one at a time."""
+    bottom = p.faces_of_rank(-1)[0]
+    return ((fid, p.section(bottom, fid)) for fid in p.faces_of_rank(p.rank - 1))
+
+
 def _facet_shapes(p):
     """The set of (f-vector, Schlafli type, polytopal) over p's facets."""
-    bottom = p.faces_of_rank(-1)[0]
-    sections = (p.section(bottom, fid) for fid in p.faces_of_rank(3))
     return {(f_vector(sec), schlafli_type(sec), check_polytopality(sec) == [])
-            for sec in sections}
+            for _, sec in _facets(p)}
 
 
 def verify_paper(*, coloring=None, base_graph=None):
@@ -302,10 +304,9 @@ def verify_paper(*, coloring=None, base_graph=None):
         "geometrically chiral, with geometrically chiral facets",
         ("chiral", (96, 96)), (cls_q.verdict, cls_q.orbit_sizes))
 
-    qbot = Q.faces_of_rank(-1)[0]
-    facet_class = set()
-    for fid in Q.faces_of_rank(3):
-        sec = Q.section(qbot, fid)
+    facets, facet_class = [], set()
+    for fid, sec in _facets(Q):
+        facets.append(fid)
         stab = chain_stabilizer(Q, GQ, [fid])
         c = classify_symmetry(sec, stab)
         facet_class.add((stab.order, c.verdict, c.orbit_sizes))
@@ -313,14 +314,14 @@ def verify_paper(*, coloring=None, base_graph=None):
         list(zip(*(induced_face_action(Q, p).images for p in GQ.generators))))
     add("q.facets_transitive", "the isometries permute the 4 facets transitively",
         DERIVED,
-        1, len({face_orbit[f] for f in Q.faces_of_rank(3)}))
+        1, len({face_orbit[f] for f in facets}))
     add("q.facets_chiral",
         "each facet is a chiral polyhedron under its stabilizer of order 24",
         "geometrically chiral, with geometrically chiral facets",
         {(24, "chiral", (24, 24))}, facet_class)
 
     f2 = Q.faces_of_rank(2)[0]
-    f3 = next(i for i in Q.faces_of_rank(3) if Q.leq(f2, i))
+    f3 = next(i for i in facets if Q.leq(f2, i))
     st = chain_stabilizer(Q, GQ, [f2, f3])
     gen_types = sorted({p.cycle_type() for p in st if p.order() == st.order})
     add("q.stab_square_facet",
@@ -329,7 +330,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         (4, True, [(4, 4)]), (st.order, st.is_cyclic(), gen_types))
 
     v0 = Q.faces_of_rank(0)[0]
-    f3v = next(i for i in Q.faces_of_rank(3) if Q.leq(v0, i))
+    f3v = next(i for i in facets if Q.leq(v0, i))
     stv = chain_stabilizer(Q, GQ, [v0, f3v])
     add("q.stab_vertex_facet",
         "a vertex-in-facet chain has cyclic stabilizer of order 3",
@@ -366,11 +367,11 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("lift.twin_holonomy",
         "every square of the twin reverses sign around the cover",
         "The 4-gons of Q lift into 8-gons",
-        {-1}, {cycle_holonomy(e, two_face_cycle(Q, i)) for i in Q.faces_of_rank(2)})
+        {-1}, {cycle_holonomy(e, c) for c in q2})
     add("lift.regular_holonomy",
         "every square of the regular polytope lifts to two squares",
         DERIVED,
-        {1}, {cycle_holonomy(e, two_face_cycle(P, i)) for i in P.faces_of_rank(2)})
+        {1}, {cycle_holonomy(e, c) for c in p2})
 
     cube_e = lift_double_cover(e, e.direction_coloring)
     cube = colourful_polytope(cube_e.graph)
@@ -404,8 +405,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         "has 16 vertices, 24 edges and 6 faces",
         {((16, 24, 6), (8, 3), True)}, _facet_shapes(H))
 
-    ranks = {affine_rank([he.coords[v] for v in two_face_cycle(H, fid)])
-             for fid in H.faces_of_rank(2)}
+    ranks = {affine_rank([he.coords[v] for v in c]) for c in two_face_cycles(H)}
     add("qhat.helical_faces", "every octagon face affinely spans all of R^4",
         "the 2-faces of Q̂ are helices in R⁴",
         {4}, ranks)
@@ -435,7 +435,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         ("chiral", (192, 192)), (cls_h.verdict, cls_h.orbit_sizes))
 
     h2 = H.faces_of_rank(2)[0]
-    h3 = next(i for i in H.faces_of_rank(3) if H.leq(h2, i))
+    h3 = next(i for i in H.faces_of_rank(H.rank - 1) if H.leq(h2, i))
     st8 = chain_stabilizer(H, GH, [h2, h3])
     oct_gen = next((p for p in st8 if p.order() == 8), None)
     profile_ok, gen_type = False, None

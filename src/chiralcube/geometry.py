@@ -537,21 +537,17 @@ def off_text(e, p, comment=None):
         lines.append("# " + comment)
 
     if e.projective:
-        cover = e._cover
         cycles = sorted({c for fid in p.faces_of_rank(2)
                          for c in lift_cycle(e, two_face_cycle(p, fid))})
+        e = e._cover  # from here on the cover is what is written
         lines.append("# double cover of a projective embedding")
         lines.append("# antipodal pairs: " + " ".join(
-            "%d:%d" % (i, j) for i, j in enumerate(cover.antipode.images) if i < j))
-        coords = cover.coords
-        n_edges = len(cover.graph.edges)
+            "%d:%d" % (i, j) for i, j in enumerate(e.antipode.images) if i < j))
     else:
         cycles = sorted(two_face_cycle(p, fid) for fid in p.faces_of_rank(2))
-        coords = e.coords
-        n_edges = len(e.graph.edges)
 
-    lines.append("%d %d %d" % (len(coords), len(cycles), n_edges))
-    for x in coords:
+    lines.append("%d %d %d" % (len(e.coords), len(cycles), len(e.graph.edges)))
+    for x in e.coords:
         lines.append(" ".join("%d" % c for c in x))
     for cyc in cycles:
         lines.append("%d " % len(cyc) + " ".join("%d" % v for v in cyc))

@@ -73,9 +73,7 @@ class Polytope:
         return self._index.get(_face_key(rank, vertices, edges))
 
     def leq(self, i, j):
-        f, g = self.faces[i], self.faces[j]
-        return (f.rank <= g.rank and f.vertices <= g.vertices
-                and f.edges <= g.edges)
+        return j in self._ups[i]
 
     @cached_property
     def _ups(self):

@@ -111,14 +111,26 @@ def test_colorings_over_other_edges_reported_not_raised(hemi, cube_embedding):
 
 def test_no_twin_pair_reported_not_raised(hemi):
     # the quotient graph without its colour-3 edges is 3-regular and
-    # 3-coloured: it has no direction-transversal colourings to continue with
-    g = ColoredGraph(8, 3, tuple(x for x in hemi.graph.edges if x[2] != 3))
-    r = verify_paper(base_graph=g)  # must not raise
-    assert len(r.checks) == 16
-    last = r.checks[-1]
-    assert (last.key, last.passed) == ("q.polytopal", False)
-    assert last.computed == "unavailable (no twin pair to continue with)"
-    r.to_text()
+    # 3-coloured, and an alternating Hamiltonian 8-cycle of it is 2-regular
+    # and 2-coloured: neither has direction-transversal colourings to
+    # continue with.  Their facets, the faces of rank n - 1, are squares
+    # and edges, not cubes.
+    g3 = ColoredGraph(8, 3, tuple(x for x in hemi.graph.edges if x[2] != 3))
+    cycle = (0, 1, 3, 2, 5, 4, 6, 7)
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    g2 = ColoredGraph(8, 2, tuple(sorted(
+        (min(u, v), max(u, v), k % 2) for k, (u, v) in enumerate(steps))))
+    assert set(g2.edge_pairs) <= set(hemi.graph.edge_pairs)
+    for g, shapes in ((g3, {((4, 4), (4,), True)}), (g2, {((2,), (), True)})):
+        r = verify_paper(base_graph=g)  # must not raise
+        assert len(r.checks) == 16
+        last = r.checks[-1]
+        assert (last.key, last.passed) == ("q.polytopal", False)
+        assert last.computed == "unavailable (no twin pair to continue with)"
+        facets = next(c for c in r.checks if c.key == "p.facets_cubes")
+        assert (facets.passed, facets.computed) == (False, shapes)
+        r.to_text()
+        r.to_json()
 
 
 def test_enantiomorph_verdicts(hemi, twins):

@@ -1,10 +1,13 @@
 """Command line behavior: verbs, formats, exit codes, byte stability."""
 
+import ast
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,25 @@ def test_numpy_is_not_imported():
                     if line.startswith("import time:")}
         assert "chiralcube.geometry" in imported
         assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+def test_star_import_binds_the_names_the_package_imports():
+    # __all__ is derived from the package namespace; the names it must
+    # hold are read from the relative imports in the package's source
+    tree = ast.parse(Path(chiralcube.__file__).read_text())
+    froms = [node for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert sorted(node.module for node in froms) == [
+        "classify", "geometry", "graph", "group", "polytope"]
+    imported = {a.asname or a.name for node in froms for a in node.names}
+    bound = {}
+    exec("from chiralcube import *", bound)
+    del bound["__builtins__"]
+    assert set(bound) == imported and len(bound) == 49
+    assert all(isinstance(x, type) or inspect.isfunction(x)
+               for x in bound.values())
+    assert not any(isinstance(x, types.ModuleType) for x in bound.values())
+    assert "ModuleType" not in bound
 
 
 def test_test_extra_names_every_optional_test_dependency():

@@ -214,9 +214,12 @@ def test_flag_graph_components_match_networkx(P, Q, H, cube4, glued):
 
 
 @functools.cache
-def _ups_by_leq(p):
-    n = len(p.faces)
-    return [frozenset(j for j in range(n) if p.leq(i, j)) for i in range(n)]
+def _ups_by_fields(p):
+    """The faces above each face, in increasing id order, by the incidence
+    the Polytope docstring defines on the face fields (not through leq)."""
+    return [frozenset(g.id for g in p.faces if f.rank <= g.rank
+                      and f.vertices <= g.vertices and f.edges <= g.edges)
+            for f in p.faces]
 
 
 def _between(p, ups, lo, hi, rank):
@@ -229,7 +232,7 @@ def _between(p, ups, lo, hi, rank):
 def _diamonds_by_between(p):
     """The diamond table as (key, mids) pairs, in the order of the
     diamond step before the table: lo, then _ups[lo]."""
-    ups = _ups_by_leq(p)
+    ups = _ups_by_fields(p)
     return [((i, j), list(_between(p, ups, i, j, p.faces[i].rank + 1)))
             for i in range(len(p.faces)) for j in ups[i]
             if p.faces[j].rank == p.faces[i].rank + 2]
@@ -239,7 +242,7 @@ def _flag_graph_by_between(p):
     """The flag graph as it was built before the table: one scan per
     flag and rank for the other face of each i-adjacency."""
     bottom, top = _bottom_top(p)
-    ups = _ups_by_leq(p)
+    ups = _ups_by_fields(p)
     flags = []
 
     def grow(chain, below):
@@ -280,7 +283,7 @@ def _covers_by_scan(p):
     """The covers of each face i, by a scan: the faces j != i above i
     that lie strictly above no other face above i, in the iteration
     order of i's up-set."""
-    ups = _ups_by_leq(p)
+    ups = _ups_by_fields(p)
     out = []
     for i in range(len(p.faces)):
         strictly_above = set().union(*(ups[k] - {k} for k in ups[i] if k != i))
@@ -300,7 +303,7 @@ def _check_polytopality_by_between(p):
     if problems:
         return problems
     bottom, top = bots[0], tops[0]
-    ups, covers = _ups_by_leq(p), _covers_by_scan(p)
+    ups, covers = _ups_by_fields(p), _covers_by_scan(p)
     for i, f in enumerate(p.faces):
         if i not in ups[bottom]:
             problems.append("face %d (rank %d) is not above the rank -1 face"
@@ -341,10 +344,13 @@ def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
     corpus = _corpus(P, Q, H, cube4, glued)
     raised, kinds = 0, set()
     for p in corpus:
-        assert p._ups == _ups_by_leq(p)
+        ups, ids = _ups_by_fields(p), range(len(p.faces))
+        assert p._ups == ups
+        # leq reads the table under test, so it is checked against the fields too
+        assert all(p.leq(i, j) == (j in ups[i]) for i in ids for j in ids)
         # the table's iteration orders, which _diamonds, _covers and the
         # diagnostics follow, against sets built in increasing id order
-        assert [list(u) for u in p._ups] == [list(u) for u in _ups_by_leq(p)]
+        assert [list(u) for u in p._ups] == [list(u) for u in ups]
         assert p._covers == _covers_by_scan(p)
         assert list(p._diamonds.items()) == _diamonds_by_between(p)
         got = check_polytopality(p)

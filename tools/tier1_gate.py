@@ -44,6 +44,9 @@ not installed); and the test that checks the order tables each section
 inherits from its parent against those of its faces built afresh, over
 every interval of P, Q, Q-hat and the 4-cube.
 
+After its verdict the gate prints the wall time of the pytest run and the
+line count of the Python sources under src/, as wc -l counts them.
+
     python3 tools/tier1_gate.py
 """
 
@@ -53,6 +56,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -103,7 +107,9 @@ def main():
         p for p in ("src", env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "tier1.xml")
+        start = time.perf_counter()
         run = subprocess.run(TIER1 + ["--junitxml", report], cwd=ROOT, env=env)
+        wall = time.perf_counter() - start
         if not os.path.exists(report):
             print("tier1 gate: pytest wrote no report (exit %d)" % run.returncode)
             return 1
@@ -120,6 +126,10 @@ def main():
         print("tier1 gate: " + line)
     print("tier1 gate: %d tests, %d failed, %s"
           % (len(results), len(failed), "FAIL" if problems else "ok"))
+    src_lines = sum(path.read_bytes().count(b"\n")
+                    for path in (ROOT / "src").rglob("*.py"))
+    print("tier1 gate: pytest took %.1f s wall; src/ has %d lines"
+          % (wall, src_lines))
     return 1 if problems else 0
 
 

@@ -225,9 +225,10 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("p.autos_order", "192 color-respecting automorphisms",
         "Recall that P has 192 symmetries.",
         192, AP.order)
+    verdict = classify_symmetry(P, AP).verdict
     add("p.regular", "flag-transitive under its automorphisms: regular",
         "the hemi-hypercube {4,3,3}/2 is a regular 4-polytope",
-        "regular", classify_symmetry(P, AP).verdict)
+        "regular", verdict if P.rank == 4 else "%s rank-%d poset" % (verdict, P.rank))
 
     GP = geometric_symmetry_group(e)
     add("p.geo_order", "realized with all 192 automorphisms as isometries",
@@ -254,11 +255,11 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("colorings.filter_squares",
         "keeping colorings showing all four colors on every square finds the twins",
         "each 2-face of the regular hemi-hypercube has the four colours",
-        True, by_b == twins)
+        True, bool(twins) and by_b == twins)
     add("colorings.properties_agree",
         "the two filters select exactly the same colorings",
         "any of these properties defines the chiral colourings",
-        True, by_a == by_b)
+        True, bool(by_a) and by_a == by_b)
 
     q_claim = "twin coloring builds an abstract 4-polytope"
     if len(twins) != 2:

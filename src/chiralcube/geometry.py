@@ -367,11 +367,6 @@ def exchanging_isometries(e, c1, c2):
 # ------------------------------------------------- coloring properties
 
 
-def _blocks_see_all(blocks, labels, n):
-    """Does every block of edge positions i carry all n labels labels[i]?"""
-    return all(len({labels[i] for i in b}) == n for b in blocks)
-
-
 def classes_hit_all_directions(e, coloring):
     """Property: every color class contains an edge of every direction.
 
@@ -380,15 +375,15 @@ def classes_hit_all_directions(e, coloring):
     GraphError unless the coloring is over e.graph's edges.
     """
     colors = e.graph.recolored(coloring).colors
-    classes = [[i for i, d in enumerate(colors) if d == c] for c in set(colors)]
-    return _blocks_see_all(classes, e.direction_coloring.colors, e.dimension)
+    pairs = set(zip(colors, e.direction_coloring.colors))  # (color, direction)
+    return len(pairs) == len(set(colors)) * e.dimension
 
 
 def squares_see_all_colors(e, coloring):
     """Property: every direction-bicolored square (a 2-face of the direction-
     colored poset) shows all colors; GraphError unless over e.graph's edges."""
-    coloring = e.graph.recolored(coloring)
-    return _blocks_see_all(e._squares, coloring.colors, coloring.n_colors)
+    colors, n = e.graph.recolored(coloring).colors, coloring.n_colors
+    return all(len({colors[i] for i in square}) == n for square in e._squares)
 
 
 def derive_chiral_colorings(e):

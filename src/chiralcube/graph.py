@@ -93,8 +93,9 @@ class ColoredGraph:
         """This skeleton colored by `coloring`: the coloring itself, a
         ColoredGraph over the same vertices and edge list; GraphError
         for one over another skeleton."""
-        if (coloring.n_vertices, coloring.edge_pairs) != (
-                self.n_vertices, self.edge_pairs):
+        mine, theirs = self.edges, coloring.edges  # endpoints read in place
+        if coloring.n_vertices != self.n_vertices or len(theirs) != len(mine) or any(
+                a[0] != b[0] or a[1] != b[1] for a, b in zip(theirs, mine)):
             raise GraphError("coloring is over a different edge list")
         return coloring
 
@@ -117,6 +118,15 @@ class ColoredGraph:
             "n_colors": self.n_colors,
             "edges": [[u, v, c] for u, v, c in self.edges],
         }
+
+
+def _trusted(n_vertices, n_colors, edges):
+    # a ColoredGraph from edges known to be canonical and in range
+    g = object.__new__(ColoredGraph)
+    object.__setattr__(g, "n_vertices", n_vertices)
+    object.__setattr__(g, "n_colors", n_colors)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 # ----------------------------------------------------------- validation
@@ -227,7 +237,7 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
 
     def extend(i, next_new):
         if i == m:
-            out.append(ColoredGraph(g.n_vertices, k, tuple(chosen)))
+            out.append(_trusted(g.n_vertices, k, tuple(chosen)))
             return
         u, v = pairs[i]
         limit = min(k, next_new + 1) if up_to_color_permutation else k
@@ -250,12 +260,12 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
 
 
 def _color_neighbors(g):
-    """nbr[v][c]: the neighbor of v along its edge of color c.  Raises
-    GraphError when a color repeats at a vertex."""
-    nbr = [{} for _ in range(g.n_vertices)]
+    """nbr[v][c]: the neighbor of v along its edge of color c, None when
+    v has none.  Raises GraphError when a color repeats at a vertex."""
+    nbr = [[None] * g.n_colors for _ in range(g.n_vertices)]
     for u, v, c in g.edges:
         for x, y in ((u, v), (v, u)):
-            if c in nbr[x]:
+            if nbr[x][c] is not None:
                 raise GraphError("color %d repeated at vertex %d (not a proper coloring)"
                                  % (c, x))
             nbr[x][c] = y
@@ -271,9 +281,9 @@ def iter_colored_isomorphisms(g1, g2):
     when the sizes differ.  Then a witness is fixed by the image r of
     vertex 0 and the images of g1's colors: for every r and every
     injection of g1's colors into g2's, the map is propagated along a BFS
-    tree of g1 and kept when it is a bijection carrying g1's edges onto
-    g2's, checked edge by edge.  Colors absent from g1 go to the spare
-    colors in increasing order.  An improperly colored g2 yields nothing.
+    tree of g1 and kept when it is injective and carries g1's edges off
+    the tree onto g2's.  Colors absent from g1 go to the spare colors in
+    increasing order.  An improperly colored g2 yields nothing.
 
     The order is that of a vertex-by-vertex backtracking search: sorted
     by the images of g1's vertices in BFS order from vertex 0, neighbors
@@ -285,7 +295,7 @@ def iter_colored_isomorphisms(g1, g2):
         raise GraphError("graph has no vertices")
     order, tree = [0], []  # tree: (parent, color, child) in BFS order
     for x in order:
-        for y, c in sorted((y, c) for c, y in nbr1[x].items()):
+        for y, c in sorted((y, c) for c, y in enumerate(nbr1[x]) if y is not None):
             if y not in order:
                 order.append(y)
                 tree.append((x, c, y))
@@ -300,27 +310,34 @@ def iter_colored_isomorphisms(g1, g2):
     except GraphError:
         return
 
+    # the tree maps its own edges; as the sizes agree and g2 is properly
+    # colored, an injective map is an isomorphism when the others map too
+    in_tree = {(x, y) if x < y else (y, x) for x, _, y in tree}
+    rest = [(u, c, v) for u, v, c in g1.edges if (u, v) not in in_tree]
     used = sorted({c for _, _, c in g1.edges})
-    color_maps = []
+    plans = []  # (color map, its tree steps, its other edges), colors mapped
     for img in itertools.permutations(range(g2.n_colors), len(used)):
         fill = dict(zip(used, img))
         spare = iter(sorted(set(range(g2.n_colors)) - set(img)))
-        color_maps.append(tuple(fill[c] if c in fill else next(spare)
-                                for c in range(g1.n_colors)))
-    target = set(g2.edges)
+        cmap = tuple(fill[c] if c in fill else next(spare)
+                     for c in range(g1.n_colors))
+        plans.append((cmap, [(x, cmap[c], y) for x, c, y in tree],
+                      [(u, cmap[c], v) for u, c, v in rest]))
     for r in range(g2.n_vertices):
         found = []
-        for cmap in color_maps:
+        for cmap, steps, checks in plans:
             vmap = [r] * g1.n_vertices
-            for x, c, y in tree:
-                vmap[y] = nbr2[vmap[x]].get(cmap[c])
+            for x, c, y in steps:
+                vmap[y] = nbr2[vmap[x]][c]
                 if vmap[y] is None:
                     break
             else:
-                if len(set(vmap)) == len(vmap) and target == {
-                        (a, b, cmap[c]) if a < b else (b, a, cmap[c])
-                        for u, v, c in g1.edges for a, b in [(vmap[u], vmap[v])]}:
-                    found.append((tuple(vmap), cmap))
+                for u, c, v in checks:
+                    if nbr2[vmap[u]][c] != vmap[v]:
+                        break
+                else:
+                    if len(set(vmap)) == len(vmap):
+                        found.append((tuple(vmap), cmap))
         # every key starts with vmap[0] == r, so sorting per root is global
         found.sort(key=lambda w: [w[0][x] for x in order])
         yield from found

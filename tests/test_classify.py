@@ -129,6 +129,13 @@ def test_no_twin_pair_reported_not_raised(hemi):
         assert last.computed == "unavailable (no twin pair to continue with)"
         facets = next(c for c in r.checks if c.key == "p.facets_cubes")
         assert (facets.passed, facets.computed) == (False, shapes)
+        # a regular poset of another rank is not the regular 4-polytope,
+        # and filters that keep nothing find no twins and agree on nothing
+        rows = {c.key: c for c in r.checks}
+        assert rows["p.regular"].computed == "regular rank-%d poset" % g.n_colors
+        for key in ("p.regular", "colorings.filter_squares",
+                    "colorings.properties_agree"):
+            assert not rows[key].passed, key
         r.to_text()
         r.to_json()
 

@@ -190,6 +190,18 @@ def test_labelled_colorings_share_edge_triples(hemi):
     assert len({id(t) for c in labelled for t in c.edges}) == 16 * 4
 
 
+def test_enumerated_colorings_equal_validated_graphs(hemi):
+    # the search builds its colorings without re-running validation; each
+    # must be the graph that validating its own edge list gives
+    found = [c for g in (hemi.graph, six_cycle()) for up in (False, True)
+             for c in enumerate_matching_colorings(g, up_to_color_permutation=up)]
+    assert len(found) == 576 + 24 + 2 + 1
+    for c in found:
+        checked = ColoredGraph(c.n_vertices, c.n_colors, c.edges)
+        assert (type(c), vars(c)) == (ColoredGraph, vars(checked))
+        assert c == checked and hash(c) == hash(checked)
+
+
 def test_search_rejects_wrong_regularity():
     path = ColoredGraph(3, 2, ((0, 1, 0), (1, 2, 1)))
     with pytest.raises(GraphError):

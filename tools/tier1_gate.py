@@ -14,7 +14,8 @@ flag connectivity step of check_polytopality against its section-by-
 section oracle; the test that checks the flag graph and the diagnostics
 of check_polytopality, both read from the cached diamond table, against
 face-by-face scans; the test that checks the colored isomorphisms
-found by propagation against a vertex-by-vertex backtracking oracle;
+found by propagation along a spanning tree, with only the edges off the
+tree checked, against a vertex-by-vertex backtracking oracle;
 the test that checks the exact rotation angles read from signed
 cycles against numpy eigenvalues (it skips, and so fails this gate,
 when numpy is not installed); the property that checks the coset
@@ -40,9 +41,11 @@ tabulated flag permutation, against walks from every flag; the
 property that checks signed permutation matrices, their determinants
 read from the cycle count of the permutation among them, against dense
 integer matrices (it skips, and so fails this gate, when hypothesis is
-not installed); and the test that checks the order tables each section
+not installed); the test that checks the order tables each section
 inherits from its parent against those of its faces built afresh, over
-every interval of P, Q, Q-hat and the 4-cube.
+every interval of P, Q, Q-hat and the 4-cube; and the test that checks
+each coloring the matching-coloring search builds, without validating
+it again, against the graph that validating its edge list gives.
 
 After its verdict the gate prints the wall time of the pytest run and the
 line count of the Python sources under src/, as wc -l counts them.
@@ -79,6 +82,7 @@ REQUIRED = (
     ("tests.test_polytope", "test_flag_walks_match_all_flags_oracles"),
     ("tests.test_geometry", "test_signed_permutations_match_dense_matrices"),
     ("tests.test_flag_connectivity", "test_section_tables_match_fresh_build"),
+    ("tests.test_graph", "test_enumerated_colorings_equal_validated_graphs"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -125,9 +125,10 @@ def _exchange_verdict(ex):  # ex: the pairs exchanging_isometries returns
 
 def _turns(e, G):
     """(rotations, reflections): the isometries of e behind G's elements,
-    counted by determinant."""
-    dets = [e.matrix(p).det() for p in G]
-    return dets.count(1), dets.count(-1)
+    counted by determinant.  det is a homomorphism into {1, -1}, so half
+    of G reverses orientation when a generator does, and none otherwise."""
+    rot = G.order // 2 if any(e.matrix(g).det() == -1 for g in G.generators) else G.order
+    return rot, G.order - rot
 
 
 def _facets(p):

@@ -223,6 +223,13 @@ class EmbeddedGraph:
         return table
 
     @cached_property
+    def _by_root(self):
+        out = {}  # the table's vertex permutations by the image of vertex 0
+        for _, p in self._isometries:
+            out.setdefault(p.images[0], []).append(p)
+        return out
+
+    @cached_property
     def _matrix_of(self):
         # vertex permutation -> the matrix inducing it, None where several do
         out = {}
@@ -334,11 +341,17 @@ def _maps_coloring(p, src, dst_colors):
 
 def _scan(e, src, dst):
     """(matrix, vertex permutation) for every isometry of e taking
-    coloring src to coloring dst up to renaming colors.  GraphError
-    unless both colorings are over e.graph's edges."""
-    src = e.graph.recolored(src)
-    dst_colors = {(u, v): c for u, v, c in e.graph.recolored(dst).edges}
-    return [(m, p) for m, p in e._isometries if _maps_coloring(p, src, dst_colors)]
+    coloring src to coloring dst up to renaming colors, in table order;
+    GraphError unless both colorings are over e.graph's edges.  Those with
+    0 -> r are a * s for any one such a and every s fixing 0 and src, so
+    each root but 0 is tested up to its first hit."""
+    src_colors, dst_colors = ({(u, v): k for u, v, k in e.graph.recolored(c).edges}
+                              for c in (src, dst))
+    stab = [s.images for s in e._by_root[0] if _maps_coloring(s, src, src_colors)]
+    hits = (next((p.images for p in ps if _maps_coloring(p, src, dst_colors)), None)
+            for ps in e._by_root.values())  # each root's first hit, if any
+    keep = {tuple(map(a.__getitem__, s)) for a in hits if a is not None for s in stab}
+    return [(m, p) for m, p in e._isometries if p.images in keep]
 
 
 def geometric_symmetry_group(e, coloring=None):

@@ -290,6 +290,14 @@ def iter_colored_isomorphisms(g1, g2):
     in increasing order.  With g1 is g2 this enumerates the
     color-respecting automorphism group.
     """
+    order, rooted = _rooted_search(g1, g2)
+    for r in range(g2.n_vertices):  # every key starts with r: sorting per root is global
+        yield from sorted(rooted(r), key=lambda w: [w[0][x] for x in order])
+
+
+def _rooted_search(g1, g2):
+    """(g1's vertices in BFS order from 0, rooted): rooted(r) lazily yields
+    iter_colored_isomorphisms' witnesses with 0 -> r, in color-map order."""
     nbr1 = _color_neighbors(g1)
     if not g1.n_vertices:
         raise GraphError("graph has no vertices")
@@ -304,11 +312,11 @@ def iter_colored_isomorphisms(g1, g2):
                          % (len(order), g1.n_vertices))
     if (g1.n_vertices, g1.n_colors, len(g1.edges)) != (
             g2.n_vertices, g2.n_colors, len(g2.edges)):
-        return
+        return order, lambda r: iter(())
     try:
         nbr2 = _color_neighbors(g2)
     except GraphError:
-        return
+        return order, lambda r: iter(())
 
     # the tree maps its own edges; as the sizes agree and g2 is properly
     # colored, an injective map is an isomorphism when the others map too
@@ -323,8 +331,8 @@ def iter_colored_isomorphisms(g1, g2):
                      for c in range(g1.n_colors))
         plans.append((cmap, [(x, cmap[c], y) for x, c, y in tree],
                       [(u, cmap[c], v) for u, c, v in rest]))
-    for r in range(g2.n_vertices):
-        found = []
+
+    def rooted(r):
         for cmap, steps, checks in plans:
             vmap = [r] * g1.n_vertices
             for x, c, y in steps:
@@ -337,10 +345,9 @@ def iter_colored_isomorphisms(g1, g2):
                         break
                 else:
                     if len(set(vmap)) == len(vmap):
-                        found.append((tuple(vmap), cmap))
-        # every key starts with vmap[0] == r, so sorting per root is global
-        found.sort(key=lambda w: [w[0][x] for x in order])
-        yield from found
+                        yield tuple(vmap), cmap
+
+    return order, rooted
 
 
 def colored_isomorphism(g1, g2):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import component_labels, iter_colored_isomorphisms
+from .graph import _rooted_search, component_labels
 
 
 class NotAnAutomorphismError(ValueError):
@@ -157,9 +157,17 @@ def reduce_generators(elements):
 def color_respecting_automorphisms(g):
     """Automorphism group of a ColoredGraph, colors preserved up to a
     permutation of color names.  Each element is a vertex permutation;
-    the color maps stay in iter_colored_isomorphisms' witnesses.
+    the color maps stay in iter_colored_isomorphisms' witnesses.  Those
+    with 0 -> r are a * s for any one such a and every s fixing 0, so
+    every root but 0 is searched up to its first witness.
     """
-    elements = [VertexPermutation(vmap) for vmap, _ in iter_colored_isomorphisms(g, g)]
+    _, rooted = _rooted_search(g, g)
+    stab = [vmap for vmap, _ in rooted(0)]
+    elements = list(map(_trusted, stab))
+    for r in range(1, g.n_vertices):
+        a = next(rooted(r), None)  # a root with no witness is searched in full
+        if a is not None:
+            elements += (_trusted(tuple(map(a[0].__getitem__, s))) for s in stab)
     return PermutationGroup(reduce_generators(elements), elements=elements)
 
 

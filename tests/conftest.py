@@ -5,12 +5,15 @@ second) but session scope keeps the suite snappy and guarantees all
 tests look at the same instances.
 """
 
+import functools
+import itertools
+
 import pytest
 
-from chiralcube import (colourful_polytope, color_respecting_automorphisms,
-                        derive_chiral_colorings, geometric_symmetry_group,
-                        hemicube_embedding, hypercube_embedding,
-                        lift_double_cover)
+from chiralcube import (ColoredGraph, EmbeddedGraph, colourful_polytope,
+                        color_respecting_automorphisms, derive_chiral_colorings,
+                        geometric_symmetry_group, hemicube_embedding,
+                        hypercube_embedding, lift_double_cover)
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +76,29 @@ def H(cover):
 @pytest.fixture(scope="session")
 def GH(cover):
     return geometric_symmetry_group(cover)
+
+
+def _cube(n, projective):
+    """The n-cube, or its antipodal quotient, by the rule of
+    hypercube_embedding and hemicube_embedding with n in place of 4."""
+    reps = [tuple(1 - 2 * ((i >> k) & 1) for k in range(n)) for i in range(2 ** n)]
+    if projective:
+        reps = [(1,) + x[:-1] for x in reps[:2 ** (n - 1)]]
+    edges = []
+    for i, j in itertools.combinations(range(len(reps)), 2):
+        x, y = reps[i], reps[j]
+        diffs = [k for k in range(n) if x[k] != y[k]]
+        if projective and len(diffs) == n - 1:
+            diffs = [k for k in range(n) if x[k] == y[k]]  # a main diagonal
+        if len(diffs) == 1:
+            edges.append((i, j, diffs[0]))
+    return EmbeddedGraph(ColoredGraph(len(reps), n, tuple(edges)), tuple(reps),
+                         projective)
+
+
+@pytest.fixture(scope="session")
+def cube():
+    """cube(n, projective): the n-cube {4,3^(n-2)} with its edges colored
+    by direction, or its antipodal quotient, the hemi-n-cube; each built
+    once, so its isometry table is walked once."""
+    return functools.lru_cache(maxsize=None)(_cube)

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import chiralcube
-from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
+from chiralcube.classify import (DERIVED, CheckResult, VerificationReport, _turns,
                                  enantiomorph_check, verify_paper)
-from chiralcube.geometry import hypercube_embedding
-from chiralcube.graph import ColoredGraph
+from chiralcube.geometry import geometric_symmetry_group, hypercube_embedding
+from chiralcube.graph import ColoredGraph, enumerate_matching_colorings
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,23 @@ def test_no_twin_pair_reported_not_raised(hemi):
             assert not rows[key].passed, key
         r.to_text()
         r.to_json()
+
+
+def test_turns_match_every_determinant(hemi, cover, cube_embedding, GP, GQ, GH):
+    # _turns reads the determinants of the generators; the oracle reads
+    # the determinant of every element
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    cases = [(hemi, GP), (hemi, GQ), (cover, GH),
+             (cube_embedding, geometric_symmetry_group(cube_embedding))]
+    cases += [(hemi, geometric_symmetry_group(hemi, c)) for c in classes]
+    counts = []
+    for e, G in cases:
+        dets = [e.matrix(p).det() for p in G]
+        assert _turns(e, G) == (dets.count(1), dets.count(-1))
+        counts.append(dets.count(-1) > 0)
+    # 14 of the 24 classes hold no reflection; the others hold both kinds
+    assert counts[:4] == [True, False, False, True]
+    assert counts[4:28].count(False) == 14
 
 
 def test_enantiomorph_verdicts(hemi, twins):

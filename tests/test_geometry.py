@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiralcube.classify import _turns, verify_paper
 from chiralcube.geometry import (EmbeddedGraph, IsometryMatrix,
                                  affine_rank, all_signed_matrices,
                                  classes_hit_all_directions, cycle_holonomy,
@@ -20,7 +21,8 @@ from chiralcube.geometry import (EmbeddedGraph, IsometryMatrix,
                                  vertex_permutation)
 from chiralcube.graph import (ColoredGraph, GraphError,
                              components_by_colorset, enumerate_matching_colorings)
-from chiralcube.group import PermutationGroup, VertexPermutation
+from chiralcube.group import (PermutationGroup, VertexPermutation,
+                              color_respecting_automorphisms)
 from chiralcube.polytope import two_face_cycle
 
 
@@ -290,24 +292,6 @@ def test_embedding_rejects_noncanonical_reps(hemi):
 # ----------------------------------------------------- symmetry groups
 
 
-def _cube(n, projective):
-    """The n-cube, or its antipodal quotient, by the rule of
-    hypercube_embedding and hemicube_embedding with n in place of 4."""
-    reps = [tuple(1 - 2 * ((i >> k) & 1) for k in range(n)) for i in range(2 ** n)]
-    if projective:
-        reps = [(1,) + x[:-1] for x in reps[:2 ** (n - 1)]]
-    edges = []
-    for i, j in itertools.combinations(range(len(reps)), 2):
-        x, y = reps[i], reps[j]
-        diffs = [k for k in range(n) if x[k] != y[k]]
-        if projective and len(diffs) == n - 1:
-            diffs = [k for k in range(n) if x[k] == y[k]]  # a main diagonal
-        if len(diffs) == 1:
-            edges.append((i, j, diffs[0]))
-    return EmbeddedGraph(ColoredGraph(len(reps), n, tuple(edges)), tuple(reps),
-                         projective)
-
-
 def _dense_table(e):
     """The isometry table by walking every signed matrix whole."""
     return [(m, p) for m in all_signed_matrices(e.dimension, e.projective)
@@ -506,7 +490,7 @@ def test_unfaithful_action_is_refused():
     assert sorted(d for _, d in ex) == [-1, -1, 1, 1]
 
 
-def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding):
+def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding, cube):
     # the table composes each matrix's vertex permutation from its sign and
     # permutation factors; the oracle walks every matrix whole
     two = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 0), (-1, 0)), False)
@@ -520,12 +504,12 @@ def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding):
         assert e._isometries == _dense_table(e)
     sizes = {2: (8, 4), 3: (48, 24), 4: (384, 192), 5: (3840, 1920)}
     for n, want in sizes.items():
-        cubes = (_cube(n, False), _cube(n, True))
+        cubes = (cube(n, False), cube(n, True))
         assert tuple(len(e._isometries) for e in cubes) == want
         for e in cubes:
             assert e._isometries == _dense_table(e)
-    assert _cube(4, False).coords == cube_embedding.coords
-    assert _cube(4, True).graph == hemi.graph and _cube(4, True).coords == hemi.coords
+    assert cube(4, False).coords == cube_embedding.coords
+    assert cube(4, True).graph == hemi.graph and cube(4, True).coords == hemi.coords
 
 
 def test_isometry_tables_walk_only_the_factors(monkeypatch):
@@ -585,10 +569,10 @@ def test_holonomy_invariance(hemi, Q):
 # ------------------------------------------------------------- lifting
 
 
-def test_regular_lift_is_the_hypercube(hemi):
-    lifted, cube = lift_double_cover(hemi, hemi.direction_coloring), _cube(4, False)
-    assert lifted.graph == cube.graph
-    assert lifted.coords == cube.coords
+def test_regular_lift_is_the_hypercube(hemi, cube):
+    lifted, built = lift_double_cover(hemi, hemi.direction_coloring), cube(4, False)
+    assert lifted.graph == built.graph
+    assert lifted.coords == built.coords
     assert not lifted.projective
 
 
@@ -814,3 +798,168 @@ def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embeddi
                       (hemi, flat, reg)):
         expected = [(m, m.det()) for _, m in _brute_force_scan(e, c1, c2)]
         assert exchanging_isometries(e, c1, c2) == expected
+
+
+def _takes(images, src, dst_color):
+    """Does the vertex map `images` carry coloring src onto the coloring
+    whose edge -> color dict is dst_color, up to a bijective renaming?"""
+    renaming = set()
+    for u, v, c in src.edges:
+        a, b = images[u], images[v]
+        renaming.add((c, dst_color.get((a, b) if a < b else (b, a))))
+    sources, targets = {c for c, _ in renaming}, {d for _, d in renaming}
+    return None not in targets and len(sources) == len(targets) == len(renaming)
+
+
+def _every_entry_filter(e, src, dst):
+    """The entries of e's isometry table that take coloring src to dst up
+    to renaming colors, each entry tested on its own, in table order."""
+    dst_color = {(u, v): c for u, v, c in dst.edges}
+    return [(m, p) for m, p in e._isometries if _takes(p.images, src, dst_color)]
+
+
+def _marked(e, i):
+    """e's edges in color 0, but for edge i, in color 1: its isometries
+    keep that edge, so they do not act transitively on the vertices."""
+    return ColoredGraph(e.graph.n_vertices, 2, tuple(
+        (u, v, int(j == i)) for j, (u, v) in enumerate(e.graph.edge_pairs)))
+
+
+def test_isometry_scans_match_every_entry_filter(hemi, twins, cover):
+    # the scans test the entries fixing vertex 0 against src, each other
+    # image of vertex 0 up to its first hit, and compose the two; the
+    # oracle tests every entry of the table
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    mirror_cover = lift_double_cover(hemi, twins[1]).graph
+    shapes = []  # (order, size of the orbit of vertex 0)
+    for e, c in ([(hemi, c) for c in classes] + [(cover, cover.graph)]
+                 + [(e, _marked(e, 0)) for e in (hemi, cover)]):
+        want = _every_entry_filter(e, c, c)
+        G = geometric_symmetry_group(e, c)
+        assert len(want) == G.order
+        assert {p: e.matrix(p) for p in G} == {p: m for m, p in want}
+        assert exchanging_isometries(e, c, c) == [(m, m.det()) for m, _ in want]
+        shapes.append((G.order, len({p(0) for p in G})))
+    # every colouring class is vertex-transitive; the marked edges are not
+    assert Counter(shapes[:24]) == {(16, 8): 12, (32, 8): 6, (64, 8): 3,
+                                    (96, 8): 2, (192, 8): 1}
+    assert shapes[24:] == [(192, 16), (12, 2), (12, 2)]
+    sizes = []
+    for e, c1, c2 in ((hemi, twins[0], twins[1]), (cover, cover.graph, mirror_cover),
+                      (hemi, classes[0], classes[1]), (hemi, classes[1], classes[0]),
+                      (hemi, _marked(hemi, 0), _marked(hemi, 5)),
+                      (cover, _marked(cover, 0), _marked(cover, 9))):
+        want = _every_entry_filter(e, c1, c2)
+        assert exchanging_isometries(e, c1, c2) == [(m, m.det()) for m, _ in want]
+        sizes.append(len(want))
+    # a coset of each stabilizer, or nothing between different classes
+    assert sizes == [96, 192, 0, 0, 12, 12]
+
+
+def test_cube_symmetry_closed_forms(cube):
+    # the n-cube {4,3^(n-2)} has 2^n n! automorphisms, all of them
+    # isometries, and the hemi-n-cube half as many (McMullen and Schulte,
+    # Abstract Regular Polytopes, 6C); at rank 5 each stabilizer of
+    # vertex 0 holds 5! = 120 of them
+    for n in (3, 4, 5):
+        for projective in (False, True):
+            e = cube(n, projective)
+            want = 2 ** n * math.factorial(n) // (1 + projective)
+            A = color_respecting_automorphisms(e.graph)
+            G = geometric_symmetry_group(e)
+            every = _every_entry_filter(e, e.graph, e.graph)
+            assert A.order == G.order == len(every) == want
+            assert set(A) == set(G) == {p for _, p in every}
+            if projective and n % 2:  # -m and m have opposite determinants
+                with pytest.raises(ValueError, match="ambiguous"):
+                    _turns(e, G)
+            else:
+                dets = [e.matrix(p).det() for p in G]
+                assert _turns(e, G) == (dets.count(1), dets.count(-1)) \
+                    == (want // 2, want // 2)
+
+
+# The four mutually orthogonal vertices of {1,-1}^4 (rows of a Hadamard
+# matrix), each of squared norm 4.
+HADAMARD = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def _hadamard_isometries(points):
+    """(det, vertex permutation) for every linear isometry of R^4 that
+    maps `points` onto itself, found without presuming signed permutation
+    matrices.  An isometry M sends the Hadamard vertices a_i to points b_i
+    with the same inner products, and then M = 1/4 sum_i b_i a_i^T; so each
+    such frame b gives N = 4M in integers, kept when N x / 4 is a point
+    for every point x."""
+    index = {x: i for i, x in enumerate(points)}
+    dot = lambda x, y: sum(s * t for s, t in zip(x, y))
+    frames = [()]
+    for a in HADAMARD:
+        frames = [f + (b,) for f in frames for b in points
+                  if all(dot(b, c) == dot(a, d) for c, d in zip(f + (b,), HADAMARD))]
+    out = []
+    for f in frames:
+        rows = [[sum(b[i] * a[j] for a, b in zip(HADAMARD, f)) for j in range(4)]
+                for i in range(4)]
+        images = []
+        for x in points:
+            y = tuple(dot(r, x) for r in rows)
+            if any(c % 4 for c in y) or tuple(c // 4 for c in y) not in index:
+                break
+            images.append(index[tuple(c // 4 for c in y)])
+        else:
+            det = _dense_det(rows)
+            assert det in (256, -256)  # det N = 4^4 det M
+            out.append((det // 256, tuple(images)))
+    return out
+
+
+def test_isometries_from_hadamard_frames_match_the_report(
+        hemi, twins, cover, cube_embedding, GP, GQ, GH):
+    points = cover.coords
+    assert points == cube_embedding.coords
+    found = _hadamard_isometries(points)
+    assert len(found) == 384 and len({p for _, p in found}) == 384
+    rows = {c.key: c.computed for c in verify_paper().checks}
+
+    def kept(src, dst):
+        dst_color = {(u, v): c for u, v, c in dst.edges}
+        return [(d, p) for d, p in found if _takes(p, src, dst_color)]
+
+    def turns(pairs):
+        dets = [d for d, _ in pairs]
+        return dets.count(1), dets.count(-1)
+
+    # Q-hat and the 4-cube, on their own 16 points
+    hat = kept(cover.graph, cover.graph)
+    assert (len(hat), turns(hat)) == (rows["qhat.geo_order"], rows["qhat.rotations_only"]) \
+        == (192, (192, 0))
+    assert {p for _, p in hat} == {p.images for p in GH}
+    whole = kept(cube_embedding.graph, cube_embedding.graph)
+    assert turns(whole) == (192, 192)
+    assert {p for _, p in whole} == {
+        p.images for p in geometric_symmetry_group(cube_embedding)}
+
+    # P, Q and the mirror on sign classes: -I fixes every class and has
+    # det +1, so M and -M act alike with one determinant
+    where, quotient = ({x: i for i, x in enumerate(xs)} for xs in (points, hemi.coords))
+    canon = lambda x: x if x[0] > 0 else tuple(-c for c in x)
+    on_classes = {p: tuple(quotient[canon(points[p[where[x]]])] for x in hemi.coords)
+                  for _, p in found}
+
+    def classes(src, dst):
+        dst_color = {(u, v): c for u, v, c in dst.edges}
+        out = {on_classes[p]: d for d, p in found
+               if _takes(on_classes[p], src, dst_color)}
+        return set(out), turns((d, p) for p, d in out.items())
+
+    reg = hemi.graph
+    GM = geometric_symmetry_group(hemi, twins[1])
+    for c, G, order, counts, want in (
+            (reg, GP, rows["p.geo_order"], rows["p.geo_reflections"], (192, (96, 96))),
+            (twins[0], GQ, rows["q.geo_order"], rows["q.rotations_only"], (96, (96, 0))),
+            (twins[1], GM, GM.order, _turns(hemi, GM), (96, (96, 0)))):
+        elements, split = classes(c, c)
+        assert (len(elements), split) == (order, counts) == want
+        assert elements == {p.images for p in G}
+    assert classes(twins[0], twins[1])[1] == rows["colorings.exchange_counts"] == (0, 96)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from chiralcube.graph import GraphError, iter_colored_isomorphisms
+from chiralcube.graph import (GraphError, enumerate_matching_colorings,
+                              iter_colored_isomorphisms)
 from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               VertexPermutation, chain_stabilizer,
                               classify_symmetry,
@@ -457,6 +458,31 @@ def test_automorphisms_match_networkx_vf2(hemi, twins, cover):
         assert len(want) == A.order == 192
         assert {vmap for vmap, _ in want} == {p.images for p in A}
         assert vf2_pairs(g) == want
+
+
+# Colouring classes of the 4-cube skeleton (indices into its census up to
+# colour renaming) whose stabilizer of vertex 0 is not normal in their
+# automorphism group, so that a * S and S * a differ for some a.
+NON_NORMAL_CUBE_CLASSES = (26, 38, 41, 46, 58, 131, 147, 166, 167, 177)
+
+
+def test_automorphisms_match_every_witness(hemi, twins, cover, cube_embedding):
+    # the group composes one witness per root with the witnesses fixing
+    # vertex 0, as a[s[x]]; the oracle reads every witness of the search
+    skeleton = cube_embedding.graph
+    classes = enumerate_matching_colorings(skeleton, up_to_color_permutation=True)
+    assert len(classes) == 1840
+    picked = [skeleton.recolored(classes[i]) for i in NON_NORMAL_CUBE_CLASSES]
+    for g in [hemi.graph, hemi.graph.recolored(twins[0]), cover.graph, skeleton] + picked:
+        A = color_respecting_automorphisms(g)
+        want = sorted(vmap for vmap, _ in iter_colored_isomorphisms(g, g))
+        assert [p.images for p in A] == want
+    for g in picked:  # the inputs tell a[s[x]] from s[a[x]]
+        autos = [vmap for vmap, _ in iter_colored_isomorphisms(g, g)]
+        stab = [s for s in autos if s[0] == 0]
+        assert len(autos) > len(stab) > 1
+        assert any({tuple(a[x] for x in s) for s in stab}
+                   != {tuple(s[x] for x in a) for s in stab} for a in autos)
 
 
 # ----------------------------------------- chirality by distinguished generators

@@ -43,18 +43,39 @@ read from the cycle count of the permutation among them, against dense
 integer matrices (it skips, and so fails this gate, when hypothesis is
 not installed); the test that checks the order tables each section
 inherits from its parent against those of its faces built afresh, over
-every interval of P, Q, Q-hat and the 4-cube; and the test that checks
+every interval of P, Q, Q-hat and the 4-cube; the test that checks
 each coloring the matching-coloring search builds, without validating
-it again, against the graph that validating its edge list gives.
+it again, against the graph that validating its edge list gives; the
+test that checks each automorphism group, composed from one witness
+per image of vertex 0 and the witnesses fixing vertex 0, against every
+witness of the search, on colorings of the 4-cube whose stabilizer of
+vertex 0 is not normal; the test that checks the isometry scans,
+composed the same way from the table entries, against a filter that
+tests every table entry, on all 24 coloring classes of the quotient,
+on colorings that are not vertex-transitive and on pairs with no
+isometry between them; the test that checks the rotation and
+reflection counts, read from the generators' determinants, against the
+determinant of every element; the test that checks the automorphism
+and isometry groups of the n-cubes and hemi-n-cubes, n = 3, 4, 5,
+against their closed-form orders and the every-entry filter; and the
+test that checks the isometry rows of the report against isometries
+found from frames of Hadamard vertices, with no signed permutation
+matrix presumed.
 
-After its verdict the gate prints the wall time of the pytest run and the
-line count of the Python sources under src/, as wc -l counts them.
+After its verdict the gate prints the wall time of the pytest run, that
+time on the benchmark's clock, and the line count of the Python sources
+under src/, as wc -l counts them.  The clock is benchmark/run.py's: the
+wall time scaled by REF_S / r, where r is the mean of two timings of its
+fixed reference work (reference_seconds), one taken just before the run
+and one just after, so that runs on a machine whose speed drifts can be
+compared.
 
     python3 tools/tier1_gate.py
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -83,8 +104,24 @@ REQUIRED = (
     ("tests.test_geometry", "test_signed_permutations_match_dense_matrices"),
     ("tests.test_flag_connectivity", "test_section_tables_match_fresh_build"),
     ("tests.test_graph", "test_enumerated_colorings_equal_validated_graphs"),
+    ("tests.test_group", "test_automorphisms_match_every_witness"),
+    ("tests.test_geometry", "test_isometry_scans_match_every_entry_filter"),
+    ("tests.test_classify", "test_turns_match_every_determinant"),
+    ("tests.test_geometry", "test_cube_symmetry_closed_forms"),
+    ("tests.test_geometry",
+     "test_isometries_from_hadamard_frames_match_the_report"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def benchmark_clock():
+    """benchmark/run.py, imported by path: its reference_seconds and REF_S."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", ROOT / "benchmark" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.dont_write_bytecode = True  # leave no cache file under benchmark/
+    spec.loader.exec_module(run)
+    return run
 
 
 def outcomes(report):
@@ -111,9 +148,12 @@ def main():
         p for p in ("src", env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "tier1.xml")
+        clock = benchmark_clock()
+        ref_before = clock.reference_seconds()
         start = time.perf_counter()
         run = subprocess.run(TIER1 + ["--junitxml", report], cwd=ROOT, env=env)
         wall = time.perf_counter() - start
+        ref = (ref_before + clock.reference_seconds()) / 2
         if not os.path.exists(report):
             print("tier1 gate: pytest wrote no report (exit %d)" % run.returncode)
             return 1
@@ -132,8 +172,9 @@ def main():
           % (len(results), len(failed), "FAIL" if problems else "ok"))
     src_lines = sum(path.read_bytes().count(b"\n")
                     for path in (ROOT / "src").rglob("*.py"))
-    print("tier1 gate: pytest took %.1f s wall; src/ has %d lines"
-          % (wall, src_lines))
+    print("tier1 gate: pytest took %.1f s wall, %.1f s scaled (reference %.1f ms"
+          " against REF_S %.1f ms); src/ has %d lines"
+          % (wall, wall * clock.REF_S / ref, ref * 1e3, clock.REF_S * 1e3, src_lines))
     return 1 if problems else 0
 
 

@@ -21,12 +21,12 @@ from fractions import Fraction
 from .graph import (GraphError, colored_isomorphism, component_labels,
                     enumerate_matching_colorings, validate)
 from .group import (chain_stabilizer, classify_symmetry,
-                    color_respecting_automorphisms, induced_face_action)
-from .geometry import (EmbeddedGraph, affine_rank, cycle_holonomy,
-                       classes_hit_all_directions, derive_chiral_colorings,
-                       exchanging_isometries, geometric_symmetry_group,
-                       hemicube_embedding, lift_double_cover, rotation_profile,
-                       squares_see_all_colors)
+                    color_respecting_automorphisms, induced_face_action,
+                    reduce_generators)
+from .geometry import (EmbeddedGraph, _maps_coloring, affine_rank, cycle_holonomy,
+                       classes_hit_all_directions, exchanging_isometries,
+                       geometric_symmetry_group, hemicube_embedding,
+                       lift_double_cover, rotation_profile, squares_see_all_colors)
 from .polytope import (check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycles)
 
@@ -129,6 +129,19 @@ def _turns(e, G):
     of G reverses orientation when a generator does, and none otherwise."""
     rot = G.order // 2 if any(e.matrix(g).det() == -1 for g in G.generators) else G.order
     return rot, G.order - rot
+
+
+def _chiral_under(e, G, colorings):
+    """The colorings kept by every rotation in G and by no reflection, up
+    to renaming colors.  The rotations have index 2 in G, so their
+    generators and any one reflection decide; none without a reflection."""
+    dets = [e.matrix(p).det() for p in G]
+    rotations = reduce_generators([p for p, d in zip(G, dets) if d == 1])
+    flips = [p for p, d in zip(G, dets) if d == -1][:1]
+    dsts = [{(u, v): k for u, v, k in c.edges} for c in colorings]
+    return [c for c, dst in zip(colorings, dsts) if flips
+            and all(_maps_coloring(p, c, dst) for p in rotations)
+            and not _maps_coloring(flips[0], c, dst)]
 
 
 def _facets(p):
@@ -240,15 +253,14 @@ def verify_paper(*, coloring=None, base_graph=None):
         (96, 96), _turns(e, GP))
 
     # -------------------------------------------------- the coloring search
-    twins = derive_chiral_colorings(e)
-    add("colorings.twin_count",
-        "exactly two direction-transversal colorings up to renaming colors",
-        "it admits two chiral colourings",
-        2, len(twins))
-
     every = enumerate_matching_colorings(g, up_to_color_permutation=True)
     by_a = [c for c in every if classes_hit_all_directions(e, c)]
     by_b = [c for c in every if squares_see_all_colors(e, c)]
+    twins = _chiral_under(e, GP, every)  # the twins by the paper's rule
+    add("colorings.twin_count",
+        "exactly two direction-transversal colorings up to renaming colors",
+        "it admits two chiral colourings",
+        2, len(by_a))
     add("colorings.filter_transversal",
         "keeping colorings whose classes meet every direction finds the twins",
         "each colour has an edge in each direction",

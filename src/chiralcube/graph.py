@@ -153,10 +153,7 @@ def validate(g):
                                 % (c, x))
             seen_at[x].add(c)
     for c in range(g.n_colors):
-        covered = set()
-        for u, v, cc in g.edges:
-            if cc == c:
-                covered.update((u, v))
+        covered = {x for u, v, cc in g.edges if cc == c for x in (u, v)}
         if len(covered) != g.n_vertices:
             problems.append("color %d covers %d of %d vertices (not a perfect matching)"
                             % (c, len(covered), g.n_vertices))

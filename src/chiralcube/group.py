@@ -175,13 +175,10 @@ def color_respecting_automorphisms(g):
 
 
 def _face_image(p, f, sigma):
-    """Id of the image of face f under sigma, or None if not a face.
-    Only the half of the key that Polytope.face_index reads is built."""
+    """Id of the image of face f under sigma, or None if not a face."""
     im = sigma.images
-    if f.rank <= 0:
-        return p.face_index(f.rank, frozenset(map(im.__getitem__, f.vertices)), None)
-    es = ((im[u], im[v]) for u, v in f.edges)
-    return p.face_index(f.rank, None, frozenset((a, b) if a < b else (b, a) for a, b in es))
+    es = ((im[u], im[v]) for u, v in f.key)
+    return p.face_index(f.rank, frozenset((a, b) if a < b else (b, a) for a, b in es))
 
 
 def induced_face_action(p, sigma):
@@ -210,14 +207,12 @@ def flag_orbits(p, G):
     Returns a tuple of orbits, each a sorted tuple of flag indices,
     ordered by least index; so orbit ids are deterministic.
     """
-    fg, m = p.flag_graph(), len(p.faces)
-    cols, images = list(zip(*fg.flags))[::-1], []
-    for g in G.generators:  # image codes sum a[fl[r]] m^r, by Horner's rule
-        a, codes = induced_face_action(p, g).images, [0] * len(fg.flags)
-        for col in cols:
-            codes = [c * m + a[f] for c, f in zip(codes, col)]
-        images.append(map(fg.by_code.__getitem__, codes))
-    label = component_labels(list(zip(*images)))
+    fg = p.flag_graph()
+    cols = list(zip(*fg.flags))  # the image flags are built column-wise
+    images = [map(fg.index.__getitem__, zip(*(map(a.__getitem__, c) for c in cols)))
+              for a in (induced_face_action(p, g).images for g in G.generators)]
+    # a rank-0 poset has no columns: its one flag, (), is its own image
+    label = component_labels(list(zip(*images)) or [()] * len(fg.flags))
     orbits = {}
     for j, root in enumerate(label):
         orbits.setdefault(root, []).append(j)
@@ -255,8 +250,8 @@ def chain_stabilizer(p, G, chain):
     """Subgroup of G fixing each face in `chain` (ids of pairwise
     incident faces).  ValueError if two chain faces are incomparable;
     NotAnAutomorphismError if G does not act on p's faces.  Once G acts,
-    g fixes face f exactly when it maps into f the half of f's key that
-    face_index reads: the vertices (rank <= 0) or the edges of f."""
+    g fixes face f exactly when it maps the pairs of f.key into f.key,
+    either way round."""
     chain = tuple(chain)
     for a in chain:
         for b in chain:
@@ -264,9 +259,8 @@ def chain_stabilizer(p, G, chain):
                 raise ValueError("faces %d and %d are not incident" % (a, b))
     for g in G.generators:  # automorphisms compose: this checks all of G
         induced_face_action(p, g)
-    tests = []  # per chain face: its pairs, both ways round, and their two ends
-    for f in map(p.faces.__getitem__, chain):
-        pairs = [(v, v) for v in f.vertices] if f.rank <= 0 else list(f.edges)
+    tests = []  # per chain face: its key, both ways round, and its two ends
+    for pairs in (list(p.faces[c].key) for c in chain):
         tests.append((set(pairs).union((b, a) for a, b in pairs),
                       [a for a, _ in pairs], [b for _, b in pairs]))
     keep = [g for g in G.elements

@@ -33,11 +33,11 @@ class Face:
     vertices: frozenset
     edges: frozenset  # endpoint pairs (u, v), u < v
 
-
-def _face_key(rank, vertices, edges):
-    # rank >= 1 faces are determined by their edge set (a component uses
-    # every one of its colors at every vertex); vertices key the rest
-    return (rank, frozenset(vertices)) if rank <= 0 else (rank, frozenset(edges))
+    @property
+    def key(self):
+        """The pairs naming this face within its rank: its edges from rank 1
+        up (a component uses all its colors at every vertex), else (v, v)."""
+        return self.edges if self.rank > 0 else frozenset((v, v) for v in self.vertices)
 
 
 class Polytope:
@@ -58,7 +58,7 @@ class Polytope:
         for f in self.faces:
             self._by_rank.setdefault(f.rank, []).append(f.id)
         # keys seen twice are ambiguous; only unique keys are indexed
-        keys = [_face_key(f.rank, f.vertices, f.edges) for f in self.faces]
+        keys = [(f.rank, f.key) for f in self.faces]
         counts = Counter(keys)
         self._index = {k: i for i, k in enumerate(keys) if counts[k] == 1}
         self._actions = {}  # group.induced_face_action: vertex images -> face action
@@ -68,9 +68,9 @@ class Polytope:
     def faces_of_rank(self, r):
         return tuple(self._by_rank.get(r, ()))
 
-    def face_index(self, rank, vertices, edges):
-        """Id of the face of this rank with these vertices (rank <= 0) or edges, or None."""
-        return self._index.get(_face_key(rank, vertices, edges))
+    def face_index(self, rank, key):
+        """Id of the face of this rank whose Face.key is key, or None."""
+        return self._index.get((rank, key))
 
     def leq(self, i, j):
         return j in self._ups[i]
@@ -157,13 +157,13 @@ class FlagGraph:
     """All flags of a polytope with their i-adjacency involutions.
 
     A flag is a tuple of proper face ids, one per rank 0..n-1 (improper
-    faces are in every flag and omitted).  by_code maps the code
-    sum fl[i] m^i of flag fl, m the number of faces, to its position j.
-    adj[j][i] is the unique flag differing from flag j exactly in rank i.
+    faces are in every flag and omitted).  index maps each flag to its
+    position j.  adj[j][i] is the unique flag differing from flag j
+    exactly in rank i.
     """
 
     flags: tuple
-    by_code: dict
+    index: dict
     adj: tuple
 
 
@@ -177,8 +177,9 @@ def _bottom_top(p):
 
 
 def _build_flag_graph(p):
-    """Flags grown one rank at a time, in increasing order; an i-adjacent
-    flag swaps fl[i] for its diamond partner, found by code sum fl[i] n^i."""
+    """Flags grown one rank at a time, in increasing order; the i-adjacent
+    flags, fl[i] swapped for its diamond partner, looked up column-wise.
+    A rank-0 poset has no columns, and its one flag () no neighbours."""
     bottom, top = _bottom_top(p)
     ups, diamonds = p._ups, p._diamonds
     for f in p.faces_of_rank(0):
@@ -191,21 +192,21 @@ def _build_flag_graph(p):
         chains = [c + (g,) for c in chains for g in nxt[c[-1]]]
     flags = [c[1:] for c in chains if top in ups[c[-1]]]
 
-    weights = [len(p.faces) ** i for i in range(p.rank)]
-    codes = [sum(map(int.__mul__, fl, weights)) for fl in flags]
-    by_code = {c: i for i, c in enumerate(codes)}
-    adj = []
-    for fl, code in zip(flags, codes):
-        chain, row = (bottom, *fl, top), []
-        for i, w in enumerate(weights):
+    index = {fl: j for j, fl in enumerate(flags)}
+    partners = [[] for _ in range(p.rank)]
+    for fl in flags:
+        chain = (bottom, *fl, top)
+        for i, col in enumerate(partners):
             mids = diamonds[chain[i], chain[i + 2]]
             if len(mids) != 2:
                 raise GraphError(
                     "diamond fails between faces %d and %d: %d alternatives"
                     % (chain[i], chain[i + 2], len(mids)))
-            row.append(by_code[code + (mids[0] + mids[1] - 2 * fl[i]) * w])
-        adj.append(tuple(row))
-    return FlagGraph(tuple(flags), by_code, tuple(adj))
+            col.append(mids[0] + mids[1] - fl[i])
+    cols = list(zip(*flags))
+    adj = zip(*(map(index.__getitem__, zip(*cols[:i], col, *cols[i + 1:]))
+                for i, col in enumerate(partners)))
+    return FlagGraph(tuple(flags), index, tuple(adj) or ((),) * len(flags))
 
 
 # ------------------------------------------------------------- builders
@@ -359,13 +360,8 @@ def canonical_cycle(cycle):
     """Least representative of a cyclic sequence under rotation and
     reversal; makes cycles comparable as plain tuples."""
     cycle = tuple(cycle)
-    best = None
-    for seq in (cycle, cycle[::-1]):
-        for s in range(len(seq)):
-            cand = seq[s:] + seq[:s]
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min((seq[s:] + seq[:s] for seq in (cycle, cycle[::-1])
+                for s in range(len(seq))), default=None)
 
 
 def petrie_polygons(p):

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import chiralcube
-from chiralcube.classify import (DERIVED, CheckResult, VerificationReport, _turns,
-                                 enantiomorph_check, verify_paper)
+from chiralcube import geometry
+from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
+                                 _chiral_under, _turns, enantiomorph_check,
+                                 verify_paper)
 from chiralcube.geometry import geometric_symmetry_group, hypercube_embedding
 from chiralcube.graph import ColoredGraph, enumerate_matching_colorings
 
@@ -155,6 +157,42 @@ def test_turns_match_every_determinant(hemi, cover, cube_embedding, GP, GQ, GH):
     # 14 of the 24 classes hold no reflection; the others hold both kinds
     assert counts[:4] == [True, False, False, True]
     assert counts[4:28].count(False) == 14
+
+
+def test_twins_are_kept_by_the_rotations_alone(hemi, twins, GP, GQ):
+    # the report's twins: the classes kept by every rotation of P and by
+    # no reflection; a group holding no reflection picks none
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    assert _chiral_under(hemi, GP, classes) == twins
+    assert _chiral_under(hemi, GQ, classes) == []
+    for c in classes:  # the oracle scans each class's own isometries
+        G = geometric_symmetry_group(hemi, c)
+        dets = {hemi.matrix(p).det() for p in G}
+        assert (c in twins) == (G.order == 96 and dets == {1})
+
+
+def test_filter_rows_fail_when_a_property_keeps_one_class_more(hemi, monkeypatch):
+    # each filter row compares the classes its property keeps with the
+    # twins picked by their symmetry, so a property that keeps one class
+    # more, wherever the package binds it, fails its row and not the other
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    rows = {"classes_hit_all_directions": "colorings.filter_transversal",
+            "squares_see_all_colors": "colorings.filter_squares"}
+    for name, row in rows.items():
+        prop = getattr(geometry, name)
+        extra = next(c for c in classes if not prop(hemi, c))
+
+        def keeps_one_more(e, c, prop=prop, extra=extra):
+            return prop(e, c) or c == extra
+        with monkeypatch.context() as m:
+            for mod in [chiralcube] + [v for k, v in sys.modules.items()
+                                       if k.startswith("chiralcube.")]:
+                if getattr(mod, name, None) is prop:
+                    m.setattr(mod, name, keeps_one_more)
+            passed = {c.key: c.passed for c in verify_paper().checks}
+        assert [passed[r] for r in rows.values()] == [r != row for r in rows.values()]
+        assert not passed["colorings.properties_agree"]
+        assert passed["colorings.twin_count"] == (name == "squares_see_all_colors")
 
 
 def test_enantiomorph_verdicts(hemi, twins):

@@ -273,9 +273,7 @@ def _flag_graph_by_between(p):
                     % (lo, hi, len(mids) + 1))
             row.append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
         adj.append(tuple(row))
-    by_code = {sum(f * len(p.faces) ** r for r, f in enumerate(fl)): j
-               for fl, j in index.items()}
-    return FlagGraph(tuple(flags), by_code, tuple(adj))
+    return FlagGraph(tuple(flags), index, tuple(adj))
 
 
 @functools.cache
@@ -334,7 +332,7 @@ def _flag_graph_or_error(build, p):
         fg = build(p)
     except GraphError as e:
         return str(e)
-    return fg.flags, fg.by_code, fg.adj
+    return fg.flags, fg.index, fg.adj
 
 
 def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):

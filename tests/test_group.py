@@ -12,6 +12,7 @@ from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               classify_symmetry,
                               color_respecting_automorphisms, flag_orbits,
                               induced_face_action, reduce_generators)
+from chiralcube.polytope import colourful_polytope
 
 
 # -------------------------------------------------------- permutations
@@ -256,13 +257,31 @@ def _element_orbits(p, G):
     return tuple(orbits.values())
 
 
-def test_flag_orbits_match_element_oracle(P, AP, Q, GQ, H, GH):
+def test_flag_orbits_match_element_oracle(P, AP, Q, GQ, H, GH, cube):
+    # image flags are looked up with one column per rank: 0 to 5 columns
+    # over sections of Q, the 3-cube, Q and the hemi-5-cube
     triv = PermutationGroup([VertexPermutation.identity(8)])
-    for p, G, sizes in ((P, AP, [192]), (Q, GQ, [96, 96]), (H, GH, [192, 192]),
-                        (Q, triv, [1] * 192)):
+    cases = [(P, AP, [192]), (Q, GQ, [96, 96]), (H, GH, [192, 192]),
+             (Q, triv, [1] * 192)]
+    bottom, top = Q.faces_of_rank(-1)[0], Q.faces_of_rank(4)[0]
+    v = Q.faces_of_rank(0)[0]
+    e = next(i for i in Q.faces_of_rank(1) if Q.leq(v, i))
+    f2 = next(i for i in Q.faces_of_rank(2) if Q.leq(e, i))
+    f3 = next(i for i in Q.faces_of_rank(3) if Q.leq(f2, i))
+    for lo, hi, sizes in ((v, e, [1]), (v, f2, [2]), (bottom, f2, [8]),
+                          (v, f3, [3, 3]), (e, top, [6]), (bottom, f3, [24, 24]),
+                          (v, top, [12, 12])):
+        cases.append((Q.section(lo, hi), chain_stabilizer(Q, GQ, [lo, hi]), sizes))
+    cube3 = cube(3, False)
+    cases.append((colourful_polytope(cube3.graph),
+                  color_respecting_automorphisms(cube3.graph), [48]))
+    cases.append((colourful_polytope(cube(5, True).graph),
+                  PermutationGroup([VertexPermutation.identity(16)]), [1] * 1920))
+    for p, G, sizes in cases:
         orbits = flag_orbits(p, G)
         assert orbits == _element_orbits(p, G)
         assert sorted(len(o) for o in orbits) == sizes
+    assert [p.rank for p, _, _ in cases] == [4, 4, 4, 4, 0, 1, 2, 2, 2, 3, 3, 3, 5]
 
 
 # -------------------------------------------------------- stabilizers
@@ -501,8 +520,7 @@ def test_schulte_weiss_distinguished_generators(H, GH):
 
     def taking_base_to(j):
         return [g for g, a in actions.items()
-                if fg.by_code[sum(a(f) * len(H.faces) ** r
-                                  for r, f in enumerate(fg.flags[0]))] == j]
+                if fg.index[tuple(map(a, fg.flags[0]))] == j]
 
     sigmas = [taking_base_to(fg.adj[fg.adj[0][i - 1]][i])
               for i in (1, 2, 3)]

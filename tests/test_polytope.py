@@ -96,7 +96,7 @@ def test_rank_zero_section_has_one_empty_flag(P):
     e = P.faces_of_rank(1)[0]
     v = next(i for i in P.faces_of_rank(0) if P.leq(i, e))
     fg = P.section(v, e).flag_graph()
-    assert (fg.flags, fg.by_code, fg.adj) == (((),), {0: 0}, ((),))
+    assert (fg.flags, fg.index, fg.adj) == (((),), {(): 0}, ((),))
 
 
 def test_flag_adjacency_changes_one_rank(P):

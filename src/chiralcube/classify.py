@@ -1,9 +1,9 @@
 """One-shot mechanical verification of the whole construction.
 
-verify_paper() rebuilds everything from scratch: the quotient-cube graph,
-its regular polytope, the exhaustive coloring search, the chiral twin and
-its mirror, the symmetry groups and their matrices, the zigzag polygon
-exchange, the sign holonomy, and the double cover with its helical faces.
+verify_paper() rebuilds on each call the quotient-cube graph, its regular
+polytope, the exhaustive coloring search, the chiral twin and its mirror,
+the symmetry groups, the zigzag polygon exchange, the sign holonomy and
+the double cover; isometry tables alone are built once per point set per process.
 Each claim becomes one report row with the expected and computed values;
 a failure is recorded in its row, never raised, so the report always
 completes as far as the data allows.

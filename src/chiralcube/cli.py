@@ -92,11 +92,11 @@ def cmd_colorings(args):
         }
 
     regular = row(e.direction_coloring)
-    twins = [row(c) for c in derive_chiral_colorings(e)]
     found = enumerate_matching_colorings(
         e.graph, up_to_color_permutation=args.up_to_color_permutation)
     rows = [row(c) for c in found]
-    n_chiral = sum(1 for r in rows if r["transversal_to_directions"])
+    chiral = [(c, r) for c, r in zip(found, rows) if r["transversal_to_directions"]]
+    twins = [r for c, r in chiral if c == c.canonical()]  # one row per class
     if args.format == "json":
         data = {
             "edge_order": [list(pr) for pr in e.graph.edge_pairs],
@@ -104,7 +104,7 @@ def cmd_colorings(args):
             "twins": twins,
             "up_to_color_permutation": args.up_to_color_permutation,
             "n_colorings": len(rows),
-            "n_transversal": n_chiral,
+            "n_transversal": len(chiral),
             "colorings": rows,
         }
         _emit(_dump_json(data), args.output)
@@ -119,12 +119,11 @@ def cmd_colorings(args):
                  "(a) each color class has an edge in every direction,",
                  "(b) every square of the regular polytope shows all four colors:",
                  named("regular", regular),
-                 named("twin", twins[0]) if len(twins) > 0 else "  twin     (missing)",
-                 named("mirror", twins[1]) if len(twins) > 1 else "  mirror   (missing)",
+                 named("twin", twins[0]), named("mirror", twins[1]),
                  "",
                  "exhaustive matching 4-coloring search"
                  + (" (up to renaming colors)" if args.up_to_color_permutation else ""),
-                 "total: %d, transversal to directions: %d" % (len(rows), n_chiral)]
+                 "total: %d, transversal to directions: %d" % (len(rows), len(chiral))]
         for r in rows:
             mark = "*" if r["transversal_to_directions"] else " "
             lines.append(" %s %s" % (mark, "".join(str(c) for c in r["colors"])))

@@ -113,6 +113,7 @@ class IsometryMatrix:
 
 
 _SIGNED_MATRICES = {}
+_TABLES = {}  # (coords, projective) -> that point set's isometry tables by name
 
 
 def all_signed_matrices(n=4, projective=False):
@@ -127,6 +128,16 @@ def all_signed_matrices(n=4, projective=False):
                for signs in itertools.product((1, -1), repeat=n)}
         _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: m.rows))
     return _SIGNED_MATRICES[key]
+
+
+def _per_point_set(build):
+    # a cached property of coords and projective alone, built once per point set
+    def get(e):
+        tables = _TABLES.setdefault((tuple(e.coords), e.projective), {})
+        if build.__name__ not in tables:
+            tables[build.__name__] = build(e)
+        return tables[build.__name__]
+    return cached_property(get)
 
 
 def rotation_profile(m):
@@ -204,7 +215,7 @@ class EmbeddedGraph:
             raise GraphError("edge (%d,%d) is not axis-aligned" % (u, v))
         return diffs[0]
 
-    @cached_property
+    @_per_point_set
     def _isometries(self):
         # (matrix, vertex permutation) for each signed matrix preserving the
         # vertex set, filtered by every isometry scan; vp(D_s P_pi) is
@@ -222,14 +233,14 @@ class EmbeddedGraph:
                 table.append((m, p))
         return table
 
-    @cached_property
+    @_per_point_set
     def _by_root(self):
         out = {}  # the table's vertex permutations by the image of vertex 0
         for _, p in self._isometries:
             out.setdefault(p.images[0], []).append(p)
         return out
 
-    @cached_property
+    @_per_point_set
     def _matrix_of(self):
         # vertex permutation -> the matrix inducing it, None where several do
         out = {}

@@ -195,6 +195,26 @@ def test_filter_rows_fail_when_a_property_keeps_one_class_more(hemi, monkeypatch
         assert passed["colorings.twin_count"] == (name == "squares_see_all_colors")
 
 
+def test_report_is_the_same_with_cold_and_warm_isometry_tables(
+        report, hemi, cube_embedding, monkeypatch):
+    # the report reads isometry tables shared per point set; building
+    # them afresh, or reading them after another report, changes no byte
+    def dump(r):
+        return r.to_text(), json.dumps(r.to_json(), indent=2, sort_keys=True)
+
+    monkeypatch.setattr(geometry, "_TABLES", {})
+    cold = dump(verify_paper())
+    points = {(hemi.coords, True), (cube_embedding.coords, False)}
+    assert set(geometry._TABLES) == points
+    (u, v, c), *rest = hemi.graph.edges
+    verify_paper(base_graph=ColoredGraph(8, 4, ((u, v, (c + 1) % 4), *rest)))
+    # a report on another class scans the same tables with its colouring
+    verify_paper(coloring=enumerate_matching_colorings(
+        hemi.graph, up_to_color_permutation=True)[0])
+    assert set(geometry._TABLES) == points
+    assert dump(verify_paper()) == cold == dump(report)
+
+
 def test_enantiomorph_verdicts(hemi, twins):
     assert enantiomorph_check(twins[0], twins[1], hemi) == "enantiomorphic"
     assert enantiomorph_check(twins[0], twins[0], hemi) == "same form"

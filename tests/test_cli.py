@@ -63,7 +63,7 @@ def test_build_rejects_unknown_object(capsys):
 # ----------------------------------------------------------- colorings
 
 
-def test_colorings_distinguished_section(capsys):
+def test_colorings_distinguished_section(capsys, twins):
     code, out = run(capsys, "colorings", "--format", "json",
                     "--up-to-color-permutation")
     assert code == 0
@@ -71,7 +71,7 @@ def test_colorings_distinguished_section(capsys):
     # the named colorings carry both property annotations
     assert data["regular"]["transversal_to_directions"] is False
     assert data["regular"]["all_colors_on_every_square"] is False
-    assert len(data["twins"]) == 2
+    assert [t["colors"] for t in data["twins"]] == [list(t.colors) for t in twins]
     for t in data["twins"]:
         assert t["transversal_to_directions"] is True
         assert t["all_colors_on_every_square"] is True
@@ -79,11 +79,13 @@ def test_colorings_distinguished_section(capsys):
     assert data["n_transversal"] == 2
 
 
-def test_colorings_raw_count(capsys):
+def test_colorings_raw_count(capsys, twins):
     code, out = run(capsys, "colorings", "--format", "json")
     data = json.loads(out)
     assert data["n_colorings"] == 576
     assert data["n_transversal"] == 48
+    # the named twins are the two classes, not all 48 labelled colorings
+    assert [t["colors"] for t in data["twins"]] == [list(t.colors) for t in twins]
 
 
 def test_colorings_text(capsys):

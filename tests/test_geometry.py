@@ -521,11 +521,47 @@ def test_isometry_tables_walk_only_the_factors(monkeypatch):
         return vertex_permutation(e, m)
 
     monkeypatch.setattr(geometry, "vertex_permutation", counted)
+    monkeypatch.setattr(geometry, "_TABLES", {})  # no point set seen yet
     e = hemicube_embedding()
     assert (len(e._isometries), len(e._cover._isometries)) == (192, 384)
     # 2^3 sign classes + 4! permutations, then 2^4 + 4!; a dense walk makes
     # 192 + 384 calls
     assert len(calls) == 8 + 24 + 16 + 24 == 72
+    # every later embedding on either point set reads the same tables,
+    # whatever its edges and colors
+    (u, v, c), *rest = e.graph.edges
+    recolored = ColoredGraph(8, 4, ((u, v, (c + 1) % 4), *rest))
+    dropped = ColoredGraph(8, 4, tuple(rest))
+    same = ((e, [hemicube_embedding(), EmbeddedGraph(recolored, e.coords, True),
+                 EmbeddedGraph(dropped, e.coords, True)]),
+            (e._cover, [lift_double_cover(e, t) for t in derive_chiral_colorings(e)]
+             + [hypercube_embedding()]))
+    for first, later in same:
+        for f in later:
+            assert f.coords == first.coords
+            for name in ("_isometries", "_by_root", "_matrix_of"):
+                assert getattr(f, name) is getattr(first, name)
+    assert len(calls) == 72
+
+
+def test_isometry_tables_are_keyed_by_points_and_projective(hemi, monkeypatch):
+    import chiralcube.geometry as geometry
+    assert len(hemi._isometries) == 192  # the process store holds the quotient
+    for store in (geometry._TABLES, {}):  # warm, then cold
+        monkeypatch.setattr(geometry, "_TABLES", store)
+        proj = EmbeddedGraph(hemi.graph, hemi.coords, True)
+        # the same eight points taken as Euclidean: 3! 2^3 matrices fix
+        # the first coordinate and keep the set
+        flat = EmbeddedGraph(ColoredGraph(8, 1, ()), hemi.coords, False)
+        assert flat._isometries is not proj._isometries
+        assert flat._isometries == _dense_table(flat)
+        assert len(flat._isometries) == 48
+        assert flat._isometries != proj._isometries == _dense_table(proj)
+        # coordinates given as a list share the table of the tuple
+        listed = EmbeddedGraph(hemi.graph, list(hemi.coords), True)
+        assert listed._isometries is proj._isometries
+        assert len(listed._isometries) == 192
+        assert geometric_symmetry_group(listed).order == 192
 
 
 # ------------------------------------------------------------ holonomy

@@ -61,9 +61,14 @@ and isometry groups of the n-cubes and hemi-n-cubes, n = 3, 4, 5,
 against their closed-form orders and the every-entry filter; the
 test that checks the isometry rows of the report against isometries
 found from frames of Hadamard vertices, with no signed permutation
-matrix presumed; and the test that checks that each coloring filter
+matrix presumed; the test that checks that each coloring filter
 row of the report fails when its property keeps one class more than
-the twins picked by their symmetry.
+the twins picked by their symmetry; the test that checks that the
+isometry tables, shared by every embedding on the same point set, are
+kept apart by the coordinates and by projective, with the coordinates
+given as a tuple or a list, with the shared store warm and cold; and the
+test that checks that the report is byte-identical when its isometry
+tables are built afresh and when they are read after other reports.
 
 After its verdict the gate prints the wall time of the pytest run, that
 time on the benchmark's clock, and the line count of the Python sources
@@ -115,6 +120,10 @@ REQUIRED = (
      "test_isometries_from_hadamard_frames_match_the_report"),
     ("tests.test_classify",
      "test_filter_rows_fail_when_a_property_keeps_one_class_more"),
+    ("tests.test_geometry",
+     "test_isometry_tables_are_keyed_by_points_and_projective"),
+    ("tests.test_classify",
+     "test_report_is_the_same_with_cold_and_warm_isometry_tables"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -195,12 +195,13 @@ def component_labels(adj):
     of a finite group, whose orbits are then the components."""
     label = [None] * len(adj)
     for s in range(len(adj)):
-        stack = [s] if label[s] is None else []
-        while stack:
-            x = stack.pop()
-            if label[x] is None:
-                label[x] = s
-                stack.extend(adj[x])
+        if label[s] is None:
+            label[s], stack = s, [s]
+            while stack:  # a point is labelled as it is pushed, so pushed once
+                for y in adj[stack.pop()]:
+                    if label[y] is None:
+                        label[y] = s
+                        stack.append(y)
     return label
 
 

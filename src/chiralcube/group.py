@@ -232,14 +232,11 @@ def classify_symmetry(p, G):
     flags in opposite orbits is chiral (the two orbits are the two
     rotation classes).  Anything else is neither.
     """
-    orbits = flag_orbits(p, G)
-    fg = p.flag_graph()
-    orbit_of = {j: orb[0] for orb in orbits for j in orb}
-    crosses = all(orbit_of[k] != orbit_of[j]
-                  for j, row in enumerate(fg.adj) for k in row)
+    orbits, rho = flag_orbits(p, G), p.flag_graph().rho
     if len(orbits) == 1:
         verdict = "regular"
-    elif len(orbits) == 2 and crosses:
+    elif len(orbits) == 2 and all(  # each rho_i swaps the two orbits
+            set(map(r.__getitem__, orbits[0])) == set(orbits[1]) for r in rho):
         verdict = "chiral"
     else:
         verdict = "neither"

@@ -11,12 +11,15 @@ any finite set of faces with the structural order (rank, vertex set and
 edge set all contained), so near-misses can be represented and
 diagnosed.  check_polytopality reports exactly what fails.  The flag
 machinery (flag graph, Schlafli symbol, Petrie polygons) requires the
-diamond condition and raises where it breaks.
+diamond condition and raises where it breaks.  A flag graph is the
+involutions rho_0..rho_{n-1} of flag positions, built and read a rank
+at a time; a section reads its tables and flags off its parent's.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,29 +121,11 @@ class Polytope:
                             for j in js))
 
     def section(self, bottom, top):
-        """The interval [bottom, top] as a polytope in its own right.
-
-        Face ranks shift so the bottom face gets rank -1.  An interval is
-        convex, so its order tables are this poset's, renumbered.
-        """
+        """The interval [bottom, top] as a polytope in its own right, with
+        face ranks shifted so the bottom face gets rank -1 (see _Section)."""
         if not self.leq(bottom, top):
             raise ValueError("bottom %d is not below top %d" % (bottom, top))
-        ups = self._ups
-        ids = sorted(i for i in ups[bottom] if top in ups[i])
-        new = {i: k for k, i in enumerate(ids)}
-        shift = self.faces[bottom].rank + 1
-        faces = tuple(
-            Face(new_id, self.faces[i].rank - shift, self.faces[i].colors,
-                 self.faces[i].vertices, self.faces[i].edges)
-            for new_id, i in enumerate(ids))
-        sec = Polytope(self.faces[top].rank - shift, faces)
-        sec._ups = [frozenset(sorted(new[j] for j in ups[i] if j in new)) for i in ids]
-        sec._covers = [tuple(k for k in up if ids[k] in self._covers[i])
-                       for i, up in zip(ids, sec._ups)]
-        sec._diamonds = {(a, b): [new[m] for m in self._diamonds[i, ids[b]]]
-                         for a, (i, up) in enumerate(zip(ids, sec._ups))
-                         for b in up if faces[b].rank == faces[a].rank + 2}
-        return sec
+        return _Section(self, bottom, top)
 
     # ----------------------------------------------------------- flags
 
@@ -152,19 +137,70 @@ class Polytope:
         return self._flag_graph
 
 
+class _Section(Polytope):
+    """An interval of parent, its faces renumbered in id order.  An
+    interval is convex, so its order tables are the parent's, renumbered,
+    and so are its flags: each is read off the parent's on first use."""
+
+    def __init__(self, parent, bottom, top):
+        self._parent, fs = parent, parent.faces
+        self._ids = sorted(i for i in parent._ups[bottom] if top in parent._ups[i])
+        self._new, shift = {i: k for k, i in enumerate(self._ids)}, fs[bottom].rank + 1
+        super().__init__(fs[top].rank - shift, (
+            Face(k, fs[i].rank - shift, fs[i].colors, fs[i].vertices, fs[i].edges)
+            for k, i in enumerate(self._ids)))
+
+    @cached_property
+    def _tables(self):
+        p, ids, new, fs = self._parent, self._ids, self._new, self.faces
+        ups = [frozenset(sorted(map(new.get, p._ups[i] & new.keys()))) for i in ids]
+        return ups, [tuple(k for k in up if ids[k] in p._covers[i])
+                     for i, up in zip(ids, ups)], {
+            (a, b): [new[m] for m in p._diamonds[i, ids[b]]]
+            for a, (i, up) in enumerate(zip(ids, ups))
+            for b in up if fs[b].rank == fs[a].rank + 2}
+
+    _ups, _covers, _diamonds = (property(lambda self, k=k: self._tables[k])
+                                for k in range(3))
+
+    @cached_property
+    def _flag_graph(self):
+        """The parent's flags through both ends b and t with the rest (faces
+        outside ranks lo..hi) of the first, cut to the ranks between, and
+        their rho_i: each chain b..t completes that rest to a parent flag.
+        Built afresh if the parent holds no flag graph or no such flag."""
+        b, t = map(self._ids.__getitem__, _bottom_top(self))  # raises as afresh
+        p, new = self._parent, self._new
+        fg, lo, hi = vars(p).get("_flag_graph"), p.faces[b].rank, p.faces[t].rank
+        held = fg.flags if fg else ()
+        # ranks -1..n, padded with b and t: the parent's ends if lo = -1 or hi = n
+        chain = [(b,) * len(held), *zip(*held), (t,) * len(held)]
+        rests = list(zip(*chain[:lo + 2], *chain[hi + 1:]))
+        rest = next((r for r in rests if r[lo + 1:lo + 3] == (b, t)), None)
+        if rest is None:
+            return _build_flag_graph(self)
+        keep = [j for j, r in enumerate(rests) if r == rest]
+        pos = {j: k for k, j in enumerate(keep)}
+        flags = tuple(zip(*(map(new.__getitem__, map(chain[i + 1].__getitem__, keep))
+                            for i in range(lo + 1, hi)))) or ((),) * len(keep)
+        return FlagGraph(flags, {fl: k for k, fl in enumerate(flags)}, tuple(
+            tuple(map(pos.__getitem__, map(fg.rho[i].__getitem__, keep)))
+            for i in range(lo + 1, hi)))
+
+
 @dataclass(frozen=True)
 class FlagGraph:
-    """All flags of a polytope with their i-adjacency involutions.
+    """All flags of a polytope with their adjacency involutions, by rank.
 
     A flag is a tuple of proper face ids, one per rank 0..n-1 (improper
     faces are in every flag and omitted).  index maps each flag to its
-    position j.  adj[j][i] is the unique flag differing from flag j
-    exactly in rank i.
+    position j.  rho[i] is the involution rho_i of positions (McMullen and
+    Schulte, 2B): flag rho[i][j] differs from flag j exactly in rank i.
     """
 
     flags: tuple
     index: dict
-    adj: tuple
+    rho: tuple
 
 
 def _bottom_top(p):
@@ -177,9 +213,10 @@ def _bottom_top(p):
 
 
 def _build_flag_graph(p):
-    """Flags grown one rank at a time, in increasing order; the i-adjacent
-    flags, fl[i] swapped for its diamond partner, looked up column-wise.
-    A rank-0 poset has no columns, and its one flag () no neighbours."""
+    """Flags grown one rank at a time, in increasing order; then each rho_i
+    at once: every flag's rank-i diamond looked up, fl[i] swapped for its
+    partner and the flags looked up whole.  The first failing diamond in
+    flag order raises.  A rank-0 poset has one flag, (), and no rho_i."""
     bottom, top = _bottom_top(p)
     ups, diamonds = p._ups, p._diamonds
     for f in p.faces_of_rank(0):
@@ -192,21 +229,20 @@ def _build_flag_graph(p):
         chains = [c + (g,) for c in chains for g in nxt[c[-1]]]
     flags = [c[1:] for c in chains if top in ups[c[-1]]]
 
-    index = {fl: j for j, fl in enumerate(flags)}
-    partners = [[] for _ in range(p.rank)]
-    for fl in flags:
-        chain = (bottom, *fl, top)
-        for i, col in enumerate(partners):
-            mids = diamonds[chain[i], chain[i + 2]]
-            if len(mids) != 2:
-                raise GraphError(
-                    "diamond fails between faces %d and %d: %d alternatives"
-                    % (chain[i], chain[i + 2], len(mids)))
-            col.append(mids[0] + mids[1] - fl[i])
-    cols = list(zip(*flags))
-    adj = zip(*(map(index.__getitem__, zip(*cols[:i], col, *cols[i + 1:]))
-                for i, col in enumerate(partners)))
-    return FlagGraph(tuple(flags), index, tuple(adj) or ((),) * len(flags))
+    index, n = {fl: j for j, fl in enumerate(flags)}, len(flags)
+    chain = [(bottom,) * n, *(list(zip(*flags)) or [()] * p.rank), (top,) * n]
+    mids = [list(map(diamonds.__getitem__, zip(chain[i], chain[i + 2])))
+            for i in range(p.rank)]
+    bad = [(next(j for j, m in enumerate(col) if len(m) != 2), i)
+           for i, col in enumerate(mids) if set(map(len, col)) - {2}]
+    if bad:
+        j, i = min(bad)
+        raise GraphError("diamond fails between faces %d and %d: %d alternatives"
+                         % (chain[i][j], chain[i + 2][j], len(mids[i][j])))
+    rho = tuple(tuple(map(index.__getitem__, zip(
+        *chain[1:i + 1], map(operator.sub, map(sum, col), chain[i + 1]),
+        *chain[i + 2:-1]))) for i, col in enumerate(mids))
+    return FlagGraph(tuple(flags), index, rho)
 
 
 # ------------------------------------------------------------- builders
@@ -284,7 +320,10 @@ def check_polytopality(p):
         return problems
 
     # strong flag connectivity: the checks above put every face on a flag
-    sections = {(lo, hi): _sections_by_flags(p, lo, hi)
+    fg = p.flag_graph()
+    n = len(fg.flags)
+    chain = [(bottom,) * n, *zip(*fg.flags), (top,) * n]  # ranks -1..p.rank
+    sections = {(lo, hi): _sections_by_flags(fg, chain, lo, hi)
                 for lo in range(-1, p.rank - 2) for hi in range(lo + 3, p.rank + 1)}
     if all(v is None for v in sections.values()):
         return problems
@@ -303,28 +342,24 @@ def check_polytopality(p):
     return problems
 
 
-def _sections_by_flags(p, lo, hi):
+def _sections_by_flags(fg, chain, lo, hi):
     """{(f, g): (n, r)} for faces f of rank lo and g of rank hi on a flag
-    of p: section [f, g] has n flags, and r are reached from its least;
-    None if every such section is flag-connected.
+    of the poset p with flag graph fg, whose faces of rank r are in
+    chain[r + 1]: section [f, g] has n flags, and r are reached from its
+    least; None if every such section is flag-connected.
 
     Needs every face of p on a flag.  Then the flags of [f, g] are the
-    parts fl[lo+1:hi] of p's flags fl through f and g, linked by the
-    i-adjacencies of p with lo < i < hi.  These keep the rest
-    fl[:lo+1] + fl[hi:], so their components refine the classes of equal
-    rests, each the flags of one section, and are as many exactly when
-    every section is flag-connected: the table is built only if not.
+    parts fl[lo+1:hi] of p's flags fl through f and g, linked by rho_i
+    with lo < i < hi.  These keep the rest fl[:lo+1] + fl[hi:], so their
+    components refine the classes of equal rests, each the flags of one
+    section, and are as many exactly when every section is
+    flag-connected: the table is built only if not.
     """
-    fg, (bottom, top) = p.flag_graph(), _bottom_top(p)
-    label = component_labels([a[lo + 1:hi] for a in fg.adj])
-    cols = list(zip(*fg.flags))
-    rest = cols[:lo + 1] + cols[hi:]
-    if len(set(label)) == (len(set(zip(*rest))) if rest else 1):
+    label = component_labels(list(zip(*fg.rho[lo + 1:hi])))
+    if len(set(label)) == len(set(zip(*chain[:lo + 2], *chain[hi + 1:]))):
         return None
     size, groups = Counter(label), {}
-    fs = cols[lo] if lo >= 0 else itertools.repeat(bottom)
-    gs = cols[hi] if hi < p.rank else itertools.repeat(top)
-    for f, g, fl, x in zip(fs, gs, fg.flags, label):
+    for f, g, fl, x in zip(chain[lo + 1], chain[hi + 1], fg.flags, label):
         groups.setdefault((f, g), {}).setdefault(fl[lo + 1:hi], x)
     return {key: (len(mids), size[mids[min(mids)]])
             for key, mids in groups.items()}
@@ -341,14 +376,13 @@ def schlafli_type(p):
     """Schlafli symbol (p_1, ..., p_{n-1}), or None if not equivelar.
 
     p_i is the length of the orbit of a flag under the rotation
-    rho_{i-1} rho_i; it must not depend on the flag.  The rotation is
-    tabulated once per i, as a permutation of the flags, and its cycle
-    lengths are read.
+    rho_{i-1} rho_i (rho_{i-1} first); it must not depend on the flag.
+    The rotation is composed once per i from the two whole
+    permutations, and its cycle lengths are read.
     """
-    fg = p.flag_graph()
-    out = []
+    rho, out = p.flag_graph().rho, []
     for i in range(1, p.rank):
-        step = _trusted(tuple(fg.adj[row[i - 1]][i] for row in fg.adj))
+        step = _trusted(tuple(map(rho[i].__getitem__, rho[i - 1])))
         lengths = {len(c) for c in step.cycles()}
         if len(lengths) != 1:
             return None
@@ -370,24 +404,22 @@ def petrie_polygons(p):
     The walk applies rho_0, rho_1, ..., rho_{n-1} in order, repeatedly;
     the vertices of the flags at the start of each pass, collected until
     the starting flag recurs, form one polygon.  So the polygons are the
-    cycles of that pass, tabulated once as a permutation of the flags,
-    each read from its least flag (any start gives the same canonical
-    cycle); they come out sorted, so the output is deterministic.  Only
-    rank 4 is supported (the walk itself generalizes but nothing here is
-    tested below it).
+    cycles of that pass, composed once from the whole permutations
+    rho_0, ..., rho_{n-1}, each read from its least flag (any start
+    gives the same canonical cycle); they come out sorted, so the output
+    is deterministic.  Only rank 4 is supported (the walk itself
+    generalizes but nothing here is tested below it).
     """
     if p.rank != 4:
         raise GraphError("petrie walk needs a rank-4 polytope, got rank %d"
                          % p.rank)
     fg = p.flag_graph()
-    step = []
-    for cur in range(len(fg.flags)):
-        for i in range(p.rank):
-            cur = fg.adj[cur][i]
-        step.append(cur)
+    step = fg.rho[0]
+    for r in fg.rho[1:]:
+        step = tuple(map(r.__getitem__, step))
     verts = [min(p.faces[fl[0]].vertices) for fl in fg.flags]
     return tuple(sorted({canonical_cycle(map(verts.__getitem__, c))
-                         for c in _trusted(tuple(step)).cycles()}))
+                         for c in _trusted(step).cycles()}))
 
 
 def two_face_cycle(p, fid):

@@ -226,8 +226,8 @@ def test_criterion_10_property_suite(hemi, P, Q, H, AP, GP, GQ, GH,
         fg = p.flag_graph()
         for j in range(len(fg.flags)):
             for i in range(p.rank):
-                k = fg.adj[j][i]
-                ok = ok and k != j and fg.adj[k][i] == j
+                k = fg.rho[i][j]
+                ok = ok and k != j and fg.rho[i][k] == j
 
     # orbit sizes divide group orders and sum to flag counts
     for p, G in ((P, AP), (Q, GQ), (H, GH)):

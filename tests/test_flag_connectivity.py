@@ -17,9 +17,11 @@ import functools
 
 import pytest
 
+from chiralcube import polytope
 from chiralcube.graph import ColoredGraph, GraphError
 from chiralcube.polytope import (Face, FlagGraph, Polytope, _bottom_top,
-                                 check_polytopality, colourful_polytope)
+                                 _build_flag_graph, check_polytopality,
+                                 colourful_polytope)
 
 
 def _renumbered(faces):
@@ -93,7 +95,7 @@ def _strong_connectivity_by_sections(p, flag_graph=Polytope.flag_graph):
                 if x in seen:
                     continue
                 seen.add(x)
-                stack.extend(fg.adj[x])
+                stack.extend(r[x] for r in fg.rho)
             if len(seen) != len(fg.flags):
                 problems.append(
                     "section [%d, %d] is not flag-connected (%d of %d flags reached)"
@@ -118,6 +120,12 @@ def _corpus(P, Q, H, cube4, glued):
             out.append(Polytope(p.rank, _renumbered(
                 p.faces[:i + 1] + p.faces[i:])))
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus(P, Q, H, cube4, glued):
+    """_corpus, built once for the oracles of this module."""
+    return _corpus(P, Q, H, cube4, glued)
 
 
 def test_glued_posets_are_not_flag_connected(glued):
@@ -183,8 +191,7 @@ def test_face_not_above_the_rank_minus_one_face_reported():
         p.flag_graph()
 
 
-def test_strong_connectivity_matches_section_oracle(P, Q, H, cube4, glued):
-    corpus = _corpus(P, Q, H, cube4, glued)
+def test_strong_connectivity_matches_section_oracle(corpus):
     reached = failing = 0
     for p in corpus:
         got = check_polytopality(p)
@@ -203,7 +210,7 @@ def test_flag_graph_components_match_networkx(P, Q, H, cube4, glued):
         fg = p.flag_graph()
         g = nx.Graph()
         g.add_nodes_from(range(len(fg.flags)))
-        g.add_edges_from((x, y) for x, row in enumerate(fg.adj) for y in row)
+        g.add_edges_from((x, y) for r in fg.rho for x, y in enumerate(r))
         return nx.number_connected_components(g)
 
     assert [components(p) for p in glued] == [2, 2, 2]
@@ -260,9 +267,8 @@ def _flag_graph_by_between(p):
     grow([], bottom)
     flags.sort()
     index = {fl: i for i, fl in enumerate(flags)}
-    adj = []
+    rho = [[] for _ in range(p.rank)]
     for fl in flags:
-        row = []
         for i in range(p.rank):
             lo = fl[i - 1] if i > 0 else bottom
             hi = fl[i + 1] if i < p.rank - 1 else top
@@ -271,9 +277,8 @@ def _flag_graph_by_between(p):
                 raise GraphError(
                     "diamond fails between faces %d and %d: %d alternatives"
                     % (lo, hi, len(mids) + 1))
-            row.append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
-        adj.append(tuple(row))
-    return FlagGraph(tuple(flags), index, tuple(adj))
+            rho[i].append(index[fl[:i] + (mids[0],) + fl[i + 1:]])
+    return FlagGraph(tuple(flags), index, tuple(map(tuple, rho)))
 
 
 @functools.cache
@@ -332,14 +337,27 @@ def _flag_graph_or_error(build, p):
         fg = build(p)
     except GraphError as e:
         return str(e)
-    return fg.flags, fg.index, fg.adj
+    return fg.flags, fg.index, fg.rho
 
 
-def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
+def test_first_failing_diamond_is_read_in_flag_order(P):
+    # Copies of the 2-face of P's first flag and of a vertex off that
+    # flag's edge: the first flag fails its rank-2 diamond, later flags
+    # fail rank-0 diamonds.  The flag graph, built a rank at a time,
+    # reports the first failing flag, as the flag-by-flag oracle does,
+    # and not the lowest failing rank.
+    v0, e0, f0, c0 = P.flag_graph().flags[0]
+    v = next(i for i in reversed(P.faces_of_rank(0)) if not P.leq(i, e0))
+    p = Polytope(P.rank, _renumbered(P.faces + (P.faces[f0], P.faces[v])))
+    assert (_flag_graph_or_error(Polytope.flag_graph, p)
+            == _flag_graph_or_error(_flag_graph_by_between, p)
+            == "diamond fails between faces %d and %d: 3 alternatives" % (e0, c0))
+
+
+def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, corpus):
     for p in (P, Q, Qm, H, cube4):
         assert (_flag_graph_or_error(Polytope.flag_graph, p)
                 == _flag_graph_or_error(_flag_graph_by_between, p))
-    corpus = _corpus(P, Q, H, cube4, glued)
     raised, kinds = 0, set()
     for p in corpus:
         ups, ids = _ups_by_fields(p), range(len(p.faces))
@@ -360,3 +378,47 @@ def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, glued):
     # every step of the check fails somewhere in the corpus
     assert {"expected", "cover", "diamond", "section"} <= kinds
     assert len(corpus) > 600 and raised > 100
+
+
+# ------------------------------------------- flags a section borrows
+
+
+def test_section_flag_graphs_match_fresh_build(P, Q, H, cube4, corpus, monkeypatch):
+    # A section borrows the flags of its parent's flag graph that share one
+    # rest outside its ranks, with rho restricted and renumbered.  They must
+    # be the flags, index and rho_i that _build_flag_graph finds on the same
+    # faces built afresh, all in order; where that build raises, the section
+    # must raise the same.  Checked on every interval of P, Q, Q-hat, the
+    # 4-cube and each corpus poset whose flag graph builds, sections of
+    # sections among them.  A poset whose flag graph raises lends nothing:
+    # its sections build their own, checked here on its whole intervals.
+    afresh = []  # sections that built their own flag graph
+    monkeypatch.setattr(polytope, "_build_flag_graph", lambda p: afresh.append(
+        isinstance(p, polytope._Section)) or _build_flag_graph(p))
+    fresh = functools.cache(lambda rank, faces: _flag_graph_or_error(
+        _build_flag_graph, Polytope(rank, faces)))
+
+    def check(p, i, j):
+        sec = p.section(i, j)
+        got = _flag_graph_or_error(Polytope.flag_graph, sec)
+        want = fresh(sec.rank, sec.faces)
+        assert got == want
+        if not isinstance(got, str):
+            assert list(got[1].items()) == list(want[1].items())  # index order
+        return isinstance(got, str)
+
+    intervals = raised = 0
+    for p in (P, Q, H, cube4, *corpus):
+        fg, before = _flag_graph_or_error(Polytope.flag_graph, p), sum(afresh)
+        if isinstance(fg, str):
+            raised += sum(check(p, i, j) for i in p.faces_of_rank(-1)
+                          for j in p.faces_of_rank(p.rank) if p.leq(i, j))
+            continue
+        n = sum(not check(p, i, j) for i in range(len(p.faces)) for j in p._ups[i])
+        # every face of these posets lies on a flag, if any flag exists,
+        # so every section borrows unless its parent has no flags
+        assert sum(afresh) - before == (0 if fg[0] else n)
+        intervals += n
+        if p is cube4:
+            assert intervals == 2052
+    assert (intervals, raised) == (26218, 300)

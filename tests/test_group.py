@@ -522,7 +522,7 @@ def test_schulte_weiss_distinguished_generators(H, GH):
         return [g for g, a in actions.items()
                 if fg.index[tuple(map(a, fg.flags[0]))] == j]
 
-    sigmas = [taking_base_to(fg.adj[fg.adj[0][i - 1]][i])
+    sigmas = [taking_base_to(fg.rho[i][fg.rho[i - 1][0]])
               for i in (1, 2, 3)]
     assert [len(s) for s in sigmas] == [1, 1, 1]
     s1, s2, s3 = (s[0] for s in sigmas)
@@ -538,4 +538,4 @@ def test_schulte_weiss_distinguished_generators(H, GH):
     assert meet == set(PermutationGroup((s2,)))
     assert PermutationGroup((s1, s2, s3)).elements == GH.elements
     # no rotation takes the base flag to its 0-adjacent flag: chiral
-    assert taking_base_to(fg.adj[0][0]) == []
+    assert taking_base_to(fg.rho[0][0]) == []

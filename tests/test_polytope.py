@@ -1,5 +1,9 @@
 """Face poset construction, polytopality diagnostics, flags, zigzags."""
 
+import functools
+import itertools
+import math
+
 import pytest
 
 from chiralcube.graph import ColoredGraph, GraphError
@@ -96,14 +100,14 @@ def test_rank_zero_section_has_one_empty_flag(P):
     e = P.faces_of_rank(1)[0]
     v = next(i for i in P.faces_of_rank(0) if P.leq(i, e))
     fg = P.section(v, e).flag_graph()
-    assert (fg.flags, fg.index, fg.adj) == (((),), {(): 0}, ((),))
+    assert (fg.flags, fg.index, fg.rho) == (((),), {(): 0}, ())
 
 
 def test_flag_adjacency_changes_one_rank(P):
     fg = P.flag_graph()
     for j in range(len(fg.flags)):
         for i in range(4):
-            k = fg.adj[j][i]
+            k = fg.rho[i][j]
             assert k != j
             diff = [r for r in range(4) if fg.flags[j][r] != fg.flags[k][r]]
             assert diff == [i]
@@ -161,7 +165,7 @@ def _schlafli_by_all_flags(p):
         for j in range(len(fg.flags)):
             steps, cur = 0, j
             while True:
-                cur = fg.adj[fg.adj[cur][i - 1]][i]
+                cur = fg.rho[i][fg.rho[i - 1][cur]]
                 steps += 1
                 if cur == j:
                     break
@@ -181,7 +185,7 @@ def _petrie_by_all_flags(p):
         while True:
             verts.append(min(p.faces[fg.flags[cur][0]].vertices))
             for i in range(p.rank):
-                cur = fg.adj[cur][i]
+                cur = fg.rho[i][cur]
             if cur == j:
                 break
         seen.add(canonical_cycle(verts))
@@ -226,3 +230,70 @@ def test_json_export_shape(P):
     # covers listed as id pairs, each stepping up one rank
     for lo, hi in data["covers"]:
         assert P.faces[hi].rank == P.faces[lo].rank + 1
+
+
+# ----------------------------------------- the n-cubes and the colourful model
+
+
+@pytest.fixture(scope="module")
+def cube_polytope(cube):
+    """cube_polytope(n, projective): the face poset of cube(n, projective),
+    built once for this module."""
+    return functools.lru_cache(maxsize=None)(
+        lambda n, projective: colourful_polytope(cube(n, projective).graph))
+
+
+def test_cube_polytope_closed_forms(cube_polytope):
+    # the n-cube {4,3^(n-2)} has C(n,k) 2^(n-k) faces of rank k and 2^n n!
+    # flags, and the hemi-n-cube half as many of each (McMullen and
+    # Schulte, Abstract Regular Polytopes, 6C); at rank 5 the strong
+    # connectivity count reads rank pairs up to 6 apart
+    for n in (3, 4, 5):
+        for projective in (False, True):
+            p, half = cube_polytope(n, projective), 1 + projective
+            assert f_vector(p) == tuple(math.comb(n, k) * 2 ** (n - k) // half
+                                        for k in range(n))
+            assert schlafli_type(p) == (4,) + (3,) * (n - 2)
+            assert len(p.flag_graph().flags) == 2 ** n * math.factorial(n) // half
+            assert check_polytopality(p) == []
+
+
+def _check_colourful_model(p, g):
+    """The flag graph of the colourful model (Araujo-Pardo, Hubard,
+    Oliveros and Schulte, "Colorful polytopes and graphs", Israel J. Math.
+    195, 2013) against p.flag_graph().  A model flag is a pair (v, w) of a
+    vertex v and an ordering w of the n colours; rho_0 moves v along its
+    edge of colour w[0], and rho_i (i >= 1) swaps w[i-1] and w[i].  Its
+    face of rank k is the component of the colours w[:k] through v."""
+    n, fg = g.n_colors, p.flag_graph()
+    face = {(f.colors, v): f.id for f in p.faces if 0 <= f.rank < n
+            for v in f.vertices}
+    nbr = {}
+    for u, v, c in g.edges:
+        nbr[u, c], nbr[v, c] = v, u
+    model = [(v, w) for v in range(g.n_vertices)
+             for w in itertools.permutations(range(n))]
+    image = {(v, w): tuple(face[frozenset(w[:k]), v] for k in range(n))
+             for v, w in model}
+    # a bijection onto the flags of p ...
+    assert len(set(image.values())) == len(model) == len(fg.flags)
+    assert set(image.values()) == set(fg.flags)
+    # ... carrying each model rho_i to rho[i]
+    for v, w in model:
+        j = fg.index[image[v, w]]
+        assert image[nbr[v, w[0]], w] == fg.flags[fg.rho[0][j]]
+        for i in range(1, n):
+            swapped = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            assert image[v, swapped] == fg.flags[fg.rho[i][j]]
+    return len(model)
+
+
+def test_flag_graphs_match_the_colourful_model(P, Q, H, hemi, twins, cover,
+                                               cube_embedding, cube_polytope, cube):
+    cube4 = colourful_polytope(cube_embedding.graph)
+    pairs = [(P, hemi.graph), (Q, hemi.graph.recolored(twins[0])),
+             (H, cover.graph), (cube4, cube_embedding.graph)]
+    pairs += [(cube_polytope(n, projective), cube(n, projective).graph)
+              for n in (3, 4, 5) for projective in (False, True)]
+    assert [_check_colourful_model(p, g) for p, g in pairs] == [
+        192, 192, 384, 384, 48, 24, 384, 192, 3840, 1920]

@@ -610,6 +610,8 @@ def test_regular_lift_is_the_hypercube(hemi, cube):
     assert lifted.graph == built.graph
     assert lifted.coords == built.coords
     assert not lifted.projective
+    with pytest.raises(ValueError, match="only projective embeddings"):
+        lift_double_cover(lifted)
 
 
 def test_lift_doubles_counts(hemi, cover):
@@ -628,6 +630,9 @@ def test_antipode_negates_coordinates(cover):
 def test_coordinates_of_unequal_length_are_refused():
     with pytest.raises(GraphError, match="unequal length"):
         EmbeddedGraph(ColoredGraph(2, 1, ()), ((1, 0), (1, 0, 0)), False)
+    # nor may an edge join points that differ in two coordinates
+    with pytest.raises(GraphError, match=r"^edge \(0,1\) is not axis-aligned$"):
+        EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 1), (-1, -1)), False)
 
 
 def test_antipode_needs_a_centrally_symmetric_vertex_set(hemi):

@@ -40,12 +40,17 @@ def test_duplicate_edge_rejected():
 def test_color_out_of_range_rejected():
     with pytest.raises(GraphError):
         ColoredGraph(2, 1, ((0, 1, 1),))
+    # and so is an endpoint
+    with pytest.raises(GraphError, match=r"^edge \(0,2\) out of range$"):
+        ColoredGraph(2, 1, ((0, 2, 0),))
 
 
 def test_color_of_is_symmetric():
     g = six_cycle()
     assert g.color_of(0, 1) == g.color_of(1, 0) == 0
     assert g.color_of(5, 0) == 1
+    with pytest.raises(KeyError):
+        g.color_of(0, 2)
 
 
 def test_adjacency_and_degrees():
@@ -446,6 +451,8 @@ def test_isomorphism_needs_connected_properly_colored_source():
             list(iter_colored_isomorphisms(disconnected, g2))
         with pytest.raises(GraphError, match="color 0 repeated at vertex 1"):
             colored_isomorphism(improper, g2)
+    with pytest.raises(GraphError, match="^graph has no vertices$"):
+        list(iter_colored_isomorphisms(ColoredGraph(0, 1, ()), six_cycle()))
     # an improperly colored target only yields nothing
     assert colored_isomorphism(ColoredGraph(4, 2, ((0, 1, 0), (1, 2, 1), (2, 3, 0),
                                                    (0, 3, 1))), improper) is None

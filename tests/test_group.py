@@ -24,6 +24,8 @@ def test_identity():
     assert p.order() == 1
     # fixed points count as 1-cycles
     assert p.cycle_type() == (1, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^not a bijection: \(0, 0\)$"):
+        VertexPermutation((0, 0))
 
 
 def test_composition_order():
@@ -91,6 +93,11 @@ def test_cycles_match_set_walk():
 def test_closure_of_identity():
     G = PermutationGroup([VertexPermutation.identity(4)])
     assert G.order == 1
+    # the trivial group is generated by the identity, not by nothing
+    with pytest.raises(ValueError, match="need at least one generator"):
+        PermutationGroup([])
+    with pytest.raises(ValueError, match="act on different point sets"):
+        PermutationGroup([VertexPermutation.identity(4), VertexPermutation.identity(3)])
 
 
 def test_closure_of_a_three_cycle():

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from chiralcube.graph import ColoredGraph, GraphError
-from chiralcube.polytope import (Polytope, canonical_cycle,
+from chiralcube.polytope import (Face, Polytope, canonical_cycle,
                                  check_polytopality, colourful_polytope,
                                  f_vector, petrie_polygons, schlafli_type,
                                  to_json, two_face_cycle, two_face_cycles)
@@ -55,6 +55,17 @@ def test_polytopality_flags_missing_top(P):
     maimed = Polytope(4, P.faces[:top] + P.faces[top + 1:])
     problems = check_polytopality(maimed)
     assert problems and "rank 4" in problems[0]
+    # a top without one edge leaves the facets through that edge below nothing
+    f = P.faces[top]
+    edge = min(f.edges)
+    cut = Face(top, 4, f.colors, f.vertices, f.edges - {edge})
+    stranded = [j for j in P.faces_of_rank(3) if edge in P.faces[j].edges]
+    assert len(stranded) == 3  # one facet per colour triple through the edge
+    got = check_polytopality(Polytope(4, P.faces[:top] + (cut,)))
+    assert [d for d in got if "nothing above" in d] == [
+        "face %d (rank 3) has nothing above it" % j for j in stranded]
+    with pytest.raises(ValueError, match=r"^face ids must equal positions \(face 0\)$"):
+        Polytope(4, P.faces[1:])
 
 
 def test_improper_coloring_rejected():
@@ -68,6 +79,8 @@ def test_sections_of_facets_are_cubes(P):
     for fid in P.faces_of_rank(3):
         sec = P.section(bot, fid)
         assert f_vector(sec) == (8, 12, 6)
+        with pytest.raises(ValueError, match="^bottom %d is not below top %d$" % (fid, bot)):
+            P.section(fid, bot)
         assert schlafli_type(sec) == (4, 3)
         assert check_polytopality(sec) == []
 

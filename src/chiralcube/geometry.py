@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .graph import (ColoredGraph, GraphError, components_by_colorset,
+from .graph import (ColoredGraph, GraphError, _gather, components_by_colorset,
                     enumerate_matching_colorings)
 from .group import PermutationGroup, VertexPermutation, _trusted, reduce_generators
 from .polytope import canonical_cycle, two_face_cycle
@@ -358,10 +358,11 @@ def _scan(e, src, dst):
     each root but 0 is tested up to its first hit."""
     src_colors, dst_colors = ({(u, v): k for u, v, k in e.graph.recolored(c).edges}
                               for c in (src, dst))
-    stab = [s.images for s in e._by_root[0] if _maps_coloring(s, src, src_colors)]
+    stab = [_gather(s.images) for s in e._by_root[0]
+            if _maps_coloring(s, src, src_colors)]
     hits = (next((p.images for p in ps if _maps_coloring(p, src, dst_colors)), None)
             for ps in e._by_root.values())  # each root's first hit, if any
-    keep = {tuple(map(a.__getitem__, s)) for a in hits if a is not None for s in stab}
+    keep = {s(a) for a in hits if a is not None for s in stab}  # a * s
     return [(m, p) for m, p in e._isometries if p.images in keep]
 
 
@@ -377,7 +378,7 @@ def geometric_symmetry_group(e, coloring=None):
     if coloring is None:
         coloring = e.graph
     elements = [p for _, p in _scan(e, coloring, coloring)]
-    if len(set(elements)) != len(elements):
+    if len({p.images for p in elements}) != len(elements):
         raise GraphError("matrix action on vertices is not faithful")
     return PermutationGroup(reduce_generators(elements), elements=elements)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class GraphError(ValueError):
@@ -118,6 +119,12 @@ class ColoredGraph:
             "n_colors": self.n_colors,
             "edges": [[u, v, c] for u, v, c in self.edges],
         }
+
+
+def _gather(b):
+    """a -> (a[b[0]], a[b[1]], ...) in C, p * b if a is p's images; below
+    two indices itemgetter raises or returns a bare item, so a tuple is built."""
+    return itemgetter(*b) if len(b) > 1 else lambda a: tuple(a[i] for i in b)
 
 
 def _trusted(n_vertices, n_colors, edges):

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .graph import _rooted_search, component_labels
+from .graph import _gather, _rooted_search, component_labels
 
 
 class NotAnAutomorphismError(ValueError):
@@ -60,7 +61,7 @@ class VertexPermutation:
         # of one point set is one, so only the degrees are checked
         if len(self.images) != len(other.images):
             raise ValueError("degrees differ: %r * %r" % (self.images, other.images))
-        return _trusted(tuple(map(self.images.__getitem__, other.images)))
+        return _trusted(_gather(other.images)(self.images))
 
     def cycles(self):
         """Disjoint cycles (fixed points included), each starting at its
@@ -106,7 +107,7 @@ class PermutationGroup:
             raise ValueError("generators act on different point sets")
         if elements is None:
             elements = map(_trusted, _span(self.generators, self.degree)[1])
-        self.elements = tuple(sorted(elements, key=lambda p: p.images))
+        self.elements = tuple(sorted(elements, key=attrgetter("images")))
 
     @property
     def order(self):
@@ -134,22 +135,22 @@ def _span(perms, degree):
         if p.images in span:
             continue
         kept.append(p)
-        gens.append(p.images)
+        gens.append(_gather(p.images))  # g(r) is r * p
         old, reps = tuple(span), [p.images]
-        span.update(tuple(map(h.__getitem__, p.images)) for h in old)
+        span.update(map(gens[-1], old))
         for r in reps:  # reps grows while it is walked
             for g in gens:
-                rg = tuple(map(r.__getitem__, g))
+                rg = g(r)
                 if rg not in span:
                     reps.append(rg)
-                    span.update(tuple(map(h.__getitem__, rg)) for h in old)
+                    span.update(map(_gather(rg), old))
     return kept, span
 
 
 def reduce_generators(elements):
     """Small generating set for a materialized group: greedily add
     elements not yet generated.  Always nonempty (identity if trivial)."""
-    elements = sorted(elements, key=lambda p: p.images)
+    elements = sorted(elements, key=attrgetter("images"))
     kept = _span(elements, elements[0].degree)[0]
     return tuple(kept) or (VertexPermutation.identity(elements[0].degree),)
 
@@ -164,10 +165,11 @@ def color_respecting_automorphisms(g):
     _, rooted = _rooted_search(g, g)
     stab = [vmap for vmap, _ in rooted(0)]
     elements = list(map(_trusted, stab))
+    times = list(map(_gather, stab))  # times[k](a) is a * stab[k]
     for r in range(1, g.n_vertices):
         a = next(rooted(r), None)  # a root with no witness is searched in full
         if a is not None:
-            elements += (_trusted(tuple(map(a[0].__getitem__, s))) for s in stab)
+            elements += (_trusted(s(a[0])) for s in times)
     return PermutationGroup(reduce_generators(elements), elements=elements)
 
 
@@ -208,8 +210,8 @@ def flag_orbits(p, G):
     ordered by least index; so orbit ids are deterministic.
     """
     fg = p.flag_graph()
-    cols = list(zip(*fg.flags))  # the image flags are built column-wise
-    images = [map(fg.index.__getitem__, zip(*(map(a.__getitem__, c) for c in cols)))
+    cols = list(map(_gather, zip(*fg.flags)))  # image flags are built column-wise
+    images = [_gather(tuple(zip(*(c(a) for c in cols))))(fg.index)
               for a in (induced_face_action(p, g).images for g in G.generators)]
     # a rank-0 poset has no columns: its one flag, (), is its own image
     label = component_labels(list(zip(*images)) or [()] * len(fg.flags))
@@ -236,7 +238,7 @@ def classify_symmetry(p, G):
     if len(orbits) == 1:
         verdict = "regular"
     elif len(orbits) == 2 and all(  # each rho_i swaps the two orbits
-            set(map(r.__getitem__, orbits[0])) == set(orbits[1]) for r in rho):
+            set(image) == set(orbits[1]) for image in map(_gather(orbits[0]), rho)):
         verdict = "chiral"
     else:
         verdict = "neither"
@@ -256,12 +258,11 @@ def chain_stabilizer(p, G, chain):
                 raise ValueError("faces %d and %d are not incident" % (a, b))
     for g in G.generators:  # automorphisms compose: this checks all of G
         induced_face_action(p, g)
-    tests = []  # per chain face: its key, both ways round, and its two ends
+    tests = []  # per chain face: its key, both ways round, and its pairs' ends in turn
     for pairs in (list(p.faces[c].key) for c in chain):
         tests.append((set(pairs).union((b, a) for a, b in pairs),
-                      [a for a, _ in pairs], [b for _, b in pairs]))
-    keep = [g for g in G.elements
-            if all(into.issuperset(zip(map(g.images.__getitem__, us),
-                                       map(g.images.__getitem__, vs)))
-                   for into, us, vs in tests)]
+                      _gather([x for pair in pairs for x in pair])))
+    keep = [g for g in G.elements  # the image ends, paired up again
+            if all(into.issuperset(zip(*[iter(ends(g.images))] * 2))
+                   for into, ends in tests)]
     return PermutationGroup(reduce_generators(keep), elements=keep)

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import GraphError, component_labels, components_by_colorset, validate
+from .graph import GraphError, _gather, component_labels, components_by_colorset, validate
 from .group import _trusted
 
 
@@ -80,8 +80,10 @@ class Polytope:
 
     @cached_property
     def _ups(self):
-        """_ups[i]: the faces above face i, i included, in increasing id
-        order, from those holding one vertex of face i (all if none)."""
+        """_ups[i]: the faces above face i, i included, from those holding
+        one vertex of face i (all if none); built in id order, read in set
+        order (face 1 of Q-hat reads 64, 1, 33, 65), as _covers, _diamonds
+        and the order of check_polytopality's diagnostics are."""
         fs, holding = self.faces, {}
         for g in fs:
             for v in g.vertices:
@@ -180,12 +182,11 @@ class _Section(Polytope):
         if rest is None:
             return _build_flag_graph(self)
         keep = [j for j, r in enumerate(rests) if r == rest]
-        pos = {j: k for k, j in enumerate(keep)}
-        flags = tuple(zip(*(map(new.__getitem__, map(chain[i + 1].__getitem__, keep))
+        pos, kept = {j: k for k, j in enumerate(keep)}, _gather(keep)
+        flags = tuple(zip(*(_gather(kept(chain[i + 1]))(new)
                             for i in range(lo + 1, hi)))) or ((),) * len(keep)
         return FlagGraph(flags, {fl: k for k, fl in enumerate(flags)}, tuple(
-            tuple(map(pos.__getitem__, map(fg.rho[i].__getitem__, keep)))
-            for i in range(lo + 1, hi)))
+            _gather(kept(fg.rho[i]))(pos) for i in range(lo + 1, hi)))
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ def schlafli_type(p):
     """
     rho, out = p.flag_graph().rho, []
     for i in range(1, p.rank):
-        step = _trusted(tuple(map(rho[i].__getitem__, rho[i - 1])))
+        step = _trusted(_gather(rho[i - 1])(rho[i]))
         lengths = {len(c) for c in step.cycles()}
         if len(lengths) != 1:
             return None
@@ -416,7 +417,7 @@ def petrie_polygons(p):
     fg = p.flag_graph()
     step = fg.rho[0]
     for r in fg.rho[1:]:
-        step = tuple(map(r.__getitem__, step))
+        step = _gather(step)(r)
     verts = [min(p.faces[fl[0]].vertices) for fl in fg.flags]
     return tuple(sorted({canonical_cycle(map(verts.__getitem__, c))
                          for c in _trusted(step).cycles()}))

@@ -171,6 +171,25 @@ def test_section_tables_match_fresh_build(P, Q, H, cube4):
     assert n == 2052
 
 
+def test_section_faces_below_rank_one_are_keyed_by_vertices(Q):
+    # A section shifts ranks down by its bottom face's rank + 1.  In the
+    # vertex figure Q.section(v, top), a parent edge {u, w} through v
+    # becomes a rank-0 face, and a rank-0 face is keyed by its vertices
+    # as pairs (x, x): {(u, u), (w, w)}, not the parent's {(u, w)}.  So
+    # only facet sections (shift 0) may reuse their parent's keys.
+    v, top = Q.faces_of_rank(0)[0], Q.faces_of_rank(4)[0]
+    sec = Q.section(v, top)
+    edges = [e for e in Q.faces_of_rank(1) if Q.leq(v, e)]
+    assert len(edges) == 4 and len(sec.faces_of_rank(0)) == 4
+    for e in edges:
+        (u, w), = Q.faces[e].edges
+        k = sec._new[e]
+        assert Q.face_index(1, frozenset({(u, w)})) == e
+        assert sec.face_index(0, frozenset({(u, u), (w, w)})) == k
+        assert sec.face_index(0, frozenset({(u, w)})) is None
+        assert sec.face_index(1, frozenset({(u, w)})) is None
+
+
 def test_face_not_above_the_rank_minus_one_face_reported():
     # A square whose faces all hold point 9, as the rank -1 face does,
     # plus a vertex {0, 10} that does not.  Graded and diamond, but that

@@ -1,13 +1,14 @@
 """Colored graph container, coloring search, colored isomorphism."""
 
 import gc
+import itertools
 
 import pytest
 
 from chiralcube.classify import verify_paper
 from chiralcube.geometry import lift_double_cover
 from chiralcube.group import color_respecting_automorphisms
-from chiralcube.graph import (ColoredGraph, GraphError,
+from chiralcube.graph import (ColoredGraph, GraphError, _gather,
                               colored_isomorphism, components_by_colorset,
                               enumerate_matching_colorings,
                               iter_colored_isomorphisms, validate)
@@ -25,6 +26,22 @@ def six_cycle():
 def test_edges_are_canonicalized():
     g = ColoredGraph(3, 3, ((2, 1, 0), (0, 2, 1), (1, 0, 2)))
     assert g.edges == ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def test_gather_builds_a_tuple_for_any_number_of_indices():
+    # itemgetter raises for no index and returns a bare item for one; the
+    # gather returns the tuple of items in every case, repeats included,
+    # over a tuple and over a dict with tuple keys (a flag index)
+    seq = (5, 7, 11, 13)
+    index = {(0, 1): 4, (1, 2): 9, (2, 0): 6}
+    n = 0
+    for a, keys in ((seq, range(len(seq))), (index, list(index))):
+        for k in range(4):
+            for b in itertools.product(keys, repeat=k):
+                assert _gather(b)(a) == tuple(a[i] for i in b)
+                n += 1
+    assert n == 85 + 40
+    assert _gather([2])(seq) == (11,) and _gather(())(seq) == ()
 
 
 def test_loops_rejected():

@@ -43,6 +43,28 @@ def test_mixed_degree_products_raise():
             VertexPermutation(p) * VertexPermutation(q)
 
 
+def test_products_below_two_points():
+    # a product of degree 0 or 1 gathers fewer than two images: it must
+    # still be a permutation, not a bare image or an error
+    one, empty = VertexPermutation.identity(1), VertexPermutation(())
+    assert one * one == one and (one * one).images == (0,)
+    assert (empty * empty).images == ()
+    swap = VertexPermutation((1, 0))
+    assert (swap * swap).images == (0, 1)
+
+
+def test_reduce_generators_of_the_smallest_groups():
+    for n in (0, 1, 2):  # the trivial group on n points
+        one = VertexPermutation.identity(n)
+        assert reduce_generators([one]) == (one,)
+        assert PermutationGroup([one]).elements == (one,)
+    swap = VertexPermutation((1, 0))
+    G = PermutationGroup([swap])
+    assert [p.images for p in G] == [(0, 1), (1, 0)]
+    assert reduce_generators(G.elements) == (swap,)
+    assert reduce_generators(reversed(G.elements)) == (swap,)
+
+
 def test_cycles_and_order():
     p = VertexPermutation((1, 2, 0, 4, 3, 5))
     assert p.cycles() == ((0, 1, 2), (3, 4), (5,))

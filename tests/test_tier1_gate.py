@@ -5,6 +5,7 @@ from pathlib import Path
 
 GATE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "tier1_gate.py"))
 REQUIRED, outcomes, problems = GATE["REQUIRED"], GATE["outcomes"], GATE["problems"]
+slowest = GATE["slowest"]
 
 SKIPPED = '<skipped type="pytest.skip" message="no numpy">numpy</skipped>'
 FAILURE = '<failure message="assert False">E   assert False</failure>'
@@ -85,3 +86,28 @@ def test_verdict_fails_a_run_where_nothing_ran(tmp_path):
     assert problems({}) == ["no test ran"]
     report = _report(tmp_path, [("tests.test_x", "test_skip", SKIPPED)])
     assert problems(outcomes(report)) == ["no test ran"]
+
+
+def test_slowest_tests_are_ranked_from_the_report(tmp_path):
+    # seven tests, one reported twice (a teardown error after its call);
+    # the five slowest come first, ties by name, whatever their outcome
+    path = tmp_path / "tier1.xml"
+    path.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest">'
+        '<testcase classname="tests.test_a" name="test_fast" time="0.010"/>'
+        '<testcase classname="tests.test_a" name="test_slow" time="2.500"/>'
+        '<testcase classname="tests.test_b" name="test_tie" time="1.000"/>'
+        '<testcase classname="tests.test_a" name="test_tie" time="1.000"/>'
+        '<testcase classname="tests.test_b" name="test_twice" time="0.750"/>'
+        '<testcase classname="tests.test_b" name="test_twice" time="0.500">%s</testcase>'
+        '<testcase classname="tests.test_b" name="test_failed" time="0.900">%s</testcase>'
+        '<testcase classname="tests.test_c" name="test_untimed"/>'
+        '</testsuite></testsuites>' % (TEARDOWN, FAILURE))
+    assert slowest(path) == [
+        (2.5, "tests.test_a", "test_slow"),
+        (1.25, "tests.test_b", "test_twice"),
+        (1.0, "tests.test_a", "test_tie"),
+        (1.0, "tests.test_b", "test_tie"),
+        (0.9, "tests.test_b", "test_failed")]
+    assert slowest(path, 8)[-2:] == [(0.01, "tests.test_a", "test_fast"),
+                                     (0.0, "tests.test_c", "test_untimed")]

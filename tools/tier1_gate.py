@@ -14,7 +14,8 @@ numpy, hypothesis and networkx oracles in REQUIRED skip when their
 package is not installed, and so fail this gate.
 
 After its verdict the gate prints the wall time of the pytest run and the
-line count of the Python sources under src/, as wc -l counts them.  Wall
+line count of the Python sources under src/, as wc -l counts them, and
+then the five slowest tests with the times the report gives them.  Wall
 times compare only across gate runs of the trees in question interleaved
 on one machine.
 
@@ -103,6 +104,18 @@ def outcomes(report):
     return out
 
 
+def slowest(report, count=5):
+    """The count slowest tests of a JUnit XML report, slowest first (ties
+    by name), as (seconds, classname, name); a test reported twice, as
+    with a teardown error, is charged both times."""
+    times = {}
+    for case in ET.parse(report).iter("testcase"):
+        key = (case.get("classname", ""), case.get("name", ""))
+        times[key] = times.get(key, 0.0) + float(case.get("time", 0))
+    ranked = sorted(times.items(), key=lambda kt: (-kt[1], kt[0]))
+    return [(t, *k) for k, t in ranked[:count]]
+
+
 def problems(results):
     """What fails the gate in these outcomes, one line each; none when
     the run is green."""
@@ -125,7 +138,7 @@ def main():
         if not os.path.exists(report):
             print("tier1 gate: pytest wrote no report (exit %d)" % run.returncode)
             return 1
-        results = outcomes(report)
+        results, slow = outcomes(report), slowest(report)
 
     found = problems(results)
     for line in found:
@@ -137,6 +150,8 @@ def main():
                     for path in (ROOT / "src").rglob("*.py"))
     print("tier1 gate: pytest took %.1f s wall; src/ has %d lines"
           % (wall, src_lines))
+    for case in slow:
+        print("tier1 gate: slow %.2f s %s::%s" % case)
     return 1 if found else 0
 
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .graph import (ColoredGraph, GraphError, _gather, components_by_colorset,
+from .graph import (ColoredGraph, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
-from .group import PermutationGroup, VertexPermutation, _trusted, reduce_generators
+from .group import (PermutationGroup, VertexPermutation, _by_orbit, _trusted,
+                    reduce_generators)
 from .polytope import canonical_cycle, two_face_cycle
 
 
@@ -113,7 +115,8 @@ class IsometryMatrix:
 
 
 _SIGNED_MATRICES = {}
-_TABLES = {}  # (coords, projective) -> that point set's isometry tables by name
+_TABLES = {}  # (coords, projective) -> that point set's _Table
+_Table = namedtuple("_Table", "isometries by_root matrices")  # see EmbeddedGraph._table
 
 
 def all_signed_matrices(n=4, projective=False):
@@ -128,16 +131,6 @@ def all_signed_matrices(n=4, projective=False):
                for signs in itertools.product((1, -1), repeat=n)}
         _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: m.rows))
     return _SIGNED_MATRICES[key]
-
-
-def _per_point_set(build):
-    # a cached property of coords and projective alone, built once per point set
-    def get(e):
-        tables = _TABLES.setdefault((tuple(e.coords), e.projective), {})
-        if build.__name__ not in tables:
-            tables[build.__name__] = build(e)
-        return tables[build.__name__]
-    return cached_property(get)
 
 
 def rotation_profile(m):
@@ -215,43 +208,35 @@ class EmbeddedGraph:
             raise GraphError("edge (%d,%d) is not axis-aligned" % (u, v))
         return diffs[0]
 
-    @_per_point_set
-    def _isometries(self):
-        # (matrix, vertex permutation) for each signed matrix preserving the
-        # vertex set, filtered by every isometry scan; vp(D_s P_pi) is
+    @cached_property
+    def _table(self):
+        # (matrix, vertex permutation) per signed matrix keeping the points,
+        # in sorted order, those permutations by the image of vertex 0, and
+        # each one's matrix (None where several induce it); vp(D_s P_pi) is
         # vp(D_s) * vp(P_pi), or m walked whole if a factor leaves the set
+        key = (tuple(self.coords), self.projective)
+        if key in _TABLES:
+            return _TABLES[key]
         n, ms = self.dimension, all_signed_matrices(self.dimension, self.projective)
         ds = {s: vertex_permutation(self, IsometryMatrix(range(n), s, self.projective))
               for s in {m.signs for m in ms}}
         ps = {q: vertex_permutation(self, IsometryMatrix(q, (1,) * n, self.projective))
               for q in {m.perm for m in ms}}
-        table = []
+        isometries, by_root, matrices = [], {}, {}
         for m in ms:
             d, q = ds[m.signs], ps[m.perm]
             p = vertex_permutation(self, m) if d is None or q is None else d * q
             if p is not None:
-                table.append((m, p))
-        return table
-
-    @_per_point_set
-    def _by_root(self):
-        out = {}  # the table's vertex permutations by the image of vertex 0
-        for _, p in self._isometries:
-            out.setdefault(p.images[0], []).append(p)
-        return out
-
-    @_per_point_set
-    def _matrix_of(self):
-        # vertex permutation -> the matrix inducing it, None where several do
-        out = {}
-        for m, p in self._isometries:
-            out[p] = None if p in out else m
-        return out
+                isometries.append((m, p))
+                by_root.setdefault(p.images[0], []).append(p)
+                matrices[p] = None if p in matrices else m
+        _TABLES[key] = _Table(isometries, by_root, matrices)
+        return _TABLES[key]
 
     def matrix(self, p):
         """The isometry inducing vertex permutation p: KeyError if none
         does, GraphError if several do (the action is not faithful)."""
-        m = self._matrix_of[p]
+        m = self._table.matrices[p]
         if m is None:
             raise GraphError("matrix action on vertices is not faithful")
         return m
@@ -353,17 +338,17 @@ def _maps_coloring(p, src, dst_colors):
 def _scan(e, src, dst):
     """(matrix, vertex permutation) for every isometry of e taking
     coloring src to coloring dst up to renaming colors, in table order;
-    GraphError unless both colorings are over e.graph's edges.  Those with
-    0 -> r are a * s for any one such a and every s fixing 0 and src, so
-    each root but 0 is tested up to its first hit."""
+    GraphError unless both colorings are over e.graph's edges.  The
+    entries fixing 0 are tested against src, every root up to its first
+    hit, and group._by_orbit composes the rest."""
     src_colors, dst_colors = ({(u, v): k for u, v, k in e.graph.recolored(c).edges}
                               for c in (src, dst))
-    stab = [_gather(s.images) for s in e._by_root[0]
-            if _maps_coloring(s, src, src_colors)]
+    table = e._table
+    stab = [s.images for s in table.by_root[0] if _maps_coloring(s, src, src_colors)]
     hits = (next((p.images for p in ps if _maps_coloring(p, src, dst_colors)), None)
-            for ps in e._by_root.values())  # each root's first hit, if any
-    keep = {s(a) for a in hits if a is not None for s in stab}  # a * s
-    return [(m, p) for m, p in e._isometries if p.images in keep]
+            for ps in table.by_root.values())  # each root's first hit, if any
+    keep = set(_by_orbit(stab, hits))
+    return [(m, p) for m, p in table.isometries if p.images in keep]
 
 
 def geometric_symmetry_group(e, coloring=None):
@@ -378,8 +363,8 @@ def geometric_symmetry_group(e, coloring=None):
     if coloring is None:
         coloring = e.graph
     elements = [p for _, p in _scan(e, coloring, coloring)]
-    if len({p.images for p in elements}) != len(elements):
-        raise GraphError("matrix action on vertices is not faithful")
+    # raises unless faithful: every permutation has as many matrices as the identity
+    e.matrix(VertexPermutation.identity(len(e.coords)))
     return PermutationGroup(reduce_generators(elements), elements=elements)
 
 
@@ -428,6 +413,27 @@ def derive_chiral_colorings(e):
 # ------------------------------------------------- holonomy and lifting
 
 
+def _lift_walk(e, cycle):
+    # the sign vectors of one lifted turn of cycle, and the sign it ends on
+    if not e.projective:
+        raise ValueError("holonomy needs a projective embedding")
+    cycle = tuple(cycle)
+    if len(cycle) < 3:
+        raise ValueError("cycle must have at least 3 vertices")
+    if len(set(cycle)) != len(cycle):
+        raise ValueError("cycle revisits a vertex")
+    pairs = set(e.graph.edge_pairs)
+    walk, sign = [], 1
+    for i, u in enumerate(cycle):
+        v = cycle[(i + 1) % len(cycle)]
+        if ((u, v) if u < v else (v, u)) not in pairs:
+            raise ValueError("consecutive vertices %d, %d are not adjacent" % (u, v))
+        walk.append(e.coords[u] if sign == 1 else _neg(e.coords[u]))
+        if _hamming(e.coords[u], e.coords[v]) != 1:
+            sign = -sign  # the step lands on the negated representative
+    return walk, sign
+
+
 def cycle_holonomy(e, cycle):
     """Sign picked up by lifting a closed cycle through the double cover.
 
@@ -437,22 +443,7 @@ def cycle_holonomy(e, cycle):
     is +1 (the cycle lifts to two disjoint copies) or -1 (it lifts to a
     single cycle of twice the length).
     """
-    if not e.projective:
-        raise ValueError("holonomy needs a projective embedding")
-    cycle = tuple(cycle)
-    if len(cycle) < 3:
-        raise ValueError("cycle must have at least 3 vertices")
-    if len(set(cycle)) != len(cycle):
-        raise ValueError("cycle revisits a vertex")
-    pairs = set(e.graph.edge_pairs)
-    sign = 1
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        if ((u, v) if u < v else (v, u)) not in pairs:
-            raise ValueError("consecutive vertices %d, %d are not adjacent" % (u, v))
-        if _hamming(e.coords[u], e.coords[v]) != 1:
-            sign = -sign  # the step lands on the negated representative
-    return sign
+    return _lift_walk(e, cycle)[1]
 
 
 def lift_double_cover(e, coloring=None):
@@ -495,19 +486,11 @@ def lift_cycle(e, cycle):
     one.  Cycles are canonicalized; the list is sorted.  ValueError for
     input that cycle_holonomy rejects.
     """
-    cycle = tuple(cycle)
-    turns = 1 if cycle_holonomy(e, cycle) == 1 else 2
+    walk, sign = _lift_walk(e, cycle)
+    back = [_neg(x) for x in walk]  # the other lift of each step
     index = e._cover._index
-    start = e.coords[cycle[0]]
-    out = []
-    for cur in ((start, _neg(start)) if turns == 1 else (start,)):
-        lifted = []
-        for k in range(turns * len(cycle)):
-            lifted.append(index[cur])
-            nxt = e.coords[cycle[(k + 1) % len(cycle)]]
-            cur = nxt if _hamming(nxt, cur) == 1 else _neg(nxt)
-        out.append(canonical_cycle(lifted))
-    return sorted(out)
+    return sorted(canonical_cycle(map(index.__getitem__, lift))
+                  for lift in ((walk, back) if sign == 1 else (walk + back,)))
 
 
 # ----------------------------------------------------------- exact rank

@@ -155,21 +155,25 @@ def reduce_generators(elements):
     return tuple(kept) or (VertexPermutation.identity(elements[0].degree),)
 
 
+def _by_orbit(stab, firsts):
+    """Image tuples a * s for each a in firsts, one element taking 0 to
+    each root or None where none does, and every s in stab, the elements
+    fixing 0: by orbit and stabilizer these are all elements with 0 -> r
+    (Seress, Permutation Group Algorithms, CUP 2003, ch. 4)."""
+    times = list(map(_gather, stab))  # times[k](a) is a * stab[k]
+    return [s(a) for a in firsts if a is not None for s in times]
+
+
 def color_respecting_automorphisms(g):
     """Automorphism group of a ColoredGraph, colors preserved up to a
     permutation of color names.  Each element is a vertex permutation;
-    the color maps stay in iter_colored_isomorphisms' witnesses.  Those
-    with 0 -> r are a * s for any one such a and every s fixing 0, so
-    every root but 0 is searched up to its first witness.
-    """
+    the color maps stay in iter_colored_isomorphisms' witnesses.  Root 0
+    is searched in full, every other root up to its first witness."""
     _, rooted = _rooted_search(g, g)
     stab = [vmap for vmap, _ in rooted(0)]
-    elements = list(map(_trusted, stab))
-    times = list(map(_gather, stab))  # times[k](a) is a * stab[k]
-    for r in range(1, g.n_vertices):
-        a = next(rooted(r), None)  # a root with no witness is searched in full
-        if a is not None:
-            elements += (_trusted(s(a[0])) for s in times)
+    firsts = (next(rooted(r), (None,))[0]  # a root with no witness is searched in full
+              for r in range(1, g.n_vertices))
+    elements = list(map(_trusted, stab + _by_orbit(stab, firsts)))
     return PermutationGroup(reduce_generators(elements), elements=elements)
 
 

@@ -60,10 +60,6 @@ class Polytope:
         self._by_rank = {}
         for f in self.faces:
             self._by_rank.setdefault(f.rank, []).append(f.id)
-        # keys seen twice are ambiguous; only unique keys are indexed
-        keys = [(f.rank, f.key) for f in self.faces]
-        counts = Counter(keys)
-        self._index = {k: i for i, k in enumerate(keys) if counts[k] == 1}
         self._actions = {}  # group.induced_face_action: vertex images -> face action
 
     # ------------------------------------------------------ structure
@@ -74,6 +70,13 @@ class Polytope:
     def face_index(self, rank, key):
         """Id of the face of this rank whose Face.key is key, or None."""
         return self._index.get((rank, key))
+
+    @cached_property
+    def _index(self):
+        # keys seen twice are ambiguous; only unique keys are indexed
+        keys = [(f.rank, f.key) for f in self.faces]
+        counts = Counter(keys)
+        return {k: i for i, k in enumerate(keys) if counts[k] == 1}
 
     def leq(self, i, j):
         return j in self._ups[i]

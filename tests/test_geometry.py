@@ -500,14 +500,14 @@ def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding, cube):
                        False)
     for e, size in ((hemi, 192), (cover, 384), (cube_embedding, 384), (two, 4),
                     (c4, 4)):
-        assert len(e._isometries) == size
-        assert e._isometries == _dense_table(e)
+        assert len(e._table.isometries) == size
+        assert e._table.isometries == _dense_table(e)
     sizes = {2: (8, 4), 3: (48, 24), 4: (384, 192), 5: (3840, 1920)}
     for n, want in sizes.items():
         cubes = (cube(n, False), cube(n, True))
-        assert tuple(len(e._isometries) for e in cubes) == want
+        assert tuple(len(e._table.isometries) for e in cubes) == want
         for e in cubes:
-            assert e._isometries == _dense_table(e)
+            assert e._table.isometries == _dense_table(e)
     assert cube(4, False).coords == cube_embedding.coords
     assert cube(4, True).graph == hemi.graph and cube(4, True).coords == hemi.coords
 
@@ -523,7 +523,7 @@ def test_isometry_tables_walk_only_the_factors(monkeypatch):
     monkeypatch.setattr(geometry, "vertex_permutation", counted)
     monkeypatch.setattr(geometry, "_TABLES", {})  # no point set seen yet
     e = hemicube_embedding()
-    assert (len(e._isometries), len(e._cover._isometries)) == (192, 384)
+    assert (len(e._table.isometries), len(e._cover._table.isometries)) == (192, 384)
     # 2^3 sign classes + 4! permutations, then 2^4 + 4!; a dense walk makes
     # 192 + 384 calls
     assert len(calls) == 8 + 24 + 16 + 24 == 72
@@ -539,29 +539,33 @@ def test_isometry_tables_walk_only_the_factors(monkeypatch):
     for first, later in same:
         for f in later:
             assert f.coords == first.coords
-            for name in ("_isometries", "_by_root", "_matrix_of"):
-                assert getattr(f, name) is getattr(first, name)
+            assert f._table is first._table  # one record holds all three tables
     assert len(calls) == 72
+    # one entry per point set
+    assert set(geometry._TABLES) == {(e.coords, True), (e._cover.coords, False)}
 
 
 def test_isometry_tables_are_keyed_by_points_and_projective(hemi, monkeypatch):
     import chiralcube.geometry as geometry
-    assert len(hemi._isometries) == 192  # the process store holds the quotient
+    assert len(hemi._table.isometries) == 192  # the process store holds the quotient
     for store in (geometry._TABLES, {}):  # warm, then cold
         monkeypatch.setattr(geometry, "_TABLES", store)
         proj = EmbeddedGraph(hemi.graph, hemi.coords, True)
         # the same eight points taken as Euclidean: 3! 2^3 matrices fix
         # the first coordinate and keep the set
         flat = EmbeddedGraph(ColoredGraph(8, 1, ()), hemi.coords, False)
-        assert flat._isometries is not proj._isometries
-        assert flat._isometries == _dense_table(flat)
-        assert len(flat._isometries) == 48
-        assert flat._isometries != proj._isometries == _dense_table(proj)
-        # coordinates given as a list share the table of the tuple
+        assert flat._table is not proj._table
+        assert flat._table.isometries == _dense_table(flat)
+        assert len(flat._table.isometries) == 48
+        assert flat._table.isometries != proj._table.isometries == _dense_table(proj)
+        # coordinates given as a list share the record of the tuple
         listed = EmbeddedGraph(hemi.graph, list(hemi.coords), True)
-        assert listed._isometries is proj._isometries
-        assert len(listed._isometries) == 192
+        assert listed._table is proj._table
+        assert len(listed._table.isometries) == 192
         assert geometric_symmetry_group(listed).order == 192
+    # the cold store holds one entry per point set: the eight points taken
+    # as projective and as Euclidean
+    assert set(store) == {(hemi.coords, True), (hemi.coords, False)}
 
 
 # ------------------------------------------------------------ holonomy
@@ -856,7 +860,7 @@ def _every_entry_filter(e, src, dst):
     """The entries of e's isometry table that take coloring src to dst up
     to renaming colors, each entry tested on its own, in table order."""
     dst_color = {(u, v): c for u, v, c in dst.edges}
-    return [(m, p) for m, p in e._isometries if _takes(p.images, src, dst_color)]
+    return [(m, p) for m, p in e._table.isometries if _takes(p.images, src, dst_color)]
 
 
 def _marked(e, i):

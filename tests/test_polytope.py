@@ -85,6 +85,23 @@ def test_sections_of_facets_are_cubes(P):
         assert check_polytopality(sec) == []
 
 
+def test_face_index_is_built_on_first_lookup(P):
+    # a facet section finds its shape without looking a face up, so it
+    # builds no face key; face_index then answers as its parent does
+    bot = P.faces_of_rank(-1)[0]
+    for fid in P.faces_of_rank(3):
+        sec = P.section(bot, fid)
+        assert (f_vector(sec), schlafli_type(sec), check_polytopality(sec)) == \
+            ((8, 12, 6), (4, 3), [])
+        assert "_index" not in vars(sec)
+        # a facet keeps its faces' ranks, so their keys are the parent's
+        for f in sec.faces:
+            assert sec.face_index(f.rank, f.key) == f.id
+            assert P.face_index(f.rank, f.key) == sec._ids[f.id]
+        assert sec.face_index(0, frozenset({(0, 1)})) is None
+        assert "_index" in vars(sec)
+
+
 def test_vertex_figure_section(P):
     v = P.faces_of_rank(0)[0]
     top = P.faces_of_rank(4)[0]

@@ -21,7 +21,7 @@ from .group import (NotAnAutomorphismError, PermutationGroup,
                     SymmetryClassification, VertexPermutation,
                     chain_stabilizer, classify_symmetry,
                     color_respecting_automorphisms, flag_orbits,
-                    induced_face_action, reduce_generators)
+                    induced_face_action)
 from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
                        check_polytopality, colourful_polytope, f_vector,
                        petrie_polygons, schlafli_type, two_face_cycle,

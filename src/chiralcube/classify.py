@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .graph import (GraphError, colored_isomorphism, component_labels,
                     enumerate_matching_colorings, validate)
-from .group import (chain_stabilizer, classify_symmetry,
-                    color_respecting_automorphisms, induced_face_action,
-                    reduce_generators)
+from .group import (PermutationGroup, chain_stabilizer, classify_symmetry,
+                    color_respecting_automorphisms, induced_face_action)
 from .geometry import (EmbeddedGraph, _maps_coloring, affine_rank, cycle_holonomy,
                        classes_hit_all_directions, exchanging_isometries,
                        geometric_symmetry_group, hemicube_embedding,
@@ -136,7 +135,7 @@ def _chiral_under(e, G, colorings):
     to renaming colors.  The rotations have index 2 in G, so their
     generators and any one reflection decide; none without a reflection."""
     dets = [e.matrix(p).det() for p in G]
-    rotations = reduce_generators([p for p, d in zip(G, dets) if d == 1])
+    rotations = PermutationGroup([p for p, d in zip(G, dets) if d == 1]).generators
     flips = [p for p, d in zip(G, dets) if d == -1][:1]
     dsts = [{(u, v): k for u, v, k in c.edges} for c in colorings]
     return [c for c, dst in zip(colorings, dsts) if flips

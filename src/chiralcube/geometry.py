@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from .graph import (ColoredGraph, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
-from .group import (PermutationGroup, VertexPermutation, _by_orbit, _trusted,
-                    reduce_generators)
+from .group import PermutationGroup, VertexPermutation, _by_orbit, _trusted
 from .polytope import canonical_cycle, two_face_cycle
 
 
@@ -43,6 +42,11 @@ def _canonical(x):
 def _hamming(x, y):
     """Number of coordinates in which x and y differ."""
     return sum(1 for a, b in zip(x, y) if a != b)
+
+
+def _near(x, y):
+    """y if it is one coordinate from x, else -y: the one sign choice."""
+    return y if _hamming(x, y) == 1 else _neg(y)
 
 
 # ------------------------------------------------------------ matrices
@@ -201,8 +205,8 @@ class EmbeddedGraph:
     def direction(self, u, v):
         """Index of the single coordinate in which u and v differ."""
         x, y = self.coords[u], self.coords[v]
-        if self.projective and _hamming(x, _neg(y)) < _hamming(x, y):
-            y = _neg(y)
+        if self.projective:
+            y = _near(x, y)
         diffs = [j for j in range(len(x)) if x[j] != y[j]]
         if len(diffs) != 1:
             raise GraphError("edge (%d,%d) is not axis-aligned" % (u, v))
@@ -292,9 +296,8 @@ def hemicube_embedding():
     """
     edges = []
     for i, j in itertools.combinations(range(8), 2):
-        x, y = _hemicube_rep(i), _hemicube_rep(j)
-        if _hamming(x, y) == 3:
-            y = _neg(y)  # a main diagonal: x and -y differ in coordinate 0
+        x = _hemicube_rep(i)
+        y = _near(x, _hemicube_rep(j))  # -y on a main diagonal
         if _hamming(x, y) == 1:
             edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
     g = ColoredGraph(8, 4, tuple(edges))
@@ -365,7 +368,7 @@ def geometric_symmetry_group(e, coloring=None):
     elements = [p for _, p in _scan(e, coloring, coloring)]
     # raises unless faithful: every permutation has as many matrices as the identity
     e.matrix(VertexPermutation.identity(len(e.coords)))
-    return PermutationGroup(reduce_generators(elements), elements=elements)
+    return PermutationGroup(elements)
 
 
 def exchanging_isometries(e, c1, c2):
@@ -429,7 +432,7 @@ def _lift_walk(e, cycle):
         if ((u, v) if u < v else (v, u)) not in pairs:
             raise ValueError("consecutive vertices %d, %d are not adjacent" % (u, v))
         walk.append(e.coords[u] if sign == 1 else _neg(e.coords[u]))
-        if _hamming(e.coords[u], e.coords[v]) != 1:
+        if _near(e.coords[u], e.coords[v]) != e.coords[v]:
             sign = -sign  # the step lands on the negated representative
     return walk, sign
 
@@ -450,10 +453,11 @@ def lift_double_cover(e, coloring=None):
     """Lift a projective embedded graph to its double cover in R^4.
 
     Vertices become the full sign vectors (both preimages of each
-    projective point); each edge lifts to the two axis edges joining
-    preimages at Hamming distance one.  The coloring (default: e.graph;
-    over its edges or GraphError) is inherited by both lifts; the
-    Euclidean EmbeddedGraph returned carries the lifted coloring.
+    projective point); an edge lifts to x y and -x -y, x one end and y
+    the other's sign choice next to it, a double cover on every accepted
+    embedding.  The coloring (default: e.graph; over its edges or
+    GraphError) is inherited by both lifts; the Euclidean EmbeddedGraph
+    returned carries the lifted coloring.
     """
     if not e.projective:
         raise ValueError("only projective embeddings have a double cover")
@@ -469,11 +473,9 @@ def lift_double_cover(e, coloring=None):
 
     lifted = set()
     for u, v, c in coloring.edges:
-        for xu in (reps[u], _neg(reps[u])):
-            for xv in (reps[v], _neg(reps[v])):
-                if _hamming(xu, xv) == 1:
-                    a, b = index[xu], index[xv]
-                    lifted.add((min(a, b), max(a, b), c))
+        x, y = reps[u], _near(reps[u], reps[v])
+        for a, b in ((index[x], index[y]), (index[_neg(x)], index[_neg(y)])):
+            lifted.add((min(a, b), max(a, b), c))
     g = ColoredGraph(len(cover_coords), coloring.n_colors, tuple(sorted(lifted)))
     return EmbeddedGraph(g, tuple(cover_coords), False)
 

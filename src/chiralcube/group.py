@@ -3,10 +3,10 @@
 PermutationGroup is the one group type, for color-respecting
 automorphisms and isometry groups alike.  Groups here are small (a few
 hundred elements), so they are always fully materialized: a
-PermutationGroup carries its complete sorted element list, grown from
-its generators one coset at a time, and nothing else per element.  An
-element's matrix is looked up on the embedding it came from
-(EmbeddedGraph.matrix), its color map in the witnesses of
+PermutationGroup carries its complete sorted element list, spanned by
+the permutations it is given one coset at a time, and nothing else per
+element.  An element's matrix is looked up on the embedding it came
+from (EmbeddedGraph.matrix), its color map in the witnesses of
 graph.iter_colored_isomorphisms.  On top of that sit the operations
 that decide regularity versus chirality: inducing a face permutation
 from a vertex permutation, computing flag orbits, and classifying the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, ne
 
 from .graph import _gather, _rooted_search, component_labels
 
@@ -96,18 +96,23 @@ def _trusted(images):
 
 
 class PermutationGroup:
-    """A finite permutation group with all elements materialized."""
+    """The group spanned by perms, its elements materialized in sorted
+    order; its generators are the perms, in that order, outside the span
+    of those before them (the identity if none)."""
 
-    def __init__(self, generators, elements=None):
-        self.generators = tuple(generators)
-        if not self.generators:
+    def __init__(self, perms):
+        perms = sorted(perms, key=attrgetter("images"))
+        if not perms:
             raise ValueError("need at least one generator (use the identity)")
-        self.degree = self.generators[0].degree
-        if any(g.degree != self.degree for g in self.generators):
+        images = list(map(attrgetter("images"), perms))
+        if len(set(map(len, images))) > 1:
             raise ValueError("generators act on different point sets")
-        if elements is None:
-            elements = map(_trusted, _span(self.generators, self.degree)[1])
-        self.elements = tuple(sorted(elements, key=attrgetter("images")))
+        self.degree = len(images[0])
+        kept, span = _span(perms, self.degree)
+        self.generators = tuple(kept) or (VertexPermutation.identity(self.degree),)
+        # the inputs are the group when they are as many as it, no two equal
+        whole = len(images) == len(span) and all(map(ne, images, images[1:]))
+        self.elements = tuple(perms) if whole else tuple(map(_trusted, sorted(span)))
 
     @property
     def order(self):
@@ -147,14 +152,6 @@ def _span(perms, degree):
     return kept, span
 
 
-def reduce_generators(elements):
-    """Small generating set for a materialized group: greedily add
-    elements not yet generated.  Always nonempty (identity if trivial)."""
-    elements = sorted(elements, key=attrgetter("images"))
-    kept = _span(elements, elements[0].degree)[0]
-    return tuple(kept) or (VertexPermutation.identity(elements[0].degree),)
-
-
 def _by_orbit(stab, firsts):
     """Image tuples a * s for each a in firsts, one element taking 0 to
     each root or None where none does, and every s in stab, the elements
@@ -174,7 +171,7 @@ def color_respecting_automorphisms(g):
     firsts = (next(rooted(r), (None,))[0]  # a root with no witness is searched in full
               for r in range(1, g.n_vertices))
     elements = list(map(_trusted, stab + _by_orbit(stab, firsts)))
-    return PermutationGroup(reduce_generators(elements), elements=elements)
+    return PermutationGroup(elements)
 
 
 # ---------------------------------------------------- action on faces
@@ -269,4 +266,4 @@ def chain_stabilizer(p, G, chain):
     keep = [g for g in G.elements  # the image ends, paired up again
             if all(into.issuperset(zip(*[iter(ends(g.images))] * 2))
                    for into, ends in tests)]
-    return PermutationGroup(reduce_generators(keep), elements=keep)
+    return PermutationGroup(keep)

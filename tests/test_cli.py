@@ -190,7 +190,7 @@ def test_star_import_binds_the_names_the_package_imports():
     bound = {}
     exec("from chiralcube import *", bound)
     del bound["__builtins__"]
-    assert set(bound) == imported and len(bound) == 49
+    assert set(bound) == imported and len(bound) == 48
     assert all(isinstance(x, type) or inspect.isfunction(x)
                for x in bound.values())
     assert not any(isinstance(x, types.ModuleType) for x in bound.values())

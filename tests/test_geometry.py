@@ -19,7 +19,7 @@ from chiralcube.geometry import (EmbeddedGraph, IsometryMatrix,
                                  lift_double_cover, off_text,
                                  rotation_profile, squares_see_all_colors,
                                  vertex_permutation)
-from chiralcube.graph import (ColoredGraph, GraphError,
+from chiralcube.graph import (ColoredGraph, GraphError, component_labels,
                              components_by_colorset, enumerate_matching_colorings)
 from chiralcube.group import (PermutationGroup, VertexPermutation,
                               color_respecting_automorphisms)
@@ -675,6 +675,36 @@ def test_lift_cycle_splits_by_holonomy(hemi, P, Q):
             for i, v in enumerate(c):
                 w = c[(i + 1) % len(c)]
                 assert (min(v, w), max(v, w)) in cover.graph.edge_pairs
+
+
+def test_lift_is_a_double_cover_with_zero_coordinates():
+    # the 13 sign classes of {-1, 0, 1}^3 minus 0, where two
+    # representatives can be one coordinate apart under both sign
+    # choices: every accepted edge lifts to two edges, and every accepted
+    # triangle to two triangles (holonomy +1) or one hexagon (-1)
+    reps = [x for x in itertools.product((-1, 0, 1), repeat=3)
+            if any(x) and next(c for c in x if c) > 0]
+    assert len(reps) == 13
+    counts = Counter()
+    for pts in [*itertools.combinations(reps, 2), ((1, 1), (1, -1)),
+                *itertools.combinations(reps, 3)]:
+        n = len(pts)
+        edges = tuple((u, v, 0) for u, v in itertools.combinations(range(n), 2))
+        try:
+            e = EmbeddedGraph(ColoredGraph(n, 1, edges), pts, True)
+        except GraphError:
+            continue  # some edge is not axis-aligned
+        lift = lift_double_cover(e)
+        assert len(lift.graph.edges) == 2 * len(edges)
+        if n == 3:
+            adj = [[] for _ in range(2 * n)]
+            for u, v in lift.graph.edge_pairs:
+                adj[u].append(v)
+                adj[v].append(u)
+            parts = len(set(component_labels(adj)))
+            assert parts == {1: 2, -1: 1}[cycle_holonomy(e, (0, 1, 2))]
+        counts[n] += 1
+    assert counts == {2: 33 + 1, 3: 16}
 
 
 def test_octagon_stabilizer_profile(H, GH, cover):

@@ -1,6 +1,8 @@
 """Permutations, group closure, induced actions, flag orbits, stabilizers."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from chiralcube.group import (NotAnAutomorphismError, PermutationGroup,
                               VertexPermutation, chain_stabilizer,
                               classify_symmetry,
                               color_respecting_automorphisms, flag_orbits,
-                              induced_face_action, reduce_generators)
+                              induced_face_action)
 from chiralcube.polytope import colourful_polytope
 
 
@@ -53,16 +55,18 @@ def test_products_below_two_points():
     assert (swap * swap).images == (0, 1)
 
 
-def test_reduce_generators_of_the_smallest_groups():
+def test_constructor_of_the_smallest_groups():
     for n in (0, 1, 2):  # the trivial group on n points
         one = VertexPermutation.identity(n)
-        assert reduce_generators([one]) == (one,)
+        assert PermutationGroup([one]).generators == (one,)
         assert PermutationGroup([one]).elements == (one,)
     swap = VertexPermutation((1, 0))
     G = PermutationGroup([swap])
     assert [p.images for p in G] == [(0, 1), (1, 0)]
-    assert reduce_generators(G.elements) == (swap,)
-    assert reduce_generators(reversed(G.elements)) == (swap,)
+    assert PermutationGroup(G.elements).generators == (swap,)
+    assert PermutationGroup(reversed(G.elements)).generators == (swap,)
+    # two inputs, one distinct: not yet the whole group
+    assert PermutationGroup([swap, swap]).elements == (VertexPermutation.identity(2), swap)
 
 
 def test_cycles_and_order():
@@ -147,8 +151,8 @@ def test_membership_and_equality():
     assert G.elements == PermutationGroup([VertexPermutation((2, 0, 1))]).elements
 
 
-def test_reduce_generators_reproduces_group(AP):
-    gens = reduce_generators(AP.elements)
+def test_constructor_reproduces_group(AP):
+    gens = PermutationGroup(AP.elements).generators
     assert len(gens) < 5
     assert PermutationGroup(gens).elements == AP.elements
 
@@ -369,7 +373,7 @@ def test_chain_stabilizer_matches_full_face_action(Q, GQ, H, GH, P, AP):
             keep = [g for g in G.elements if all(actions[g](f) == f for f in chain)]
             st = chain_stabilizer(p, G, chain)
             assert st.elements == tuple(keep)
-            assert st.generators == reduce_generators(keep)
+            assert st.generators == PermutationGroup(keep).generators
 
 
 def test_chain_stabilizer_rejects_non_automorphisms(P, AP):
@@ -399,7 +403,7 @@ def _bfs_span(gens, degree):
 
 
 def _greedy_generators(images, degree):
-    """The definition of reduce_generators: add each element, in sorted
+    """The definition of a group's generators: add each element, in sorted
     order, that the earlier ones do not generate, closing the generators
     from scratch every time."""
     gens, span = [], {tuple(range(degree))}
@@ -410,18 +414,18 @@ def _greedy_generators(images, degree):
     return gens or [tuple(range(degree))]
 
 
-def test_reduce_generators_matches_greedy_closure(AP, GQ, GH):
+def test_constructor_matches_greedy_closure(AP, GQ, GH):
     for G in (AP, GQ, GH,
               PermutationGroup([VertexPermutation.identity(3)])):
         images = [p.images for p in G.elements]
         assert sorted(_bfs_span(images, G.degree)) == images
-        assert ([g.images for g in reduce_generators(G.elements)]
+        assert ([g.images for g in PermutationGroup(G.elements).generators]
                 == _greedy_generators(images, G.degree))
 
 
 def test_coset_closure_matches_bfs_closure():
     # random generator sets in S_n, n <= 7: the coset closure behind
-    # PermutationGroup and reduce_generators against breadth-first search
+    # PermutationGroup's elements and generators against breadth-first search
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -434,7 +438,7 @@ def test_coset_closure_matches_bfs_closure():
         want = sorted(_bfs_span(gens, n))
         G = PermutationGroup([VertexPermutation(g) for g in gens])
         assert [p.images for p in G.elements] == want
-        assert ([g.images for g in reduce_generators(G.elements)]
+        assert ([g.images for g in PermutationGroup(G.elements).generators]
                 == _greedy_generators(want, n))
 
     check()
@@ -536,35 +540,85 @@ def test_automorphisms_match_every_witness(hemi, twins, cover, cube_embedding):
 # ----------------------------------------- chirality by distinguished generators
 
 
+def _taking_base_to(p, G):
+    """j -> the elements of G taking p's base flag to flag j."""
+    fg = p.flag_graph()
+    actions = {g: induced_face_action(p, g) for g in G}
+    return lambda j: [g for g, a in actions.items()
+                      if fg.index[tuple(map(a, fg.flags[0]))] == j]
+
+
+def _sigmas(p, G):
+    """Schulte and Weiss's sigma_1, sigma_2, sigma_3 of p in G: sigma_i
+    takes the base flag to the flag reached by changing rank i-1, then
+    rank i; each is the one element of G that does."""
+    rho, taking_base_to = p.flag_graph().rho, _taking_base_to(p, G)
+    sigmas = [taking_base_to(rho[i][rho[i - 1][0]]) for i in (1, 2, 3)]
+    assert [len(s) for s in sigmas] == [1, 1, 1]
+    return tuple(s[0] for s in sigmas)
+
+
+def _word(sigmas, letters):
+    """The product of sigma_i over the letters i in 1, 2, 3, left to right."""
+    prod = VertexPermutation.identity(sigmas[0].degree)
+    for i in letters:
+        prod = prod * sigmas[i - 1]
+    return prod
+
+
 def test_schulte_weiss_distinguished_generators(H, GH):
     # Schulte and Weiss, "Chiral polytopes" (1991): a chiral 4-polytope's
-    # rotation group is generated by sigma_1, sigma_2, sigma_3, where
-    # sigma_i takes the base flag to the flag reached by changing rank
-    # i-1, then rank i.  Products compose as VertexPermutation does,
-    # (p*q)(x) = p(q(x)); in the other order the relation that holds is
-    # (sigma_3 sigma_2 sigma_1)^2 = 1.  Unlike classify_symmetry, this
-    # counts no flag orbits.
-    fg = H.flag_graph()
-    actions = {g: induced_face_action(H, g) for g in GH}
-
-    def taking_base_to(j):
-        return [g for g, a in actions.items()
-                if fg.index[tuple(map(a, fg.flags[0]))] == j]
-
-    sigmas = [taking_base_to(fg.rho[i][fg.rho[i - 1][0]])
-              for i in (1, 2, 3)]
-    assert [len(s) for s in sigmas] == [1, 1, 1]
-    s1, s2, s3 = (s[0] for s in sigmas)
+    # rotation group is generated by sigma_1, sigma_2, sigma_3.  Products
+    # compose as VertexPermutation does, (p*q)(x) = p(q(x)); in the other
+    # order the relation that holds is (sigma_3 sigma_2 sigma_1)^2 = 1.
+    # Unlike classify_symmetry, this counts no flag orbits.
+    s1, s2, s3 = sigmas = _sigmas(H, GH)
     assert (s1.order(), s2.order(), s3.order()) == (8, 3, 3)
-    for w in ((s1, s2), (s2, s3), (s1, s2, s3)):
-        prod = VertexPermutation.identity(s1.degree)
-        for s in w:
-            prod = prod * s
-        assert prod * prod == VertexPermutation.identity(s1.degree)
+    for w in ((1, 2), (2, 3), (1, 2, 3)):
+        assert _word(sigmas, w * 2) == VertexPermutation.identity(s1.degree)
     left, right = PermutationGroup((s1, s2)), PermutationGroup((s2, s3))
     meet = set(left) & set(right)
     assert (left.order, right.order, len(meet)) == (48, 12, 3)
     assert meet == set(PermutationGroup((s2,)))
     assert PermutationGroup((s1, s2, s3)).elements == GH.elements
     # no rotation takes the base flag to its 0-adjacent flag: chiral
-    assert taking_base_to(fg.rho[0][0]) == []
+    assert _taking_base_to(H, GH)(H.flag_graph().rho[0][0]) == []
+
+
+def _relators(k):
+    # sigma_1^k, sigma_2^3, sigma_3^3, (sigma_1 sigma_2)^2, (sigma_2 sigma_3)^2,
+    # (sigma_1 sigma_2 sigma_3)^2 and (sigma_1 sigma_3)^4, as words in 1, 2, 3
+    return ((1,) * k, (2,) * 3, (3,) * 3, (1, 2) * 2, (2, 3) * 2, (1, 2, 3) * 2,
+            (1, 3) * 4)
+
+
+def test_presentations_certify_the_rotation_groups(Q, GQ, H, GH):
+    # The seven relators hold on the sigmas of Q (k = 4) and of Q-hat
+    # (k = 8), which generate GQ and GH, with <s1, s2> and <s2, s3>
+    # meeting in <s2>; Todd-Coxeter on the relators enumerates exactly
+    # 96 and 192 cosets of the trivial subgroup, so the presented group,
+    # which maps onto the sigmas' group of the same order, is that group.
+    # By Schulte and Weiss, a polytope is regular exactly when
+    # sigma_1 -> sigma_1^-1, sigma_2 -> sigma_1^2 sigma_2, sigma_3 -> sigma_3
+    # extends to an automorphism, that is, when every relator's image
+    # holds.  Q is combinatorially regular (192 colour-respecting
+    # automorphisms, flag-transitive), so all seven hold on its 96
+    # rotations; on Q-hat the image (sigma_1^-1 sigma_3)^4 fails.
+    fp = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+    F, *gens = free_group("s1 s2 s3")
+    for p, G, k, broken in ((Q, GQ, 4, []), (H, GH, 8, [(1, 3) * 4])):
+        sigmas = _sigmas(p, G)
+        one = VertexPermutation.identity(sigmas[0].degree)
+        assert [_word(sigmas, r) for r in _relators(k)] == [one] * 7
+        assert PermutationGroup(sigmas).elements == G.elements
+        s1, s2, s3 = sigmas  # the intersection condition
+        assert (set(PermutationGroup((s1, s2))) & set(PermutationGroup((s2, s3)))
+                == set(PermutationGroup((s2,))))
+        words = [functools.reduce(operator.mul, (gens[i - 1] for i in r))
+                 for r in _relators(k)]
+        table = fp.FpGroup(F, words).coset_enumeration([], max_cosets=8 * G.order)
+        assert table.is_complete() and len(table.table) == G.order
+        mirror = {1: (1,) * (k - 1), 2: (1, 1, 2), 3: (3,)}  # sigma_1^-1 = sigma_1^(k-1)
+        assert [r for r in _relators(k)  # the relators whose images fail
+                if _word(sigmas, sum((mirror[i] for i in r), ())) != one] == broken

@@ -10,8 +10,8 @@ from a JUnit XML report.  It exits 0 when every test passes or is skipped.
 It exits 1 on any failure or error (an error in teardown after a pass
 counts as a failure), when nothing ran, or when a test named in REQUIRED
 did not run, so that it cannot drop out of the suite unnoticed.  The
-numpy, hypothesis and networkx oracles in REQUIRED skip when their
-package is not installed, and so fail this gate.
+numpy, hypothesis, networkx and sympy oracles in REQUIRED skip when
+their package is not installed, and so fail this gate.
 
 After its verdict the gate prints the wall time of the pytest run and the
 line count of the Python sources under src/, as wc -l counts them, and
@@ -82,6 +82,8 @@ REQUIRED = (
     ("tests.test_classify", "test_report_is_the_same_with_cold_and_warm_isometry_tables"),
     # the flag graph a section borrows from its parent, against a fresh one
     ("tests.test_flag_connectivity", "test_section_flag_graphs_match_fresh_build"),
+    # the rotation groups' orders and chirality, from presentations (sympy)
+    ("tests.test_group", "test_presentations_certify_the_rotation_groups"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

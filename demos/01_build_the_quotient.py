@@ -7,8 +7,8 @@ the representative).  Coloring edges by that coordinate index and taking
 connected components of color subsets gives the whole face lattice.
 """
 
-from chiralcube import (check_polytopality, colourful_polytope, f_vector,
-                        hemicube_embedding, schlafli_type)
+from chiralcube import (check_polytopality, f_vector, hemicube_embedding,
+                        schlafli_type)
 from chiralcube.graph import components_by_colorset
 
 e = hemicube_embedding()
@@ -23,7 +23,7 @@ print("%d edges in %d direction classes" % (len(g.edges), g.n_colors))
 for c, edges in sorted(g.color_classes().items()):
     print("  direction %d: %s" % (c, " ".join("%d-%d" % uv for uv in edges)))
 
-P = colourful_polytope(g)
+P = e.polytope
 print()
 print("face counts by rank:", f_vector(P))
 print("Schlafli type:      ", schlafli_type(P))

@@ -20,7 +20,7 @@ from chiralcube import (affine_rank, chain_stabilizer,
 e = hemicube_embedding()
 twin = derive_chiral_colorings(e)[0]
 Q = colourful_polytope(e.graph.recolored(twin))
-P = colourful_polytope(e.graph)
+P = e.polytope
 
 print("holonomy of the 2-faces (sign collected around each cycle):")
 for name, poly in (("direction-colored", P), ("twin-colored", Q)):
@@ -33,7 +33,7 @@ print()
 print("one twin square", sq, "lifts to:", lift_cycle(e, sq))
 
 cover = lift_double_cover(e, twin)
-H = colourful_polytope(cover.graph)
+H = cover.polytope
 print()
 print("cover: f-vector %s, type %s" % (f_vector(H), schlafli_type(H)))
 

@@ -1,9 +1,12 @@
 """One-shot mechanical verification of the whole construction.
 
-verify_paper() rebuilds on each call the quotient-cube graph, its regular
-polytope, the exhaustive coloring search, the chiral twin and its mirror,
-the symmetry groups, the zigzag polygon exchange, the sign holonomy and
-the double cover; isometry tables alone are built once per point set per process.
+verify_paper() rebuilds on each call the exhaustive coloring search, the
+chiral twin and its mirror, the symmetry groups, the zigzag polygon
+exchange, the sign holonomy and the double cover of the twin, and runs
+every check afresh.  Built once per process are the quotient-cube
+embedding with its regular polytope and its 4-cube cover (with that
+cover's polytope), and the isometry table of each point set; an
+injected base graph gets an embedding of its own.
 Each claim becomes one report row with the expected and computed values;
 a failure is recorded in its row, never raised, so the report always
 completes as far as the data allows.
@@ -177,11 +180,11 @@ def verify_paper(*, coloring=None, base_graph=None):
     def report():
         return VerificationReport(tuple(checks))
 
-    def polytope(key, claim, graph):
-        # the colourful polytope of graph() with its polytopality row, or
-        # None with the row failed when either step raises GraphError
+    def polytope(key, claim, build):
+        # the colourful polytope build() returns, with its polytopality row,
+        # or None with the row failed when either step raises GraphError
         try:
-            p = colourful_polytope(graph())
+            p = build()
         except GraphError as err:
             fail(key, claim, DERIVED, [], err)
             return None
@@ -211,7 +214,7 @@ def verify_paper(*, coloring=None, base_graph=None):
             True, complete_bipartite)
 
     try:
-        e = EmbeddedGraph(g, e0.coords, True)
+        e = e0 if base_graph is None else EmbeddedGraph(g, e0.coords, True)
     except GraphError as err:
         fail("base.embedding", "graph sits on the projective sign classes",
              DERIVED, True, err)
@@ -219,7 +222,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     # ------------------------------------------------- the regular polytope
     P = polytope("p.polytopal", "color components form an abstract 4-polytope",
-                 lambda: g)
+                 lambda: e.polytope)
     if P is None:
         return report()
     add("p.f_vector", "8 vertices, 16 edges, 12 squares, 4 facets",
@@ -292,7 +295,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         (0, 96), (exd.count(1), exd.count(-1)))
 
     # ------------------------------------------------------- the chiral twin
-    Q = polytope("q.polytopal", q_claim, lambda: g.recolored(c_q))
+    Q = polytope("q.polytopal", q_claim, lambda: colourful_polytope(g.recolored(c_q)))
     if Q is None:
         return report()
     add("q.schlafli", "the twin has type {4,3,3}",
@@ -386,8 +389,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         {1}, {cycle_holonomy(e, c) for c in p2})
 
-    cube_e = lift_double_cover(e, e.direction_coloring)
-    cube = colourful_polytope(cube_e.graph)
+    cube = e._cover.polytope
     add("lift.regular_lift_is_cube",
         "lifting the direction coloring gives the 4-cube",
         DERIVED,
@@ -395,7 +397,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     he = lift_double_cover(e, c_q)
     H = polytope("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
-                 lambda: he.graph)
+                 lambda: he.polytope)
     if H is None:
         return report()
     add("qhat.schlafli", "the cover has type {8,3,3}",

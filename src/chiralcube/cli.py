@@ -26,7 +26,7 @@ from .geometry import (EmbeddedGraph, classes_hit_all_directions,
                        hypercube_embedding, lift_double_cover, off_text,
                        squares_see_all_colors)
 from .graph import enumerate_matching_colorings
-from .polytope import colourful_polytope, f_vector, schlafli_type, to_json
+from .polytope import f_vector, schlafli_type, to_json
 
 OBJECTS = ("P", "Q", "Q-mirror", "Qhat", "hypercube")
 
@@ -38,7 +38,7 @@ def _make(name):
         twin = derive_chiral_colorings(e)[name == "Q-mirror"]
         e = (lift_double_cover(e, twin) if name == "Qhat"
              else EmbeddedGraph(e.graph.recolored(twin), e.coords, True))
-    return e, colourful_polytope(e.graph)
+    return e, e.polytope
 
 
 def _emit(text, output):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .graph import (ColoredGraph, GraphError, components_by_colorset,
                     enumerate_matching_colorings)
 from .group import PermutationGroup, VertexPermutation, _by_orbit, _trusted
-from .polytope import canonical_cycle, two_face_cycle
+from .polytope import canonical_cycle, colourful_polytope, two_face_cycle
 
 
 def _neg(x):
@@ -120,6 +120,7 @@ class IsometryMatrix:
 
 _SIGNED_MATRICES = {}
 _TABLES = {}  # (coords, projective) -> that point set's _Table
+_QUOTIENT = []  # the one embedding hemicube_embedding() returns, once built
 _Table = namedtuple("_Table", "isometries by_root matrices")  # see EmbeddedGraph._table
 
 
@@ -189,6 +190,8 @@ class EmbeddedGraph:
             raise GraphError("coordinates of unequal length")
         if self.projective:
             for x in self.coords:
+                if not any(x):
+                    raise GraphError("the zero vector %r is no projective point" % (x,))
                 if _canonical(x) != x:
                     raise GraphError("projective representative %r not canonical" % (x,))
         # vertex id of each coordinate tuple, built once for every scan
@@ -261,9 +264,15 @@ class EmbeddedGraph:
                 for _, es in components_by_colorset(d, pair) if es]
 
     @cached_property
+    def polytope(self):
+        """colourful_polytope(self.graph), GraphError as it raises."""
+        return colourful_polytope(self.graph)
+
+    @cached_property
     def _cover(self):
-        # read for its coordinates and edges only, so colors do not matter
-        return lift_double_cover(self)
+        # colored by direction, the quotient's is hypercube_embedding();
+        # lift_cycle and off_text read only its coordinates and edges
+        return lift_double_cover(self, self.direction_coloring)
 
     @cached_property
     def antipode(self):
@@ -293,21 +302,27 @@ def hemicube_embedding():
     but one (the main diagonals, direction 0 after re-choosing the
     sign).  Colors are directions; 4-regular, 4 colors, bipartite by
     parity of the number of -1 entries.
+
+    Built once per process: every call returns the same embedding, so
+    its polytope, its isometry table and its cover are built once too.
     """
-    edges = []
-    for i, j in itertools.combinations(range(8), 2):
-        x = _hemicube_rep(i)
-        y = _near(x, _hemicube_rep(j))  # -y on a main diagonal
-        if _hamming(x, y) == 1:
-            edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
-    g = ColoredGraph(8, 4, tuple(edges))
-    return EmbeddedGraph(g, tuple(_hemicube_rep(i) for i in range(8)), True)
+    if not _QUOTIENT:
+        edges = []
+        for i, j in itertools.combinations(range(8), 2):
+            x = _hemicube_rep(i)
+            y = _near(x, _hemicube_rep(j))  # -y on a main diagonal
+            if _hamming(x, y) == 1:
+                edges.append((i, j, next(k for k in range(4) if x[k] != y[k])))
+        g = ColoredGraph(8, 4, tuple(edges))
+        _QUOTIENT.append(EmbeddedGraph(g, tuple(_hemicube_rep(i) for i in range(8)), True))
+    return _QUOTIENT[0]
 
 
 def hypercube_embedding():
     """The 4-cube: 16 vertices {1,-1}^4, 32 axis edges colored by
-    direction, built as the double cover of the quotient."""
-    return lift_double_cover(hemicube_embedding())
+    direction, built as the double cover of the quotient.  It is the
+    quotient's own cover, so it too is built once per process."""
+    return hemicube_embedding()._cover
 
 
 # ------------------------------------------------------ symmetry groups

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import chiralcube
-from chiralcube import geometry
+from chiralcube import classify, geometry
 from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
                                  _chiral_under, _turns, enantiomorph_check,
                                  verify_paper)
-from chiralcube.geometry import geometric_symmetry_group, hypercube_embedding
+from chiralcube.geometry import (EmbeddedGraph, geometric_symmetry_group,
+                                 hemicube_embedding, hypercube_embedding)
 from chiralcube.graph import ColoredGraph, enumerate_matching_colorings
 
 
@@ -203,6 +204,7 @@ def test_report_is_the_same_with_cold_and_warm_isometry_tables(
         return r.to_text(), json.dumps(r.to_json(), indent=2, sort_keys=True)
 
     monkeypatch.setattr(geometry, "_TABLES", {})
+    monkeypatch.setattr(geometry, "_QUOTIENT", [])  # a quotient reading no table yet
     cold = dump(verify_paper())
     points = {(hemi.coords, True), (cube_embedding.coords, False)}
     assert set(geometry._TABLES) == points
@@ -213,6 +215,43 @@ def test_report_is_the_same_with_cold_and_warm_isometry_tables(
         hemi.graph, up_to_color_permutation=True)[0])
     assert set(geometry._TABLES) == points
     assert dump(verify_paper()) == cold == dump(report)
+
+
+def test_injected_reports_leave_the_process_constants_alone(
+        report, hemi, twins, monkeypatch):
+    # the quotient owns its polytope and its 4-cube cover, built once per
+    # process; a report on another class or an injected base graph builds
+    # its own objects and leaves those as they were
+    def dump(r):
+        return r.to_text(), json.dumps(r.to_json(), indent=2, sort_keys=True)
+
+    assert hemicube_embedding() is hemicube_embedding() is hemi
+    assert hypercube_embedding() is hemi._cover
+    P, cube = hemi.polytope, hemi._cover.polytope
+    faces = (P.faces, cube.faces)
+    built = []
+
+    def spy(*args):
+        built.append(args[0])
+        return EmbeddedGraph(*args)
+    monkeypatch.setattr(classify, "EmbeddedGraph", spy)
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    other = next(c for c in classes if c not in twins)
+    assert not verify_paper(coloring=other).passed
+    assert built == []  # the default base graph sits on the constant
+    # the 3-colour graph of test_no_twin_pair_reported_not_raised, and the
+    # quotient with its colours renamed: each gets an embedding of its own
+    g3 = ColoredGraph(8, 3, tuple(x for x in hemi.graph.edges if x[2] != 3))
+    rows = {c.key: c.computed for c in verify_paper(base_graph=g3).checks}
+    assert rows["p.f_vector"] == (8, 12, 6)
+    renamed = hemi.graph.permuted({0: 1, 1: 0, 2: 3, 3: 2})
+    again = verify_paper(base_graph=renamed)
+    assert built == [g3, renamed]
+    assert len(again.checks) == 46 and dump(again) == dump(report)
+    assert hemicube_embedding() is hemi
+    assert hemi.polytope is P and hemi._cover.polytope is cube
+    assert (P.faces, cube.faces) == faces
+    assert dump(verify_paper()) == dump(report)
 
 
 def test_enantiomorph_verdicts(hemi, twins):

@@ -287,6 +287,9 @@ def test_embedding_rejects_noncanonical_reps(hemi):
     coords[0] = tuple(-c for c in coords[0])
     with pytest.raises(GraphError):
         EmbeddedGraph(hemi.graph, tuple(coords), True)
+    # the zero vector is no sign class: its two sign choices coincide
+    with pytest.raises(GraphError, match="zero vector"):
+        EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((0, 0, 0), (1, 0, 0)), True)
 
 
 # ----------------------------------------------------- symmetry groups
@@ -464,6 +467,7 @@ def test_squares_are_built_once_per_embedding(monkeypatch):
         return components_by_colorset(g, colors)
 
     monkeypatch.setattr(geometry, "components_by_colorset", counted)
+    monkeypatch.setattr(geometry, "_QUOTIENT", [])  # a quotient with no squares yet
     e = hemicube_embedding()
     # the rows of the colorings census: the regular coloring, the twins
     # and every labelled coloring
@@ -522,6 +526,7 @@ def test_isometry_tables_walk_only_the_factors(monkeypatch):
 
     monkeypatch.setattr(geometry, "vertex_permutation", counted)
     monkeypatch.setattr(geometry, "_TABLES", {})  # no point set seen yet
+    monkeypatch.setattr(geometry, "_QUOTIENT", [])  # nor a quotient holding its table
     e = hemicube_embedding()
     assert (len(e._table.isometries), len(e._cover._table.isometries)) == (192, 384)
     # 2^3 sign classes + 4! permutations, then 2^4 + 4!; a dense walk makes
@@ -802,6 +807,7 @@ def test_off_export_builds_one_cover(Q, monkeypatch):
         return lift_double_cover(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "lift_double_cover", counted)
+    monkeypatch.setattr(geometry, "_QUOTIENT", [])  # a quotient with no cover yet
     off_text(hemicube_embedding(), Q)
     assert len(calls) == 1
 

@@ -84,6 +84,8 @@ REQUIRED = (
     ("tests.test_flag_connectivity", "test_section_flag_graphs_match_fresh_build"),
     # the rotation groups' orders and chirality, from presentations (sympy)
     ("tests.test_group", "test_presentations_certify_the_rotation_groups"),
+    # injected reports never read or change the process constants
+    ("tests.test_classify", "test_injected_reports_leave_the_process_constants_alone"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

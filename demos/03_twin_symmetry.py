@@ -8,21 +8,22 @@ chain stabilizers come out cyclic with the expected cycle types.
 """
 
 from chiralcube import (chain_stabilizer, classify_symmetry,
-                        colourful_polytope, derive_chiral_colorings,
-                        geometric_symmetry_group, hemicube_embedding)
+                        derive_chiral_colorings, geometric_symmetry_group,
+                        hemicube_embedding)
 
 e = hemicube_embedding()
 twin = derive_chiral_colorings(e)[0]
 
-for label, coloring in (("direction coloring", None), ("twin coloring", twin)):
-    G = geometric_symmetry_group(e, coloring)
+for label, coloring in (("direction coloring", e.graph), ("twin coloring", twin)):
+    G = geometric_symmetry_group(e.recolored(coloring))
     dets = [e.matrix(p).det() for p in G]
     print("%-18s %3d isometries  (%d rotations, %d reflections)"
           % (label, G.order, dets.count(1), dets.count(-1)))
 
 print()
-Q = colourful_polytope(e.graph.recolored(twin))
-GQ = geometric_symmetry_group(e, twin)
+eq = e.recolored(twin)
+Q = eq.polytope
+GQ = geometric_symmetry_group(eq)
 cls = classify_symmetry(Q, GQ)
 print("flag orbits under the 96 rotations: %s -> %s"
       % (cls.orbit_sizes, cls.verdict))

@@ -10,8 +10,7 @@ by pi/4 while turning the perpendicular plane by 3pi/4.
 
 from fractions import Fraction
 
-from chiralcube import (affine_rank, chain_stabilizer,
-                        colourful_polytope, cycle_holonomy,
+from chiralcube import (affine_rank, chain_stabilizer, cycle_holonomy,
                         derive_chiral_colorings, f_vector,
                         geometric_symmetry_group, hemicube_embedding,
                         lift_cycle, lift_double_cover, rotation_profile,
@@ -19,8 +18,8 @@ from chiralcube import (affine_rank, chain_stabilizer,
 
 e = hemicube_embedding()
 twin = derive_chiral_colorings(e)[0]
-Q = colourful_polytope(e.graph.recolored(twin))
-P = e.polytope
+eq = e.recolored(twin)
+Q, P = eq.polytope, e.polytope
 
 print("holonomy of the 2-faces (sign collected around each cycle):")
 for name, poly in (("direction-colored", P), ("twin-colored", Q)):
@@ -32,7 +31,7 @@ sq = two_face_cycle(Q, Q.faces_of_rank(2)[0])
 print()
 print("one twin square", sq, "lifts to:", lift_cycle(e, sq))
 
-cover = lift_double_cover(e, twin)
+cover = lift_double_cover(eq)
 H = cover.polytope
 print()
 print("cover: f-vector %s, type %s" % (f_vector(H), schlafli_type(H)))

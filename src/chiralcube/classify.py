@@ -3,10 +3,11 @@
 verify_paper() rebuilds on each call the exhaustive coloring search, the
 chiral twin and its mirror, the symmetry groups, the zigzag polygon
 exchange, the sign holonomy and the double cover of the twin, and runs
-every check afresh.  Built once per process are the quotient-cube
-embedding with its regular polytope and its 4-cube cover (with that
-cover's polytope), and the isometry table of each point set; an
-injected base graph gets an embedding of its own.
+every check afresh: Q and its mirror are the quotient recolored, Q-hat
+Q's cover.  Built once per process are the quotient-cube embedding with
+its regular polytope and its 4-cube cover (the direction coloring's),
+and the isometry table of each point set; an injected base graph gets
+an embedding of its own.
 Each claim becomes one report row with the expected and computed values;
 a failure is recorded in its row, never raised, so the report always
 completes as far as the data allows.
@@ -28,9 +29,9 @@ from .group import (PermutationGroup, chain_stabilizer, classify_symmetry,
 from .geometry import (EmbeddedGraph, _maps_coloring, affine_rank, cycle_holonomy,
                        classes_hit_all_directions, exchanging_isometries,
                        geometric_symmetry_group, hemicube_embedding,
-                       lift_double_cover, rotation_profile, squares_see_all_colors)
-from .polytope import (check_polytopality, colourful_polytope, f_vector,
-                       petrie_polygons, schlafli_type, two_face_cycles)
+                       rotation_profile, squares_see_all_colors)
+from .polytope import (check_polytopality, f_vector, petrie_polygons,
+                       schlafli_type, two_face_cycles)
 
 DERIVED = "derived"
 
@@ -180,16 +181,17 @@ def verify_paper(*, coloring=None, base_graph=None):
     def report():
         return VerificationReport(tuple(checks))
 
-    def polytope(key, claim, build):
-        # the colourful polytope build() returns, with its polytopality row,
-        # or None with the row failed when either step raises GraphError
+    def embedded(key, claim, build):
+        # the embedding build() returns, with the polytopality row of its
+        # polytope, or None with the row failed when either raises GraphError
         try:
-            p = build()
+            e = build()
+            p = e.polytope
         except GraphError as err:
             fail(key, claim, DERIVED, [], err)
             return None
         add(key, claim, DERIVED, [], check_polytopality(p))
-        return p
+        return e
 
     # ---------------------------------------------------------- base graph
     e0 = hemicube_embedding()
@@ -221,10 +223,10 @@ def verify_paper(*, coloring=None, base_graph=None):
         return report()
 
     # ------------------------------------------------- the regular polytope
-    P = polytope("p.polytopal", "color components form an abstract 4-polytope",
-                 lambda: e.polytope)
-    if P is None:
+    if not embedded("p.polytopal", "color components form an abstract 4-polytope",
+                    lambda: e):
         return report()
+    P = e.polytope
     add("p.f_vector", "8 vertices, 16 edges, 12 squares, 4 facets",
         DERIVED,
         (8, 16, 12, 4), f_vector(P))
@@ -295,9 +297,10 @@ def verify_paper(*, coloring=None, base_graph=None):
         (0, 96), (exd.count(1), exd.count(-1)))
 
     # ------------------------------------------------------- the chiral twin
-    Q = polytope("q.polytopal", q_claim, lambda: colourful_polytope(g.recolored(c_q)))
-    if Q is None:
+    eq = embedded("q.polytopal", q_claim, lambda: e.recolored(c_q))
+    if eq is None:
         return report()
+    Q = eq.polytope
     add("q.schlafli", "the twin has type {4,3,3}",
         DERIVED,
         (4, 3, 3), schlafli_type(Q))
@@ -306,13 +309,13 @@ def verify_paper(*, coloring=None, base_graph=None):
         "P and Q are combinatorially isomorphic",
         True, colored_isomorphism(c_q, g) is not None)
 
-    GQ = geometric_symmetry_group(e, c_q)
+    GQ = geometric_symmetry_group(eq)
     add("q.geo_order", "the twin keeps exactly 96 isometries",
         "Q has precisely 96 symmetries",
         96, GQ.order)
     add("q.rotations_only", "every surviving isometry preserves orientation",
         "all 96 orientation preserving elements",
-        (96, 0), _turns(e, GQ))
+        (96, 0), _turns(eq, GQ))
 
     cls_q = classify_symmetry(Q, GQ)
     add("q.geometrically_chiral",
@@ -363,7 +366,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         3, ste.order)
 
     # ------------------------------------------------- the zigzag exchange
-    Qm = colourful_polytope(g.recolored(c_m))
+    Qm = e.recolored(c_m).polytope
     p2, q2, m2 = two_face_cycles(P), two_face_cycles(Q), two_face_cycles(Qm)
     pp, pq = petrie_polygons(P), petrie_polygons(Q)
     add("petrie.q_faces_in_p",
@@ -389,17 +392,17 @@ def verify_paper(*, coloring=None, base_graph=None):
         DERIVED,
         {1}, {cycle_holonomy(e, c) for c in p2})
 
-    cube = e._cover.polytope
+    cube = e.recolored(e.direction_coloring)._cover.polytope
     add("lift.regular_lift_is_cube",
         "lifting the direction coloring gives the 4-cube",
         DERIVED,
         ((16, 32, 24, 8), (4, 3, 3)), (f_vector(cube), schlafli_type(cube)))
 
-    he = lift_double_cover(e, c_q)
-    H = polytope("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
-                 lambda: he.polytope)
-    if H is None:
+    he = embedded("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
+                  lambda: eq._cover)
+    if he is None:
         return report()
+    H = he.polytope
     add("qhat.schlafli", "the cover has type {8,3,3}",
         "Q̂ has Schläfli type {8,3,3}",
         (8, 3, 3), schlafli_type(H))

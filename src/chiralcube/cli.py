@@ -21,10 +21,8 @@ import json
 import sys
 
 from .classify import verify_paper
-from .geometry import (EmbeddedGraph, classes_hit_all_directions,
-                       derive_chiral_colorings, hemicube_embedding,
-                       hypercube_embedding, lift_double_cover, off_text,
-                       squares_see_all_colors)
+from .geometry import (classes_hit_all_directions, derive_chiral_colorings,
+                       hemicube_embedding, off_text, squares_see_all_colors)
 from .graph import enumerate_matching_colorings
 from .polytope import f_vector, schlafli_type, to_json
 
@@ -32,13 +30,11 @@ OBJECTS = ("P", "Q", "Q-mirror", "Qhat", "hypercube")
 
 
 def _make(name):
-    """Embedding and polytope for a named object."""
-    e = hypercube_embedding() if name == "hypercube" else hemicube_embedding()
+    """A named object's embedding: the quotient recolored, then covered."""
+    e = hemicube_embedding()
     if name in ("Q", "Q-mirror", "Qhat"):
-        twin = derive_chiral_colorings(e)[name == "Q-mirror"]
-        e = (lift_double_cover(e, twin) if name == "Qhat"
-             else EmbeddedGraph(e.graph.recolored(twin), e.coords, True))
-    return e, e.polytope
+        e = e.recolored(derive_chiral_colorings(e)[name == "Q-mirror"])
+    return e._cover if name in ("Qhat", "hypercube") else e
 
 
 def _emit(text, output):
@@ -53,7 +49,8 @@ def _dump_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _build_text(name, e, p):
+def _build_text(name, e):
+    p = e.polytope
     sch = schlafli_type(p)
     lines = [
         "object: %s" % name,
@@ -68,14 +65,14 @@ def _build_text(name, e, p):
 
 
 def cmd_build(args):
-    e, p = _make(args.object)
+    e = _make(args.object)
     if args.format == "json":
-        data = to_json(p)
+        data = to_json(e.polytope)
         data["object"] = args.object
         data["graph"] = e.graph.to_json()
         _emit(_dump_json(data), args.output)
     else:
-        _emit(_build_text(args.object, e, p), args.output)
+        _emit(_build_text(args.object, e), args.output)
     return 0
 
 
@@ -142,8 +139,8 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    e, p = _make(args.object)
-    _emit(off_text(e, p, comment="object %s" % args.object), args.output)
+    _emit(off_text(_make(args.object), comment="object %s" % args.object),
+          args.output)
     return 0
 
 

@@ -5,11 +5,12 @@ The vertex set {1,-1}^4 with edges along coordinate directions is the
 the complete bipartite graph K_{4,4} appears as the union of the edge
 graph and the main diagonals.  Symmetries in both settings are signed
 permutation matrices (384 of them, or 192 modulo -I).  This module owns
-everything that needs coordinates: building the two embedded graphs,
-deriving the colorings fixed only by rotations, computing symmetry
-groups as permutation groups whose matrices the embedding looks up,
-sign holonomy around cycles, the lift to the double cover, rotation
-angles, and OFF-style export.
+everything that needs coordinates: the quotient embedding, each named
+object being it recolored (e.recolored), then covered (e._cover, the
+lift of e's own coloring); deriving the colorings fixed only by
+rotations, computing symmetry groups as permutation groups whose
+matrices the embedding looks up, sign holonomy around cycles, the lift
+to the double cover, rotation angles, and OFF-style export.
 
 Projective points are stored by their canonical representative, the
 sign choice with first coordinate +1.
@@ -240,6 +241,12 @@ class EmbeddedGraph:
         _TABLES[key] = _Table(isometries, by_root, matrices)
         return _TABLES[key]
 
+    def recolored(self, coloring):
+        """These points, colored by a coloring over this graph's edges
+        (GraphError otherwise); self when it is the graph already."""
+        g = self.graph.recolored(coloring)
+        return self if g == self.graph else EmbeddedGraph(g, self.coords, self.projective)
+
     def matrix(self, p):
         """The isometry inducing vertex permutation p: KeyError if none
         does, GraphError if several do (the action is not faithful)."""
@@ -270,9 +277,9 @@ class EmbeddedGraph:
 
     @cached_property
     def _cover(self):
-        # colored by direction, the quotient's is hypercube_embedding();
+        # the lift of this coloring, the quotient's being hypercube_embedding();
         # lift_cycle and off_text read only its coordinates and edges
-        return lift_double_cover(self, self.direction_coloring)
+        return lift_double_cover(self)
 
     @cached_property
     def antipode(self):
@@ -288,10 +295,6 @@ def _hemicube_rep(i):
     # vertex i of the projective quotient: bits of i choose the signs of
     # coordinates 1..3, coordinate 0 pinned to +1 by canonicality
     return (1,) + tuple(1 - 2 * ((i >> k) & 1) for k in range(3))
-
-
-def _hypercube_rep(i):
-    return tuple(1 - 2 * ((i >> k) & 1) for k in range(4))
 
 
 def hemicube_embedding():
@@ -319,9 +322,9 @@ def hemicube_embedding():
 
 
 def hypercube_embedding():
-    """The 4-cube: 16 vertices {1,-1}^4, 32 axis edges colored by
-    direction, built as the double cover of the quotient.  It is the
-    quotient's own cover, so it too is built once per process."""
+    """The 4-cube: 16 vertices {1,-1}^4 (vertex i is -1 in coordinate k
+    when bit k of i is set) and 32 axis edges colored by direction; the
+    quotient's own double cover, so it too is built once per process."""
     return hemicube_embedding()._cover
 
 
@@ -369,18 +372,16 @@ def _scan(e, src, dst):
     return [(m, p) for m, p in table.isometries if p.images in keep]
 
 
-def geometric_symmetry_group(e, coloring=None):
+def geometric_symmetry_group(e):
     """Isometries preserving the embedded graph and its coloring (up to
     a color permutation), as a group of vertex permutations; e.matrix(p)
-    is the isometry behind element p.
+    is the isometry behind element p.  Pass e.recolored(c) for coloring c.
 
-    coloring defaults to e.graph.  The matrix action on vertices must be
-    faithful (it is for full-support coordinate sets); GraphError
-    otherwise, since e.matrix would be ambiguous.
+    The matrix action on vertices must be faithful (it is for full-support
+    coordinate sets); GraphError otherwise, since e.matrix would be
+    ambiguous.
     """
-    if coloring is None:
-        coloring = e.graph
-    elements = [p for _, p in _scan(e, coloring, coloring)]
+    elements = [p for _, p in _scan(e, e.graph, e.graph)]
     # raises unless faithful: every permutation has as many matrices as the identity
     e.matrix(VertexPermutation.identity(len(e.coords)))
     return PermutationGroup(elements)
@@ -472,18 +473,15 @@ def lift_double_cover(e, coloring=None):
     the other's sign choice next to it, a double cover on every accepted
     embedding.  The coloring (default: e.graph; over its edges or
     GraphError) is inherited by both lifts; the Euclidean EmbeddedGraph
-    returned carries the lifted coloring.
+    returned carries the lifted coloring.  Its points are sorted by their
+    reversed coordinates, largest first: hypercube_embedding's order.
     """
     if not e.projective:
         raise ValueError("only projective embeddings have a double cover")
     coloring = e.graph if coloring is None else e.graph.recolored(coloring)
-    dim = e.dimension
     reps = [tuple(x) for x in e.coords]
-    cover_coords = reps + [_neg(x) for x in reps]
-    # re-sort into the standard hypercube order when it matches, so the
-    # lift of the quotient cube is the cube with its usual vertex ids
-    if sorted(cover_coords) == sorted(_hypercube_rep(i) for i in range(2 ** dim)):
-        cover_coords = [_hypercube_rep(i) for i in range(2 ** dim)]
+    cover_coords = sorted(reps + [_neg(x) for x in reps], key=lambda x: x[::-1],
+                          reverse=True)
     index = {x: i for i, x in enumerate(cover_coords)}
 
     lifted = set()
@@ -544,8 +542,8 @@ def affine_rank(points):
 # ------------------------------------------------------------------ OFF
 
 
-def off_text(e, p, comment=None):
-    """OFF-style text for a polytope's 2-skeleton in its embedding.
+def off_text(e, comment=None):
+    """OFF-style text for the 2-skeleton of e.polytope in its embedding.
 
     Projective input is exported as its double cover (the only faithful
     way to draw it in R^4), with the antipodal pairing flagged in the
@@ -556,6 +554,7 @@ def off_text(e, p, comment=None):
     if comment:
         lines.append("# " + comment)
 
+    p = e.polytope
     if e.projective:
         cycles = sorted({c for fid in p.faces_of_rank(2)
                          for c in lift_cycle(e, two_face_cycle(p, fid))})

@@ -10,10 +10,9 @@ import itertools
 
 import pytest
 
-from chiralcube import (ColoredGraph, EmbeddedGraph, colourful_polytope,
-                        color_respecting_automorphisms, derive_chiral_colorings,
-                        geometric_symmetry_group, hemicube_embedding,
-                        hypercube_embedding, lift_double_cover)
+from chiralcube import (ColoredGraph, EmbeddedGraph, color_respecting_automorphisms,
+                        derive_chiral_colorings, geometric_symmetry_group,
+                        hemicube_embedding, hypercube_embedding, lift_double_cover)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +27,7 @@ def cube_embedding():
 
 @pytest.fixture(scope="session")
 def P(hemi):
-    return colourful_polytope(hemi.graph)
+    return hemi.polytope
 
 
 @pytest.fixture(scope="session")
@@ -44,12 +43,12 @@ def twins(hemi):
 
 @pytest.fixture(scope="session")
 def Q(hemi, twins):
-    return colourful_polytope(hemi.graph.recolored(twins[0]))
+    return hemi.recolored(twins[0]).polytope
 
 
 @pytest.fixture(scope="session")
 def Qm(hemi, twins):
-    return colourful_polytope(hemi.graph.recolored(twins[1]))
+    return hemi.recolored(twins[1]).polytope
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +58,7 @@ def GP(hemi):
 
 @pytest.fixture(scope="session")
 def GQ(hemi, twins):
-    return geometric_symmetry_group(hemi, twins[0])
+    return geometric_symmetry_group(hemi.recolored(twins[0]))
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +69,7 @@ def cover(hemi, twins):
 
 @pytest.fixture(scope="session")
 def H(cover):
-    return colourful_polytope(cover.graph)
+    return cover.polytope
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,10 @@ from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
                                  _chiral_under, _turns, enantiomorph_check,
                                  verify_paper)
 from chiralcube.geometry import (EmbeddedGraph, geometric_symmetry_group,
-                                 hemicube_embedding, hypercube_embedding)
+                                 hemicube_embedding, hypercube_embedding,
+                                 lift_double_cover)
 from chiralcube.graph import ColoredGraph, enumerate_matching_colorings
+from chiralcube.polytope import f_vector, schlafli_type
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +151,7 @@ def test_turns_match_every_determinant(hemi, cover, cube_embedding, GP, GQ, GH):
     classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
     cases = [(hemi, GP), (hemi, GQ), (cover, GH),
              (cube_embedding, geometric_symmetry_group(cube_embedding))]
-    cases += [(hemi, geometric_symmetry_group(hemi, c)) for c in classes]
+    cases += [(hemi, geometric_symmetry_group(hemi.recolored(c))) for c in classes]
     counts = []
     for e, G in cases:
         dets = [e.matrix(p).det() for p in G]
@@ -167,7 +169,7 @@ def test_twins_are_kept_by_the_rotations_alone(hemi, twins, GP, GQ):
     assert _chiral_under(hemi, GP, classes) == twins
     assert _chiral_under(hemi, GQ, classes) == []
     for c in classes:  # the oracle scans each class's own isometries
-        G = geometric_symmetry_group(hemi, c)
+        G = geometric_symmetry_group(hemi.recolored(c))
         dets = {hemi.matrix(p).det() for p in G}
         assert (c in twins) == (G.order == 96 and dets == {1})
 
@@ -252,6 +254,19 @@ def test_injected_reports_leave_the_process_constants_alone(
     assert hemi.polytope is P and hemi._cover.polytope is cube
     assert (P.faces, cube.faces) == faces
     assert dump(verify_paper()) == dump(report)
+
+
+def test_cube_row_lifts_the_direction_coloring_of_an_injected_base(hemi):
+    # the quotient recolored by a class that is not the direction coloring:
+    # the lift of its own coloring is no cube, the lift of the direction
+    # coloring on the same points is, and that is the row's claim
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    base = next(c for c in classes if "".join(map(str, c.colors)) == "0123123032321001")
+    own = lift_double_cover(hemi, base).polytope
+    assert (f_vector(own), schlafli_type(own)) == ((16, 32, 16, 6), None)
+    rows = {c.key: c for c in verify_paper(base_graph=base).checks}
+    assert rows["lift.regular_lift_is_cube"].passed
+    assert rows["lift.regular_lift_is_cube"].computed == ((16, 32, 24, 8), (4, 3, 3))
 
 
 def test_enantiomorph_verdicts(hemi, twins):

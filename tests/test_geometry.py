@@ -403,7 +403,7 @@ def test_scans_reject_colorings_over_other_edges(hemi, cube_embedding):
     short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
     cube = cube_embedding.graph
     with pytest.raises(ValueError):
-        geometric_symmetry_group(hemi, short)
+        geometric_symmetry_group(hemi.recolored(short))
     for c1, c2 in ((reg, short), (short, reg), (reg, cube)):
         with pytest.raises(ValueError):
             exchanging_isometries(hemi, c1, c2)
@@ -486,7 +486,7 @@ def test_unfaithful_action_is_refused():
     e = EmbeddedGraph(ColoredGraph(2, 1, ((0, 1, 0),)), ((1, 0), (-1, 0)), False)
     c = e.graph
     with pytest.raises(GraphError, match="not faithful"):
-        geometric_symmetry_group(e, c)
+        geometric_symmetry_group(e.recolored(c))
     with pytest.raises(GraphError, match="not faithful"):
         e.matrix(VertexPermutation((1, 0)))
     ex = exchanging_isometries(e, c, c)
@@ -623,6 +623,23 @@ def test_regular_lift_is_the_hypercube(hemi, cube):
         lift_double_cover(lifted)
 
 
+def test_every_named_object_is_the_quotient_recolored_then_covered(hemi, twins):
+    # Q and its mirror are the quotient recolored, on its points and its
+    # isometry table; Q-hat and the 4-cube are their covers
+    assert hemi.recolored(hemi.graph) is hemi
+    assert hemicube_embedding()._cover is hypercube_embedding()
+    for t in twins:
+        q = hemi.recolored(t)
+        assert q is not hemi and (q.graph, q.coords, q.projective) == (t, hemi.coords, True)
+        assert q._table is hemi._table
+        lifted = lift_double_cover(hemi, t)
+        assert (q._cover.graph, q._cover.coords) == (lifted.graph, lifted.coords)
+    reg = hemi.direction_coloring
+    short = ColoredGraph(reg.n_vertices, reg.n_colors, reg.edges[1:])
+    with pytest.raises(GraphError, match="different edge list"):
+        hemi.recolored(short)
+
+
 def test_lift_doubles_counts(hemi, cover):
     assert cover.graph.n_vertices == 16
     assert len(cover.graph.edges) == 32
@@ -701,6 +718,9 @@ def test_lift_is_a_double_cover_with_zero_coordinates():
             continue  # some edge is not axis-aligned
         lift = lift_double_cover(e)
         assert len(lift.graph.edges) == 2 * len(edges)
+        # the order of every cover: reversed coordinates, largest first
+        assert list(lift.coords) == sorted(lift.coords, key=lambda x: x[::-1],
+                                           reverse=True)
         if n == 3:
             adj = [[] for _ in range(2 * n)]
             for u, v in lift.graph.edge_pairs:
@@ -773,8 +793,8 @@ def test_regular_lift_two_faces_are_planar(hemi):
 # ------------------------------------------------------------- export
 
 
-def test_off_export_euclidean(H, cover):
-    text = off_text(cover, H)
+def test_off_export_euclidean(cover):
+    text = off_text(cover)
     lines = text.splitlines()
     assert lines[0] == "nOFF"
     assert lines[1] == "4"
@@ -782,8 +802,8 @@ def test_off_export_euclidean(H, cover):
     assert counts.split() == ["16", "12", "32"]
 
 
-def test_off_export_projective_doubles(hemi, P):
-    text = off_text(hemi, P, comment="regular quotient")
+def test_off_export_projective_doubles(hemi):
+    text = off_text(hemi, comment="regular quotient")
     lines = text.splitlines()
     assert lines[0] == "nOFF"
     assert "# regular quotient" in lines
@@ -794,11 +814,11 @@ def test_off_export_projective_doubles(hemi, P):
     assert counts[0].split() == ["16", "24", "32"]
 
 
-def test_off_export_stable(hemi, P):
-    assert off_text(hemi, P) == off_text(hemi, P)
+def test_off_export_stable(hemi):
+    assert off_text(hemi) == off_text(hemi)
 
 
-def test_off_export_builds_one_cover(Q, monkeypatch):
+def test_off_export_builds_one_cover(twins, monkeypatch):
     import chiralcube.geometry as geometry
     calls = []
 
@@ -808,12 +828,12 @@ def test_off_export_builds_one_cover(Q, monkeypatch):
 
     monkeypatch.setattr(geometry, "lift_double_cover", counted)
     monkeypatch.setattr(geometry, "_QUOTIENT", [])  # a quotient with no cover yet
-    off_text(hemicube_embedding(), Q)
+    off_text(hemicube_embedding().recolored(twins[0]))
     assert len(calls) == 1
 
 
-def test_off_export_lists_the_antipodal_pairs(hemi, P):
-    lines = off_text(hemi, P).splitlines()
+def test_off_export_lists_the_antipodal_pairs(hemi):
+    lines = off_text(hemi).splitlines()
     head = next(i for i, l in enumerate(lines)
                 if len(l.split()) == 3 and not l.startswith("#"))
     n_vertices = int(lines[head].split()[0])
@@ -871,7 +891,7 @@ def test_isometry_scans_match_dense_application(hemi, twins, cover, cube_embeddi
     for e, c in ((hemi, reg), (hemi, twins[0]), (hemi, twins[1]),
                  (cover, hat), (cube_embedding, cube),
                  (squares, squares.graph)):
-        G = geometric_symmetry_group(e, c)
+        G = geometric_symmetry_group(e.recolored(c))
         assert {p: e.matrix(p) for p in G} == dict(_brute_force_scan(e, c, c))
     for e, c1, c2 in ((hemi, twins[0], twins[1]), (hemi, reg, twins[0]),
                       (hemi, twins[1], twins[1]), (cover, hat, hat_m),
@@ -916,7 +936,7 @@ def test_isometry_scans_match_every_entry_filter(hemi, twins, cover):
     for e, c in ([(hemi, c) for c in classes] + [(cover, cover.graph)]
                  + [(e, _marked(e, 0)) for e in (hemi, cover)]):
         want = _every_entry_filter(e, c, c)
-        G = geometric_symmetry_group(e, c)
+        G = geometric_symmetry_group(e.recolored(c))
         assert len(want) == G.order
         assert {p: e.matrix(p) for p in G} == {p: m for m, p in want}
         assert exchanging_isometries(e, c, c) == [(m, m.det()) for m, _ in want]
@@ -1035,7 +1055,7 @@ def test_isometries_from_hadamard_frames_match_the_report(
         return set(out), turns((d, p) for p, d in out.items())
 
     reg = hemi.graph
-    GM = geometric_symmetry_group(hemi, twins[1])
+    GM = geometric_symmetry_group(hemi.recolored(twins[1]))
     for c, G, order, counts, want in (
             (reg, GP, rows["p.geo_order"], rows["p.geo_reflections"], (192, (96, 96))),
             (twins[0], GQ, rows["q.geo_order"], rows["q.rotations_only"], (96, (96, 0))),

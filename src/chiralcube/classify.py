@@ -1,13 +1,16 @@
 """One-shot mechanical verification of the whole construction.
 
 verify_paper() rebuilds on each call the exhaustive coloring search, the
-chiral twin and its mirror, the symmetry groups, the zigzag polygon
-exchange, the sign holonomy and the double cover of the twin, and runs
-every check afresh: Q and its mirror are the quotient recolored, Q-hat
-Q's cover.  Built once per process are the quotient-cube embedding with
+twins by the paper's rule, the symmetry groups, the zigzag polygon
+exchange and the sign holonomy, and runs every check afresh: Q and its
+mirror are the quotient recolored, Q-hat Q's cover.  Built once per
+process are the paper's named objects: the quotient-cube embedding with
 its regular polytope and its 4-cube cover (the direction coloring's),
-and the isometry table of each point set; an injected base graph gets
-an embedding of its own.
+the quotient recolored by each chiral twin with its polytope and its
+cover Q-hat, the facet sections of each of those polytopes, and the
+isometry table of each point set.  Any other coloring, a twin with its
+colors renamed among them, and an injected base graph get embeddings of
+their own.
 Each claim becomes one report row with the expected and computed values;
 a failure is recorded in its row, never raised, so the report always
 completes as far as the data allows.
@@ -147,17 +150,11 @@ def _chiral_under(e, G, colorings):
             and not _maps_coloring(flips[0], c, dst)]
 
 
-def _facets(p):
-    """(id, section) for each facet of p, a face of rank n - 1, built
-    one at a time."""
-    bottom = p.faces_of_rank(-1)[0]
-    return ((fid, p.section(bottom, fid)) for fid in p.faces_of_rank(p.rank - 1))
-
-
-def _facet_shapes(p):
-    """The set of (f-vector, Schlafli type, polytopal) over p's facets."""
+def _facet_shapes(e):
+    """The set of (f-vector, Schlafli type, polytopal) over the facets of
+    e's polytope."""
     return {(f_vector(sec), schlafli_type(sec), check_polytopality(sec) == [])
-            for _, sec in _facets(p)}
+            for _, sec in e._facets}
 
 
 def verify_paper(*, coloring=None, base_graph=None):
@@ -237,7 +234,7 @@ def verify_paper(*, coloring=None, base_graph=None):
 
     add("p.facets_cubes", "all 4 facets are 3-cubes",
         "P has 4 facets and each of them is a cube",
-        {((8, 12, 6), (4, 3), True)}, _facet_shapes(P))
+        {((8, 12, 6), (4, 3), True)}, _facet_shapes(e))
 
     AP = color_respecting_automorphisms(g)
     add("p.autos_order", "192 color-respecting automorphisms",
@@ -324,7 +321,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         ("chiral", (96, 96)), (cls_q.verdict, cls_q.orbit_sizes))
 
     facets, facet_class = [], set()
-    for fid, sec in _facets(Q):
+    for fid, sec in eq._facets:
         facets.append(fid)
         stab = chain_stabilizer(Q, GQ, [fid])
         c = classify_symmetry(sec, stab)
@@ -421,7 +418,7 @@ def verify_paper(*, coloring=None, base_graph=None):
     add("qhat.facets",
         "all 4 facets have 16 vertices, 24 edges, 6 octagons, type {8,3}",
         "has 16 vertices, 24 edges and 6 faces",
-        {((16, 24, 6), (8, 3), True)}, _facet_shapes(H))
+        {((16, 24, 6), (8, 3), True)}, _facet_shapes(he))
 
     ranks = {affine_rank([he.coords[v] for v in c]) for c in two_face_cycles(H)}
     add("qhat.helical_faces", "every octagon face affinely spans all of R^4",

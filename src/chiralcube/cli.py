@@ -21,8 +21,8 @@ import json
 import sys
 
 from .classify import verify_paper
-from .geometry import (classes_hit_all_directions, derive_chiral_colorings,
-                       hemicube_embedding, off_text, squares_see_all_colors)
+from .geometry import (classes_hit_all_directions, hemicube_embedding, off_text,
+                       squares_see_all_colors)
 from .graph import enumerate_matching_colorings
 from .polytope import f_vector, schlafli_type, to_json
 
@@ -33,7 +33,7 @@ def _make(name):
     """A named object's embedding: the quotient recolored, then covered."""
     e = hemicube_embedding()
     if name in ("Q", "Q-mirror", "Qhat"):
-        e = e.recolored(derive_chiral_colorings(e)[name == "Q-mirror"])
+        e = e._twins[name == "Q-mirror"]  # e recolored by each twin, held
     return e._cover if name in ("Qhat", "hypercube") else e
 
 

@@ -243,9 +243,18 @@ class EmbeddedGraph:
 
     def recolored(self, coloring):
         """These points, colored by a coloring over this graph's edges
-        (GraphError otherwise); self when it is the graph already."""
+        (GraphError otherwise); self when it is the graph already.  On the
+        quotient's points, the quotient or its held twin when the coloring
+        is exactly one of theirs; a fresh embedding for any other."""
         g = self.graph.recolored(coloring)
-        return self if g == self.graph else EmbeddedGraph(g, self.coords, self.projective)
+        if g == self.graph:
+            return self
+        q = hemicube_embedding()
+        if (self.coords, self.projective) == (q.coords, q.projective):
+            held = next((h for h in (q, *q._twins) if h.graph == g), None)
+            if held is not None:
+                return held
+        return EmbeddedGraph(g, self.coords, self.projective)
 
     def matrix(self, p):
         """The isometry inducing vertex permutation p: KeyError if none
@@ -274,6 +283,22 @@ class EmbeddedGraph:
     def polytope(self):
         """colourful_polytope(self.graph), GraphError as it raises."""
         return colourful_polytope(self.graph)
+
+    @cached_property
+    def _facets(self):
+        # (id, section) for each facet of the polytope, a face of rank n - 1;
+        # held here, not by the polytope, whose sections would point back
+        p = self.polytope
+        bottom = p.faces_of_rank(-1)[0]
+        return tuple((fid, p.section(bottom, fid)) for fid in p.faces_of_rank(p.rank - 1))
+
+    @cached_property
+    def _twins(self):
+        # these points recolored by each chiral twin, in derive_chiral_colorings
+        # order; recolored hands the quotient's back, so Q, its mirror and
+        # their covers are built once per process
+        return tuple(EmbeddedGraph(c, self.coords, self.projective)
+                     for c in derive_chiral_colorings(self))
 
     @cached_property
     def _cover(self):
@@ -307,7 +332,8 @@ def hemicube_embedding():
     parity of the number of -1 entries.
 
     Built once per process: every call returns the same embedding, so
-    its polytope, its isometry table and its cover are built once too.
+    its polytope, its isometry table and its cover are built once too,
+    and so are its two twins (e.recolored), their polytopes and covers.
     """
     if not _QUOTIENT:
         edges = []

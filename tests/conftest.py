@@ -12,7 +12,7 @@ import pytest
 
 from chiralcube import (ColoredGraph, EmbeddedGraph, color_respecting_automorphisms,
                         derive_chiral_colorings, geometric_symmetry_group,
-                        hemicube_embedding, hypercube_embedding, lift_double_cover)
+                        hemicube_embedding, hypercube_embedding)
 
 
 @pytest.fixture(scope="session")
@@ -63,8 +63,9 @@ def GQ(hemi, twins):
 
 @pytest.fixture(scope="session")
 def cover(hemi, twins):
-    """The lifted twin coloring on the full sign-vector skeleton."""
-    return lift_double_cover(hemi, twins[0])
+    """The lifted twin coloring on the full sign-vector skeleton: Q-hat,
+    the cover of the twin the quotient holds."""
+    return hemi.recolored(twins[0])._cover
 
 
 @pytest.fixture(scope="session")

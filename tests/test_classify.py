@@ -269,6 +269,61 @@ def test_cube_row_lifts_the_direction_coloring_of_an_injected_base(hemi):
     assert rows["lift.regular_lift_is_cube"].computed == ((16, 32, 24, 8), (4, 3, 3))
 
 
+def test_renamed_quotient_base_lifts_nothing_held(hemi, twins, monkeypatch):
+    # a base graph over the quotient's edges recolors onto the embeddings
+    # the quotient holds: the 4-cube and Q-hat are lifted once per process,
+    # not once per report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].graph)
+        return lift_double_cover(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "lift_double_cover", counted)
+    monkeypatch.setattr(geometry, "_QUOTIENT", [])  # a quotient with no cover yet
+    renamed = hemi.graph.permuted({0: 1, 1: 0, 2: 3, 3: 2})
+    first = verify_paper(base_graph=renamed)
+    assert first.passed
+    assert calls == [hemi.graph, twins[0]]  # the cube row, then Q-hat
+    assert verify_paper(base_graph=renamed).to_json() == first.to_json()
+    assert len(calls) == 2
+
+
+def test_the_quotient_holds_only_its_twins(hemi, twins):
+    # reports on every coloring class and on each kind of base-graph
+    # mutation leave the quotient holding its two twins and nothing more;
+    # every other coloring, a color-renamed twin among them, is built anew
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    for c in classes:
+        verify_paper(coloring=c)
+    graphs = list(_mutations(hemi.graph))
+    for g in (graphs[0], graphs[3], graphs[-2], graphs[-1]):
+        assert not verify_paper(base_graph=g).passed
+    assert len(hemi._twins) == 2
+    assert [t.graph for t in hemi._twins] == twins
+    for c in classes:
+        assert (hemi.recolored(c) is hemi.recolored(c)) == (c in twins)
+    renamed = twins[0].permuted({0: 1, 1: 0, 2: 3, 3: 2})
+    fresh = hemi.recolored(renamed)
+    assert fresh is not hemi.recolored(renamed) and fresh is not hemi._twins[0]
+    assert fresh.graph == renamed
+    assert f_vector(fresh.polytope) == f_vector(hemi._twins[0].polytope) == (8, 16, 12, 4)
+
+
+def test_warm_reports_match_a_fresh_process(twins):
+    # the third report of each valid input in this process, built on the
+    # held embeddings, against a cold `chiralcube verify`, byte for byte
+    src = str(Path(chiralcube.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cold = [subprocess.run([sys.executable, "-m", "chiralcube.cli", "verify"] + fmt,
+                           env=env, capture_output=True, text=True, check=True).stdout
+            for fmt in ([], ["--format", "json"])]
+    for kwargs in ({}, {"coloring": twins[0]}, {"coloring": twins[1]}):
+        for _ in range(3):
+            r = verify_paper(**kwargs)
+        assert [r.to_text(), json.dumps(r.to_json(), indent=2, sort_keys=True) + "\n"] == cold
+
+
 def test_enantiomorph_verdicts(hemi, twins):
     assert enantiomorph_check(twins[0], twins[1], hemi) == "enantiomorphic"
     assert enantiomorph_check(twins[0], twins[0], hemi) == "same form"

@@ -88,6 +88,8 @@ REQUIRED = (
     ("tests.test_classify", "test_injected_reports_leave_the_process_constants_alone"),
     # every named object is the quotient recoloured, then covered
     ("tests.test_geometry", "test_every_named_object_is_the_quotient_recolored_then_covered"),
+    # the quotient holds its two twins and no other coloring, whatever ran
+    ("tests.test_classify", "test_the_quotient_holds_only_its_twins"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .graph import (GraphError, colored_isomorphism, component_labels,
                     enumerate_matching_colorings, validate)
-from .group import (PermutationGroup, chain_stabilizer, classify_symmetry,
+from .group import (chain_stabilizer, classify_symmetry,
                     color_respecting_automorphisms, induced_face_action)
 from .geometry import (EmbeddedGraph, _maps_coloring, affine_rank, cycle_holonomy,
                        classes_hit_all_directions, exchanging_isometries,
@@ -139,15 +139,20 @@ def _turns(e, G):
 
 def _chiral_under(e, G, colorings):
     """The colorings kept by every rotation in G and by no reflection, up
-    to renaming colors.  The rotations have index 2 in G, so their
-    generators and any one reflection decide; none without a reflection."""
-    dets = [e.matrix(p).det() for p in G]
-    rotations = PermutationGroup([p for p, d in zip(G, dets) if d == 1]).generators
-    flips = [p for p, d in zip(G, dets) if d == -1][:1]
+    to renaming colors; none if no generator reflects (see _turns).  With
+    r the first that does, s and r*s*r for each rotating generator s and
+    s*r and r*s for each reflecting one generate the rotations (Schreier's
+    lemma for the cosets {1, r}; r*r stands in for r^-1 r^-1).  The
+    permutations keeping a coloring form a group: these and r decide."""
+    dets = [(g, e.matrix(g).det()) for g in G.generators]
+    r = next((g for g, d in dets if d == -1), None)
+    if r is None:
+        return []
+    rotations = [t for s, d in dets for t in ((s, r * s * r) if d == 1 else (s * r, r * s))]
     dsts = [{(u, v): k for u, v, k in c.edges} for c in colorings]
-    return [c for c, dst in zip(colorings, dsts) if flips
-            and all(_maps_coloring(p, c, dst) for p in rotations)
-            and not _maps_coloring(flips[0], c, dst)]
+    return [c for c, dst in zip(colorings, dsts)
+            if all(_maps_coloring(p, c, dst) for p in rotations)
+            and not _maps_coloring(r, c, dst)]
 
 
 def _facet_shapes(e):
@@ -450,7 +455,7 @@ def verify_paper(*, coloring=None, base_graph=None):
         ("chiral", (192, 192)), (cls_h.verdict, cls_h.orbit_sizes))
 
     h2 = H.faces_of_rank(2)[0]
-    h3 = next(i for i in H.faces_of_rank(H.rank - 1) if H.leq(h2, i))
+    h3 = next(fid for fid, _ in he._facets if H.leq(h2, fid))
     st8 = chain_stabilizer(H, GH, [h2, h3])
     oct_gen = next((p for p in st8 if p.order() == 8), None)
     profile_ok, gen_type = False, None

@@ -81,44 +81,36 @@ class Polytope:
     def leq(self, i, j):
         return j in self._ups[i]
 
+    _ups, _covers, _diamonds = (property(lambda self, k=k: self._tables[k])
+                                for k in range(3))
+
     @cached_property
-    def _ups(self):
-        """_ups[i]: the faces above face i, i included, from those holding
-        one vertex of face i (all if none); built in id order, read in set
-        order (face 1 of Q-hat reads 64, 1, 33, 65), as _covers, _diamonds
-        and the order of check_polytopality's diagnostics are."""
+    def _tables(self):
+        """The order record (ups, covers, diamonds), in one pass.  ups[i]:
+        the faces above face i, i included, from those holding one vertex
+        of i (all if none); built in id order, read in set order (face 1
+        of Q-hat reads 64, 1, 33, 65), as covers, diamonds and the order of
+        check_polytopality's diagnostics are.  covers[i]: the faces
+        covering i.  diamonds[lo, hi], lo <= hi two ranks apart, keyed lo
+        first: the faces one rank above lo and below hi, ids increasing."""
         fs, holding = self.faces, {}
         for g in fs:
             for v in g.vertices:
                 holding.setdefault(v, []).append(g)
-        return [frozenset(
+        ups = [frozenset(
             g.id for g in (holding[next(iter(f.vertices))] if f.vertices else fs)
             if f.rank <= g.rank and f.vertices <= g.vertices
             and f.edges <= g.edges) for f in fs]
-
-    @cached_property
-    def _diamonds(self):
-        """{(lo, hi): mids} for every lo <= hi two ranks apart: mids are
-        the faces m one rank above lo with lo <= m <= hi, ids increasing.
-        Keys run over lo, then over _ups[lo] in its iteration order."""
-        ups, dia = self._ups, {}
+        cov, dia = [], {}
         for lo, up in enumerate(ups):
-            r = self.faces[lo].rank
+            strictly_above = set().union(*(ups[k] - {k} for k in up if k != lo))
+            cov.append(tuple(j for j in up if j != lo and j not in strictly_above))
+            r = fs[lo].rank
             above = [m for m in self.faces_of_rank(r + 1) if m in up]
             for hi in up:
-                if self.faces[hi].rank == r + 2:
+                if fs[hi].rank == r + 2:
                     dia[lo, hi] = [m for m in above if hi in ups[m]]
-        return dia
-
-    @cached_property
-    def _covers(self):
-        """_covers[i]: ids of the faces covering face i, in the
-        iteration order of _ups[i]."""
-        ups, cov = self._ups, []
-        for i, up in enumerate(ups):
-            strictly_above = set().union(*(ups[k] - {k} for k in up if k != i))
-            cov.append(tuple(j for j in up if j != i and j not in strictly_above))
-        return cov
+        return ups, cov, dia
 
     def covers(self):
         """All covering pairs (i, j): i < j with no face strictly between."""
@@ -144,8 +136,9 @@ class Polytope:
 
 class _Section(Polytope):
     """An interval of parent, its faces renumbered in id order.  An
-    interval is convex, so its order tables are the parent's, renumbered,
-    and so are its flags: each is read off the parent's on first use."""
+    interval is convex, so its order record is the parent's, renumbered,
+    and so are its flags: _tables and _flag_graph read each off the
+    parent's on first use."""
 
     def __init__(self, parent, bottom, top):
         self._parent, fs = parent, parent.faces
@@ -164,9 +157,6 @@ class _Section(Polytope):
             (a, b): [new[m] for m in p._diamonds[i, ids[b]]]
             for a, (i, up) in enumerate(zip(ids, ups))
             for b in up if fs[b].rank == fs[a].rank + 2}
-
-    _ups, _covers, _diamonds = (property(lambda self, k=k: self._tables[k])
-                                for k in range(3))
 
     @cached_property
     def _flag_graph(self):

@@ -13,10 +13,11 @@ from chiralcube import classify, geometry
 from chiralcube.classify import (DERIVED, CheckResult, VerificationReport,
                                  _chiral_under, _turns, enantiomorph_check,
                                  verify_paper)
-from chiralcube.geometry import (EmbeddedGraph, geometric_symmetry_group,
-                                 hemicube_embedding, hypercube_embedding,
-                                 lift_double_cover)
+from chiralcube.geometry import (EmbeddedGraph, _maps_coloring,
+                                 geometric_symmetry_group, hemicube_embedding,
+                                 hypercube_embedding, lift_double_cover)
 from chiralcube.graph import ColoredGraph, enumerate_matching_colorings
+from chiralcube.group import PermutationGroup, chain_stabilizer
 from chiralcube.polytope import f_vector, schlafli_type
 
 
@@ -172,6 +173,31 @@ def test_twins_are_kept_by_the_rotations_alone(hemi, twins, GP, GQ):
         G = geometric_symmetry_group(hemi.recolored(c))
         dets = {hemi.matrix(p).det() for p in G}
         assert (c in twins) == (G.order == 96 and dets == {1})
+
+
+def test_twin_rule_from_generators_matches_every_determinant(hemi, P, GP):
+    # _chiral_under reads G's generators and one reflecting generator; the
+    # oracle is the definition: G holds a reflection, and each element of G
+    # keeps a class exactly when its determinant is +1.  GP's generators
+    # all reflect, so only subgroups with both kinds of generator see the
+    # products r*s*r: face stabilizers and groups spanned by two elements
+    classes = enumerate_matching_colorings(hemi.graph, up_to_color_permutation=True)
+    det = {p.images: hemi.matrix(p).det() for p in GP}
+    kept = [{p.images for p in GP
+             if _maps_coloring(p, c, {(u, v): k for u, v, k in c.edges})} for c in classes]
+    els = GP.elements
+    groups = [GP] + [chain_stabilizer(P, GP, [f]) for f in range(len(P.faces))]
+    groups += [PermutationGroup([els[i], els[(37 * i + 11) % 192]])
+               for i in range(0, 192, 3)]
+    mixed = held = 0
+    for G in groups:
+        signs = [det[g.images] for g in G.elements]
+        want = [c for c, k in zip(classes, kept) if -1 in signs
+                and all((p.images in k) == (d == 1) for p, d in zip(G.elements, signs))]
+        assert _chiral_under(hemi, G, classes) == want
+        mixed += {det[g.images] for g in G.generators} == {1, -1}
+        held += bool(want)
+    assert (len(groups), mixed, held) == (107, 62, 94)
 
 
 def test_filter_rows_fail_when_a_property_keeps_one_class_more(hemi, monkeypatch):

@@ -90,6 +90,8 @@ REQUIRED = (
     ("tests.test_geometry", "test_every_named_object_is_the_quotient_recolored_then_covered"),
     # the quotient holds its two twins and no other coloring, whatever ran
     ("tests.test_classify", "test_the_quotient_holds_only_its_twins"),
+    # the twin rule from generators, against every element's determinant
+    ("tests.test_classify", "test_twin_rule_from_generators_matches_every_determinant"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

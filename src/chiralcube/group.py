@@ -194,11 +194,11 @@ def induced_face_action(p, sigma):
     action = p._actions.get(sigma.images)
     if action is None:
         images = []
-        for f in p.faces:
+        for i, f in enumerate(p.faces):
             j = _face_image(p, f, sigma)
             if j is None:
                 raise NotAnAutomorphismError(
-                    f.id, "image of face %d under %r is not a face" % (f.id, sigma.images))
+                    i, "image of face %d under %r is not a face" % (i, sigma.images))
             images.append(j)
         action = p._actions[sigma.images] = VertexPermutation(tuple(images))
     return action

@@ -30,7 +30,6 @@ from .group import _trusted
 
 @dataclass(frozen=True)
 class Face:
-    id: int
     rank: int
     colors: frozenset
     vertices: frozenset
@@ -46,7 +45,7 @@ class Face:
 class Polytope:
     """A ranked face poset ordered by containment.
 
-    faces[i].id == i always; face order (and hence ids) is deterministic
+    A face's id is its position in faces, an order that is deterministic
     for posets built by colourful_polytope.  Incidence: f <= g iff
     f.rank <= g.rank, f.vertices <= g.vertices and f.edges <= g.edges.
     """
@@ -54,12 +53,9 @@ class Polytope:
     def __init__(self, rank, faces):
         self.rank = rank
         self.faces = tuple(faces)
-        for i, f in enumerate(self.faces):
-            if f.id != i:
-                raise ValueError("face ids must equal positions (face %d)" % i)
         self._by_rank = {}
-        for f in self.faces:
-            self._by_rank.setdefault(f.rank, []).append(f.id)
+        for i, f in enumerate(self.faces):
+            self._by_rank.setdefault(f.rank, []).append(i)
         self._actions = {}  # group.induced_face_action: vertex images -> face action
 
     # ------------------------------------------------------ structure
@@ -94,11 +90,11 @@ class Polytope:
         covering i.  diamonds[lo, hi], lo <= hi two ranks apart, keyed lo
         first: the faces one rank above lo and below hi, ids increasing."""
         fs, holding = self.faces, {}
-        for g in fs:
+        for k, g in enumerate(fs):
             for v in g.vertices:
-                holding.setdefault(v, []).append(g)
+                holding.setdefault(v, []).append((k, g))
         ups = [frozenset(
-            g.id for g in (holding[next(iter(f.vertices))] if f.vertices else fs)
+            k for k, g in (holding[next(iter(f.vertices))] if f.vertices else enumerate(fs))
             if f.rank <= g.rank and f.vertices <= g.vertices
             and f.edges <= g.edges) for f in fs]
         cov, dia = [], {}
@@ -111,11 +107,6 @@ class Polytope:
                 if fs[hi].rank == r + 2:
                     dia[lo, hi] = [m for m in above if hi in ups[m]]
         return ups, cov, dia
-
-    def covers(self):
-        """All covering pairs (i, j): i < j with no face strictly between."""
-        return tuple(sorted((i, j) for i, js in enumerate(self._covers)
-                            for j in js))
 
     def section(self, bottom, top):
         """The interval [bottom, top] as a polytope in its own right, with
@@ -135,18 +126,20 @@ class Polytope:
 
 
 class _Section(Polytope):
-    """An interval of parent, its faces renumbered in id order.  An
-    interval is convex, so its order record is the parent's, renumbered,
-    and so are its flags: _tables and _flag_graph read each off the
-    parent's on first use."""
+    """An interval of parent, its faces in id order: the parent's own
+    faces if bottom has rank -1 (a facet, say), else copies with ranks
+    shifted.  An interval is convex, so its order record is the parent's,
+    renumbered, and so are its flags: _tables and _flag_graph read each
+    off the parent's on first use."""
 
     def __init__(self, parent, bottom, top):
         self._parent, fs = parent, parent.faces
         self._ids = sorted(i for i in parent._ups[bottom] if top in parent._ups[i])
         self._new, shift = {i: k for k, i in enumerate(self._ids)}, fs[bottom].rank + 1
+        faces = map(fs.__getitem__, self._ids)
         super().__init__(fs[top].rank - shift, (
-            Face(k, fs[i].rank - shift, fs[i].colors, fs[i].vertices, fs[i].edges)
-            for k, i in enumerate(self._ids)))
+            Face(f.rank - shift, f.colors, f.vertices, f.edges) for f in faces)
+            if shift else faces)
 
     @cached_property
     def _tables(self):
@@ -247,19 +240,18 @@ def colourful_polytope(g):
 
     g must pass validate() (connected, n-regular, properly n-colored,
     matching classes); GraphError carrying the diagnostics otherwise.
-    Face ids are deterministic: by rank, then by color set, then by
-    least vertex.
+    Faces come in a deterministic order, so their ids do: by rank, then
+    by color set, then by least vertex.
     """
     problems = validate(g)
     if problems:
         raise GraphError("graph is not matching-colored: " + "; ".join(problems))
     n = g.n_colors
-    faces = [Face(0, -1, frozenset(), frozenset(), frozenset())]
+    faces = [Face(-1, frozenset(), frozenset(), frozenset())]
     for r in range(0, n + 1):
         for cs in itertools.combinations(range(n), r):
             for verts, es in components_by_colorset(g, cs):
-                faces.append(Face(len(faces), r, frozenset(cs),
-                                  frozenset(verts), frozenset(es)))
+                faces.append(Face(r, frozenset(cs), frozenset(verts), frozenset(es)))
     return Polytope(n, tuple(faces))
 
 
@@ -401,12 +393,11 @@ def petrie_polygons(p):
     cycles of that pass, composed once from the whole permutations
     rho_0, ..., rho_{n-1}, each read from its least flag (any start
     gives the same canonical cycle); they come out sorted, so the output
-    is deterministic.  Only rank 4 is supported (the walk itself
-    generalizes but nothing here is tested below it).
+    is deterministic.  Any rank from 1 up; a rank-0 poset has no vertices
+    on its flag and raises GraphError.
     """
-    if p.rank != 4:
-        raise GraphError("petrie walk needs a rank-4 polytope, got rank %d"
-                         % p.rank)
+    if p.rank < 1:
+        raise GraphError("petrie walk needs rank at least 1, got rank %d" % p.rank)
     fg = p.flag_graph()
     step = fg.rho[0]
     for r in fg.rho[1:]:
@@ -417,7 +408,8 @@ def petrie_polygons(p):
 
 
 def two_face_cycle(p, fid):
-    """Vertex cycle of a rank-2 face, canonicalized."""
+    """Vertex cycle of a rank-2 face, canonicalized; ValueError unless
+    its edges form one cycle through all its vertices."""
     f = p.faces[fid]
     if f.rank != 2:
         raise ValueError("face %d has rank %d, expected 2" % (fid, f.rank))
@@ -425,15 +417,15 @@ def two_face_cycle(p, fid):
     for u, v in f.edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    start = min(f.vertices)
-    cyc, prev = [start], None
-    while True:
-        nxts = [x for x in adj[cyc[-1]] if x != prev]
-        nxt = min(nxts)
-        if nxt == start:
-            break
-        prev = cyc[-1]
-        cyc.append(nxt)
+    cyc = []
+    if f.edges and adj.keys() == f.vertices and all(len(n) == 2 for n in adj.values()):
+        cyc, nxt = [min(adj)], min(adj[min(adj)])
+        while nxt != cyc[0]:  # every vertex is on two edges: the walk comes back
+            cyc.append(nxt)
+            nxt = next(x for x in adj[nxt] if x != cyc[-2])
+    if not cyc or len(cyc) != len(f.vertices):
+        raise ValueError("face %d is not one cycle through its %d vertices"
+                         % (fid, len(f.vertices)))
     return canonical_cycle(cyc)
 
 
@@ -456,12 +448,13 @@ def to_json(p):
         "schlafli": list(schlafli_type(p) or ()) or None,
         "faces": [
             {
-                "id": f.id,
+                "id": i,
                 "rank": f.rank,
                 "colors": sorted(f.colors),
                 "vertices": sorted(f.vertices),
             }
-            for f in p.faces
+            for i, f in enumerate(p.faces)
         ],
-        "covers": [list(c) for c in p.covers()],
+        # covering pairs [i, j], i below j with no face between, sorted
+        "covers": [[i, j] for i, js in enumerate(p._covers) for j in sorted(js)],
     }

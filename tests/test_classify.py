@@ -1,9 +1,11 @@
 """The end-to-end verification report and the enantiomorph verdicts."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -379,6 +381,40 @@ def test_mutated_base_graphs_reported_not_raised(hemi):
         r = verify_paper(base_graph=g)  # must not raise
         assert not r.passed
         r.to_text()
+
+
+def _rank_three_bases(g):
+    """g without one of its perfect matchings, each proper 3-coloring
+    class of what is left in turn: 24 matchings of the quotient graph,
+    each leaving a 3-cube graph with 4 classes."""
+    for m in itertools.combinations(g.edge_pairs, g.n_vertices // 2):
+        if len(set(itertools.chain(*m))) == g.n_vertices:
+            rest = tuple((u, v, 0) for u, v in g.edge_pairs if (u, v) not in m)
+            yield from enumerate_matching_colorings(
+                ColoredGraph(g.n_vertices, 3, rest), up_to_color_permutation=True)
+
+
+def test_rank_three_bases_reported_not_raised(hemi):
+    # A 3-coloring of the quotient's points is a rank-3 base.  Those with
+    # a twin pair reach the zigzag rows, which walk rank-3 polytopes, and
+    # the cube row, whose direction coloring has four colours on a
+    # 3-regular graph and so builds no polytope: that row is reported.
+    bases = list(_rank_three_bases(hemi.graph))
+    assert len(bases) == len(set(bases)) == 96
+    lengths = []
+    for g in bases:
+        r = verify_paper(base_graph=g)  # must not raise
+        assert not r.passed
+        lengths.append(len(r.checks))
+        rows = {c.key: c for c in r.checks}
+        if "lift.regular_lift_is_cube" in rows:
+            cube = rows["lift.regular_lift_is_cube"]
+            assert not cube.passed
+            assert cube.computed.startswith(
+                "unavailable (graph is not matching-colored: vertex 0 has degree 3")
+        r.to_text()
+        r.to_json()
+    assert sorted(Counter(lengths).items()) == [(16, 72), (46, 24)]
 
 
 def test_hypercube_base_graph_fails_its_rows(cube_embedding):

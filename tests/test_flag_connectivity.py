@@ -21,12 +21,7 @@ from chiralcube import polytope
 from chiralcube.graph import ColoredGraph, GraphError
 from chiralcube.polytope import (Face, FlagGraph, Polytope, _bottom_top,
                                  _build_flag_graph, check_polytopality,
-                                 colourful_polytope)
-
-
-def _renumbered(faces):
-    return tuple(Face(k, f.rank, f.colors, f.vertices, f.edges)
-                 for k, f in enumerate(faces))
+                                 colourful_polytope, to_json)
 
 
 def _glued(p, q, n=None):
@@ -39,18 +34,17 @@ def _glued(p, q, n=None):
         n = 1 + max(p.faces[p.faces_of_rank(p.rank)[0]].vertices)
 
     def shifted(f):
-        return Face(0, f.rank, f.colors, frozenset(v + n for v in f.vertices),
+        return Face(f.rank, f.colors, frozenset(v + n for v in f.vertices),
                     frozenset((u + n, v + n) for u, v in f.edges))
 
     bottom, top = (p.faces[p.faces_of_rank(r)[0]] for r in (-1, p.rank))
     top2 = shifted(q.faces[q.faces_of_rank(q.rank)[0]])
-    both = Face(0, top.rank, top.colors, top.vertices | top2.vertices,
+    both = Face(top.rank, top.colors, top.vertices | top2.vertices,
                 top.edges | top2.edges)
     own = {(f.rank, f.vertices, f.edges) for f in p.faces}
-    return Polytope(p.rank, _renumbered(
-        [bottom] + [f for f in p.faces if 0 <= f.rank < p.rank]
-        + [g for g in map(shifted, q.faces) if 0 <= g.rank < q.rank
-           and (g.rank, g.vertices, g.edges) not in own] + [both]))
+    return Polytope(p.rank, [bottom] + [f for f in p.faces if 0 <= f.rank < p.rank]
+                    + [g for g in map(shifted, q.faces) if 0 <= g.rank < q.rank
+                       and (g.rank, g.vertices, g.edges) not in own] + [both])
 
 
 def _cube3():
@@ -113,12 +107,11 @@ def _corpus(P, Q, H, cube4, glued):
         out += [p.section(i, j) for i in range(len(p.faces)) for j in ups[i]
                 if p.faces[j].rank - p.faces[i].rank >= 3]
     for p in (P, Q, H):
-        out += [Polytope(p.rank, _renumbered(f for f in p.faces if f.rank != r))
+        out += [Polytope(p.rank, (f for f in p.faces if f.rank != r))
                 for r in range(-1, p.rank + 1)]
         for i in range(len(p.faces)):
-            out.append(Polytope(p.rank, _renumbered(p.faces[:i] + p.faces[i + 1:])))
-            out.append(Polytope(p.rank, _renumbered(
-                p.faces[:i + 1] + p.faces[i:])))
+            out.append(Polytope(p.rank, p.faces[:i] + p.faces[i + 1:]))
+            out.append(Polytope(p.rank, p.faces[:i + 1] + p.faces[i:]))
     return out
 
 
@@ -200,8 +193,8 @@ def test_face_not_above_the_rank_minus_one_face_reported():
     faces += [(1, {9, u, v} | ({10} if u == 0 else set()), ((u, v),))
               for u, v in square]
     faces += [(2, set(range(11)) - {4, 5, 6, 7, 8}, square)]
-    p = Polytope(2, [Face(k, r, frozenset(), frozenset(vs), frozenset(es))
-                     for k, (r, vs, es) in enumerate(faces)])
+    p = Polytope(2, [Face(r, frozenset(), frozenset(vs), frozenset(es))
+                     for r, vs, es in faces])
     assert check_polytopality(p) == [
         "face 5 (rank 0) is not above the rank -1 face"]
     assert _strong_connectivity_by_sections(p) == []
@@ -243,7 +236,7 @@ def test_flag_graph_components_match_networkx(P, Q, H, cube4, glued):
 def _ups_by_fields(p):
     """The faces above each face, in increasing id order, by the incidence
     the Polytope docstring defines on the face fields (not through leq)."""
-    return [frozenset(g.id for g in p.faces if f.rank <= g.rank
+    return [frozenset(k for k, g in enumerate(p.faces) if f.rank <= g.rank
                       and f.vertices <= g.vertices and f.edges <= g.edges)
             for f in p.faces]
 
@@ -367,7 +360,7 @@ def test_first_failing_diamond_is_read_in_flag_order(P):
     # and not the lowest failing rank.
     v0, e0, f0, c0 = P.flag_graph().flags[0]
     v = next(i for i in reversed(P.faces_of_rank(0)) if not P.leq(i, e0))
-    p = Polytope(P.rank, _renumbered(P.faces + (P.faces[f0], P.faces[v])))
+    p = Polytope(P.rank, P.faces + (P.faces[f0], P.faces[v]))
     assert (_flag_graph_or_error(Polytope.flag_graph, p)
             == _flag_graph_or_error(_flag_graph_by_between, p)
             == "diamond fails between faces %d and %d: 3 alternatives" % (e0, c0))
@@ -397,6 +390,13 @@ def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, corpus):
     # every step of the check fails somewhere in the corpus
     assert {"expected", "cover", "diamond", "section"} <= kinds
     assert len(corpus) > 600 and raised > 100
+
+
+def test_json_covers_match_the_scan(P, Q, H):
+    # to_json lists each covering pair [i, j] once, in sorted order
+    for p in (P, Q, H):
+        pairs = sorted([i, j] for i, js in enumerate(_covers_by_scan(p)) for j in js)
+        assert to_json(p)["covers"] == pairs
 
 
 # ------------------------------------------- flags a section borrows

@@ -209,13 +209,13 @@ def _scanned_face_action(p, sigma):
     p.faces for the mapped vertex set and the mapped edge set; ("missing",
     id) for the first face with no image."""
     images = []
-    for f in p.faces:
+    for i, f in enumerate(p.faces):
         vs = frozenset(sigma(v) for v in f.vertices)
         es = frozenset(tuple(sorted((sigma(a), sigma(b)))) for a, b in f.edges)
-        hits = [g.id for g in p.faces
+        hits = [k for k, g in enumerate(p.faces)
                 if g.rank == f.rank and g.vertices == vs and g.edges == es]
         if not hits:
-            return ("missing", f.id)
+            return ("missing", i)
         assert len(hits) == 1
         images.append(hits[0])
     return tuple(images)
@@ -364,7 +364,7 @@ def _paper_chains(p):
 def test_chain_stabilizer_matches_full_face_action(Q, GQ, H, GH, P, AP):
     # the definition: keep the elements whose whole face action fixes
     # every chain face
-    cases = [(Q, GQ, _paper_chains(Q) + [[f.id] for f in Q.faces]),
+    cases = [(Q, GQ, _paper_chains(Q) + [[i] for i in range(len(Q.faces))]),
              (H, GH, _paper_chains(H)),
              (P, AP, _paper_chains(P))]
     for p, G, chains in cases:

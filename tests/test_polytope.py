@@ -19,10 +19,6 @@ def test_face_counts_by_rank(P):
     assert f_vector(P) == (8, 16, 12, 4)
 
 
-def test_face_ids_equal_positions(P):
-    assert all(f.id == i for i, f in enumerate(P.faces))
-
-
 def test_vertices_inherit_graph_labels(P):
     verts = sorted(min(P.faces[i].vertices) for i in P.faces_of_rank(0))
     assert verts == list(range(8))
@@ -58,14 +54,12 @@ def test_polytopality_flags_missing_top(P):
     # a top without one edge leaves the facets through that edge below nothing
     f = P.faces[top]
     edge = min(f.edges)
-    cut = Face(top, 4, f.colors, f.vertices, f.edges - {edge})
+    cut = Face(4, f.colors, f.vertices, f.edges - {edge})
     stranded = [j for j in P.faces_of_rank(3) if edge in P.faces[j].edges]
     assert len(stranded) == 3  # one facet per colour triple through the edge
     got = check_polytopality(Polytope(4, P.faces[:top] + (cut,)))
     assert [d for d in got if "nothing above" in d] == [
         "face %d (rank 3) has nothing above it" % j for j in stranded]
-    with pytest.raises(ValueError, match=r"^face ids must equal positions \(face 0\)$"):
-        Polytope(4, P.faces[1:])
 
 
 def test_improper_coloring_rejected():
@@ -95,11 +89,29 @@ def test_face_index_is_built_on_first_lookup(P):
             ((8, 12, 6), (4, 3), [])
         assert "_index" not in vars(sec)
         # a facet keeps its faces' ranks, so their keys are the parent's
-        for f in sec.faces:
-            assert sec.face_index(f.rank, f.key) == f.id
-            assert P.face_index(f.rank, f.key) == sec._ids[f.id]
+        for k, f in enumerate(sec.faces):
+            assert sec.face_index(f.rank, f.key) == k
+            assert P.face_index(f.rank, f.key) == sec._ids[k]
         assert sec.face_index(0, frozenset({(0, 1)})) is None
         assert "_index" in vars(sec)
+
+
+def test_facet_sections_share_their_parents_faces(P, Q, H):
+    # a facet section keeps its faces' ranks, so it holds its parent's
+    # Face objects; a vertex figure shifts ranks down by one and holds
+    # new faces with the same colours, vertices and edges
+    for p in (P, Q, H):
+        bot, top = p.faces_of_rank(-1)[0], p.faces_of_rank(4)[0]
+        for fid in p.faces_of_rank(3):
+            sec = p.section(bot, fid)
+            assert len(sec.faces) == len(sec._ids) > 0
+            assert all(f is p.faces[i] for f, i in zip(sec.faces, sec._ids))
+        fig = p.section(p.faces_of_rank(0)[0], top)
+        assert len(fig.faces) == len(fig._ids) == 16
+        for f, i in zip(fig.faces, fig._ids):
+            g = p.faces[i]
+            assert f is not g and f.rank == g.rank - 1
+            assert (f.colors, f.vertices, f.edges) == (g.colors, g.vertices, g.edges)
 
 
 def test_vertex_figure_section(P):
@@ -164,17 +176,26 @@ def test_two_face_cycle_rejects_wrong_rank(P):
         two_face_cycle(P, P.faces_of_rank(3)[0])
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    # a cycle 1-2-6 reached by a path 0-9-6 from the least vertex
+    ({0, 1, 2, 6, 9}, {(0, 9), (6, 9), (1, 6), (1, 2), (2, 6)}),
+    ({0, 1, 2}, {(0, 1), (1, 2)}),  # a path
+    ({0, 1, 2, 3, 4, 5}, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}),  # two cycles
+    ({0, 1, 2, 3}, {(0, 1), (1, 2), (0, 2)}),  # a vertex off the cycle
+    ({0}, set()),
+])
+def test_two_face_cycle_rejects_faces_that_are_not_one_cycle(vertices, edges):
+    face = Face(2, frozenset(), frozenset(vertices), frozenset(edges))
+    p = Polytope(2, [face, face])
+    with pytest.raises(ValueError, match=r"^face 1 is not one cycle through its %d vertices$"
+                       % len(vertices)):
+        two_face_cycle(p, 1)
+
+
 def test_petrie_polygons_of_the_quotient(P):
     zigzags = petrie_polygons(P)
     assert len(zigzags) == 24
     assert all(len(z) == 4 for z in zigzags)
-
-
-def test_petrie_polygons_need_rank_four(P):
-    bot = P.faces_of_rank(-1)[0]
-    sec = P.section(bot, P.faces_of_rank(3)[0])
-    with pytest.raises(GraphError):
-        petrie_polygons(sec)
 
 
 def test_octagon_two_faces_of_the_cover(H):
@@ -241,6 +262,33 @@ def test_flag_walks_match_all_flags_oracles(P, Q, H, cube_embedding):
     assert [len(petrie_polygons(p)) for p in (P, Q, H, cube4)] == [24, 24, 36, 24]
 
 
+def test_petrie_polygons_of_sections(P, Q, H):
+    # the walk is rank-generic: on the facets of P, Q and Q-hat, and on
+    # the 2-faces of those facets as sections, it finds what a walk from
+    # every flag finds, and a polygon's one Petrie polygon is itself; a
+    # rank-0 poset has no vertex on its flag to read
+    shapes = set()
+    for p in (P, Q, H):
+        bot = p.faces_of_rank(-1)[0]
+        for fid in p.faces_of_rank(3):
+            sec = p.section(bot, fid)
+            zigzags = petrie_polygons(sec)
+            assert zigzags == _petrie_by_all_flags(sec)
+            shapes.add((p.rank, sec.rank, tuple(map(len, zigzags))))
+            low = sec.faces_of_rank(-1)[0]
+            for k in sec.faces_of_rank(2):
+                polygon = sec.section(low, k)
+                assert (petrie_polygons(polygon) == _petrie_by_all_flags(polygon)
+                        == (two_face_cycle(sec, k),))
+    assert shapes == {(4, 3, (6, 6, 6, 6)), (4, 3, (12, 12, 12, 12))}
+    e = P.faces_of_rank(1)[0]
+    v = next(i for i in P.faces_of_rank(0) if P.leq(i, e))
+    point = P.section(v, e)
+    assert point.rank == 0
+    with pytest.raises(GraphError, match="^petrie walk needs rank at least 1, got rank 0$"):
+        petrie_polygons(point)
+
+
 def test_non_equivelar_prism_has_no_schlafli_type():
     prism = _hexagonal_prism()
     assert check_polytopality(prism) == []
@@ -296,7 +344,7 @@ def _check_colourful_model(p, g):
     edge of colour w[0], and rho_i (i >= 1) swaps w[i-1] and w[i].  Its
     face of rank k is the component of the colours w[:k] through v."""
     n, fg = g.n_colors, p.flag_graph()
-    face = {(f.colors, v): f.id for f in p.faces if 0 <= f.rank < n
+    face = {(f.colors, v): i for i, f in enumerate(p.faces) if 0 <= f.rank < n
             for v in f.vertices}
     nbr = {}
     for u, v, c in g.edges:

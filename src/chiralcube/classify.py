@@ -22,10 +22,9 @@ whose expected value was computed independently rather than quoted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (GraphError, colored_isomorphism, component_labels,
+from .graph import (GraphError, _Record, colored_isomorphism, component_labels,
                     enumerate_matching_colorings, validate)
 from .group import (chain_stabilizer, classify_symmetry,
                     color_respecting_automorphisms, induced_face_action)
@@ -39,19 +38,12 @@ from .polytope import (check_polytopality, f_vector, petrie_polygons,
 DERIVED = "derived"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    key: str
-    claim: str
-    anchor: str
-    expected: object
-    computed: object
-    passed: bool
+class CheckResult(_Record):
+    __slots__ = ("key", "claim", "anchor", "expected", "computed", "passed")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
+class VerificationReport(_Record):
+    __slots__ = ("checks",)
 
     @property
     def passed(self):

@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .graph import (ColoredGraph, GraphError, components_by_colorset,
+from .graph import (ColoredGraph, GraphError, _Record, components_by_colorset,
                     enumerate_matching_colorings)
 from .group import PermutationGroup, VertexPermutation, _by_orbit, _trusted
 from .polytope import canonical_cycle, colourful_polytope, two_face_cycle
@@ -53,8 +52,7 @@ def _near(x, y):
 # ------------------------------------------------------------ matrices
 
 
-@dataclass(frozen=True)
-class IsometryMatrix:
+class IsometryMatrix(_Record):
     """A signed permutation matrix, optionally taken modulo -I.
 
     The matrix sends x to y with y[i] = signs[i] * x[perm[i]]: row i has
@@ -63,19 +61,14 @@ class IsometryMatrix:
     equality mean equality in the quotient group.
     """
 
-    perm: tuple
-    signs: tuple
-    projective: bool = False
+    __slots__ = ("perm", "signs", "projective")
 
-    def __post_init__(self):
-        perm, signs = tuple(self.perm), tuple(self.signs)
+    def __init__(self, perm, signs, projective=False):
+        perm, signs = tuple(perm), tuple(signs)
         if (sorted(perm) != list(range(len(perm))) or len(signs) != len(perm)
                 or any(s not in (1, -1) for s in signs)):
             raise ValueError("not a signed permutation: %r, %r" % (perm, signs))
-        if self.projective:
-            signs = _canonical(signs)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
+        super().__init__(perm, _canonical(signs) if projective else signs, projective)
 
     @staticmethod
     def identity(n=4, projective=False):
@@ -129,13 +122,15 @@ def all_signed_matrices(n=4, projective=False):
     """Every signed permutation matrix of the given dimension, sorted.
 
     384 matrices for n=4, or 192 classes modulo -I; each tuple is built once.
+    Sorted by rows, a row read as s * (n - j) for its sign s in column j.
     """
     key = (n, projective)
     if key not in _SIGNED_MATRICES:
         out = {IsometryMatrix(perm, signs, projective)
                for perm in itertools.permutations(range(n))
                for signs in itertools.product((1, -1), repeat=n)}
-        _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: m.rows))
+        _SIGNED_MATRICES[key] = tuple(sorted(out, key=lambda m: [
+            s * (n - j) for j, s in zip(m.perm, m.signs)]))
     return _SIGNED_MATRICES[key]
 
 
@@ -169,8 +164,7 @@ def rotation_profile(m):
 # ----------------------------------------------------------- embeddings
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(_Record):
     """A colored graph with integer coordinates for its vertices.
 
     Every edge must join vertices differing in exactly one coordinate,
@@ -180,11 +174,10 @@ class EmbeddedGraph:
     for the plain embeddings, a lifted coloring for double covers).
     """
 
-    graph: ColoredGraph
-    coords: tuple  # coords[v] is an integer tuple
-    projective: bool
+    __slots__ = ("graph", "coords", "projective", "_index", "__dict__")  # cached in __dict__
 
-    def __post_init__(self):
+    def __init__(self, graph, coords, projective):
+        super().__init__(graph, coords, projective)
         if len(self.coords) != self.graph.n_vertices:
             raise GraphError("coordinate count does not match vertex count")
         if len({len(x) for x in self.coords}) > 1:

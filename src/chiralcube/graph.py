@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class GraphError(ValueError):
@@ -27,19 +26,57 @@ class GraphError(ValueError):
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class _Record:
+    """A frozen value whose fields are the public names in its __slots__ and its
+    bases'; it compares, hashes and prints as a frozen dataclass of them does."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(f for f in vars(cls).get("__slots__", ()) if f[0] != "_")
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)  # past __setattr__
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, self._fields))
+        for set_field, v in zip(self._setters, values):
+            set_field(self, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is frozen: %r cannot change" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self._values(self) == self._values(other)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % fv for fv in zip(self._fields, self._values(self))))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class ColoredGraph(_Record):
     """A graph with one color per edge.  A coloring of a skeleton is a
     ColoredGraph over the skeleton's edge list, so many colorings of one
     skeleton are enumerated, filtered and compared as graphs."""
 
-    n_vertices: int
-    n_colors: int
-    edges: tuple  # of (u, v, color), u < v, sorted
+    __slots__ = ("n_vertices", "n_colors", "edges")  # edges: (u, v, color), u < v, sorted
 
-    def __post_init__(self):
-        norm, n, k = [], self.n_vertices, self.n_colors
-        for e in self.edges:
+    def __init__(self, n_vertices, n_colors, edges):
+        norm, n, k = [], n_vertices, n_colors
+        for e in edges:
             u, v, c = e
             if u == v:
                 raise GraphError("loop at vertex %d" % u)
@@ -54,7 +91,7 @@ class ColoredGraph:
         if len(set(pairs)) != len(pairs):
             dup = next(p for p in pairs if pairs.count(p) > 1)
             raise GraphError("duplicate edge (%d,%d)" % dup)
-        object.__setattr__(self, "edges", tuple(norm))
+        super().__init__(n_vertices, n_colors, tuple(norm))
 
     # edge_pairs and colors are rebuilt on each read, so that colorings hold
     # no copies; a list comprehension builds them faster than a generator
@@ -130,9 +167,7 @@ def _gather(b):
 def _trusted(n_vertices, n_colors, edges):
     # a ColoredGraph from edges known to be canonical and in range
     g = object.__new__(ColoredGraph)
-    object.__setattr__(g, "n_vertices", n_vertices)
-    object.__setattr__(g, "n_colors", n_colors)
-    object.__setattr__(g, "edges", edges)
+    _Record.__init__(g, n_vertices, n_colors, edges)
     return g
 
 

@@ -16,10 +16,9 @@ orbit structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter, ne
 
-from .graph import _gather, _rooted_search, component_labels
+from .graph import _Record, _gather, _rooted_search, component_labels
 
 
 class NotAnAutomorphismError(ValueError):
@@ -36,12 +35,11 @@ class NotAnAutomorphismError(ValueError):
 # ---------------------------------------------------------------- perms
 
 
-@dataclass(frozen=True)
-class VertexPermutation:
-    images: tuple  # images[x] is the image of point x
+class VertexPermutation(_Record):
+    __slots__ = ("images",)  # images[x] is the image of point x
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+    def __init__(self, images):
+        super().__init__(tuple(images))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("not a bijection: %r" % (self.images,))
 
@@ -222,10 +220,8 @@ def flag_orbits(p, G):
     return tuple(map(tuple, orbits.values()))
 
 
-@dataclass(frozen=True)
-class SymmetryClassification:
-    verdict: str              # "regular" | "chiral" | "neither"
-    orbit_sizes: tuple
+class SymmetryClassification(_Record):
+    __slots__ = ("verdict", "orbit_sizes")  # verdict: "regular" | "chiral" | "neither"
 
 
 def classify_symmetry(p, G):

@@ -21,19 +21,15 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import GraphError, _gather, component_labels, components_by_colorset, validate
+from .graph import (GraphError, _Record, _gather, component_labels,
+                    components_by_colorset, validate)
 from .group import _trusted
 
 
-@dataclass(frozen=True)
-class Face:
-    rank: int
-    colors: frozenset
-    vertices: frozenset
-    edges: frozenset  # endpoint pairs (u, v), u < v
+class Face(_Record):
+    __slots__ = ("rank", "colors", "vertices", "edges")  # edges: pairs (u, v), u < v
 
     @property
     def key(self):
@@ -175,8 +171,7 @@ class _Section(Polytope):
             _gather(kept(fg.rho[i]))(pos) for i in range(lo + 1, hi)))
 
 
-@dataclass(frozen=True)
-class FlagGraph:
+class FlagGraph(_Record):
     """All flags of a polytope with their adjacency involutions, by rank.
 
     A flag is a tuple of proper face ids, one per rank 0..n-1 (improper
@@ -185,9 +180,7 @@ class FlagGraph:
     Schulte, 2B): flag rho[i][j] differs from flag j exactly in rank i.
     """
 
-    flags: tuple
-    index: dict
-    rho: tuple
+    __slots__ = ("flags", "index", "rho")
 
 
 def _bottom_top(p):

@@ -93,6 +93,15 @@ def test_signed_matrix_counts():
     assert dets.count(1) == dets.count(-1) == 192
 
 
+def test_signed_matrices_are_sorted_by_dense_rows():
+    # the build sorts by a sparse key; its order must be that of the rows
+    for n in range(1, 6):
+        for projective in (False, True):
+            ms = all_signed_matrices(n, projective)
+            assert len(ms) == math.factorial(n) * 2 ** (n - projective)
+            assert list(ms) == sorted(ms, key=lambda m: m.rows)
+
+
 def test_orientation_well_defined_projectively():
     for m in all_signed_matrices(projective=True):
         lift = IsometryMatrix(m.perm, m.signs)

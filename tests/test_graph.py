@@ -1,18 +1,22 @@
 """Colored graph container, coloring search, colored isomorphism."""
 
+import copy
+import dataclasses
 import gc
 import itertools
+import pickle
 
 import pytest
 
-from chiralcube.classify import verify_paper
-from chiralcube.geometry import lift_double_cover
-from chiralcube.group import color_respecting_automorphisms
+from chiralcube.classify import CheckResult, VerificationReport, verify_paper
+from chiralcube.geometry import EmbeddedGraph, IsometryMatrix, lift_double_cover
+from chiralcube.group import (SymmetryClassification, VertexPermutation,
+                              color_respecting_automorphisms)
 from chiralcube.graph import (ColoredGraph, GraphError, _gather,
                               colored_isomorphism, components_by_colorset,
                               enumerate_matching_colorings,
                               iter_colored_isomorphisms, validate)
-from chiralcube.polytope import colourful_polytope
+from chiralcube.polytope import Face, FlagGraph, colourful_polytope
 
 
 def six_cycle():
@@ -21,6 +25,99 @@ def six_cycle():
 
 
 # ----------------------------------------------------------- container
+
+
+def _records():
+    """One record of each value type: (record, its field names, values)."""
+    edge = ColoredGraph(2, 1, ((0, 1, 0),))
+    check = CheckResult("k", "a claim", "derived", {1}, [2], False)
+    fg = colourful_polytope(six_cycle()).flag_graph()
+    return [
+        (edge, ("n_vertices", "n_colors", "edges"), (2, 1, ((0, 1, 0),))),
+        (VertexPermutation((1, 0, 2)), ("images",), ((1, 0, 2),)),
+        (SymmetryClassification("chiral", (96, 96)), ("verdict", "orbit_sizes"),
+         ("chiral", (96, 96))),
+        (Face(1, frozenset({0}), frozenset({0, 1}), frozenset({(0, 1)})),
+         ("rank", "colors", "vertices", "edges"),
+         (1, frozenset({0}), frozenset({0, 1}), frozenset({(0, 1)}))),
+        (fg, ("flags", "index", "rho"), (fg.flags, fg.index, fg.rho)),
+        (IsometryMatrix((1, 0), (-1, 1), True), ("perm", "signs", "projective"),
+         ((1, 0), (1, -1), True)),
+        (EmbeddedGraph(edge, ((0, 1), (1, 1)), False), ("graph", "coords", "projective"),
+         (edge, ((0, 1), (1, 1)), False)),
+        (check, ("key", "claim", "anchor", "expected", "computed", "passed"),
+         ("k", "a claim", "derived", {1}, [2], False)),
+        (VerificationReport((check,)), ("checks",), ((check,),)),
+    ]
+
+
+def test_records_behave_as_frozen_dataclasses():
+    # each record is checked against a frozen dataclass of its name and
+    # fields, built here: the program itself imports no dataclasses
+    records = _records()
+    assert len({type(r) for r, _, _ in records}) == 9
+    for r, names, values in records:
+        cls = type(r)
+        oracle = dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)(*values)
+        assert tuple(getattr(r, f) for f in names) == values
+        assert repr(r) == repr(oracle)
+        try:
+            want = hash(oracle)
+        except TypeError:  # a dict, set or list among the fields
+            with pytest.raises(TypeError):
+                hash(r)
+        else:
+            assert hash(r) == want == hash(values)
+        same = cls(*values)
+        assert same == r and not same != r and same is not r
+        assert cls(**dict(zip(names, values))) == r == copy.copy(r) == copy.deepcopy(r)
+        assert pickle.loads(pickle.dumps(r)) == r
+        sub = type("Sub", (cls,), {"__slots__": ()})(*values)
+        assert sub != r and r != sub and r != values and r != oracle
+        for other, _, _ in records:
+            assert (other == r) == (other is r)
+        for name in names + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert tuple(getattr(r, f) for f in names) == values
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values[:1], **{names[0]: values[0]})
+        assert hasattr(r, "__dict__") == (cls is EmbeddedGraph)
+
+
+def test_validating_records_refuse_what_they_refused():
+    with pytest.raises(GraphError, match="loop at vertex 1"):
+        ColoredGraph(2, 1, ((1, 1, 0),))
+    with pytest.raises(GraphError, match="duplicate edge"):
+        ColoredGraph(2, 2, ((0, 1, 0), (1, 0, 1)))
+    with pytest.raises(GraphError, match="out of range"):
+        ColoredGraph(2, 1, ((0, 2, 0),))
+    with pytest.raises(GraphError, match="color 1 out of range"):
+        ColoredGraph(2, 1, ((0, 1, 1),))
+    with pytest.raises(ValueError, match="not a bijection"):
+        VertexPermutation((0, 0, 1))
+    for perm, signs in (((0, 1), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1,))):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            IsometryMatrix(perm, signs)
+    edge = ColoredGraph(2, 1, ((0, 1, 0),))
+    for coords, projective, message in (
+            (((0,),), False, "coordinate count"),
+            (((0,), (1, 1)), False, "unequal length"),
+            (((0, 0), (1, 0)), True, "zero vector"),
+            (((-1, 0), (1, 1)), True, "not canonical"),
+            (((0, 1), (0, 1)), False, "collide"),
+            (((0, 0), (1, 1)), False, "not axis-aligned")):
+        with pytest.raises(GraphError, match=message):
+            EmbeddedGraph(edge, coords, projective)
+    assert IsometryMatrix((1, 0), (-1, 1), True).signs == (1, -1)
+    assert VertexPermutation([2, 0, 1]).images == (2, 0, 1)
 
 
 def test_edges_are_canonicalized():
@@ -220,7 +317,8 @@ def test_enumerated_colorings_equal_validated_graphs(hemi):
     assert len(found) == 576 + 24 + 2 + 1
     for c in found:
         checked = ColoredGraph(c.n_vertices, c.n_colors, c.edges)
-        assert (type(c), vars(c)) == (ColoredGraph, vars(checked))
+        assert (type(c), c.n_vertices, c.n_colors, c.edges) == (
+            ColoredGraph, checked.n_vertices, checked.n_colors, checked.edges)
         assert c == checked and hash(c) == hash(checked)
 
 

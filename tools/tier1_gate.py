@@ -94,6 +94,8 @@ REQUIRED = (
     ("tests.test_classify", "test_twin_rule_from_generators_matches_every_determinant"),
     # every rank-3 base graph reported to the end, none raising
     ("tests.test_classify", "test_rank_three_bases_reported_not_raised"),
+    # a process imports neither numpy nor dataclasses, nor inspect with it
+    ("tests.test_cli", "test_numpy_dataclasses_and_inspect_are_not_imported"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -11,9 +11,9 @@ cover Q-hat, the facet sections of each of those polytopes, and the
 isometry table of each point set.  Any other coloring, a twin with its
 colors renamed among them, and an injected base graph get embeddings of
 their own.
-Each claim becomes one report row with the expected and computed values;
-a failure is recorded in its row, never raised, so the report always
-completes as far as the data allows.
+Each claim becomes one report row with the expected and computed values,
+and passes when they are equal; a failure is recorded in its row, never
+raised, so the report always completes as far as the data allows.
 
 Every row also carries an anchor: the quoted sentence of the source
 construction that the check mechanizes, or the tag "derived" for checks
@@ -39,7 +39,11 @@ DERIVED = "derived"
 
 
 class CheckResult(_Record):
-    __slots__ = ("key", "claim", "anchor", "expected", "computed", "passed")
+    __slots__ = ("key", "claim", "anchor", "expected", "computed")
+
+    @property
+    def passed(self):
+        return self.expected == self.computed
 
 
 class VerificationReport(_Record):
@@ -162,160 +166,160 @@ def verify_paper(*, coloring=None, base_graph=None):
     `base_graph` replaces the direction-colored quotient graph.  With
     the defaults the report must come out all green.
     """
-    checks = []
+    return VerificationReport(tuple(CheckResult(*row) for row in _rows(coloring, base_graph)))
 
-    def add(key, claim, anchor, expected, computed):
-        checks.append(CheckResult(key, claim, anchor, expected, computed,
-                                  expected == computed))
 
-    def fail(key, claim, anchor, expected, err):
-        checks.append(CheckResult(key, claim, anchor, expected,
-                                  "unavailable (%s)" % err, False))
+def _unavailable(err):
+    return "unavailable (%s)" % err
 
-    def report():
-        return VerificationReport(tuple(checks))
 
-    def embedded(key, claim, build):
-        # the embedding build() returns, with the polytopality row of its
-        # polytope, or None with the row failed when either raises GraphError
-        try:
-            e = build()
-            p = e.polytope
-        except GraphError as err:
-            fail(key, claim, DERIVED, [], err)
-            return None
-        add(key, claim, DERIVED, [], check_polytopality(p))
-        return e
+def _polytopal(key, claim, build):
+    """Yields the polytopality row of the embedding build() returns and
+    returns that embedding, or None after a failed row when either
+    raises GraphError."""
+    try:
+        e = build()
+        p = e.polytope
+    except GraphError as err:
+        yield key, claim, DERIVED, [], _unavailable(err)
+        return None
+    yield key, claim, DERIVED, [], check_polytopality(p)
+    return e
 
+
+def _rows(coloring, base_graph):
+    """verify_paper's rows in order, each (key, claim, anchor, expected,
+    computed); they stop where the data cannot go on."""
     # ---------------------------------------------------------- base graph
     e0 = hemicube_embedding()
     g = base_graph if base_graph is not None else e0.graph
-    add("base.graph_valid",
-        "quotient graph is connected, 4-regular, properly 4-colored, matching classes",
-        DERIVED,
-        [], validate(g))
+    yield ("base.graph_valid",
+           "quotient graph is connected, 4-regular, properly 4-colored, matching classes",
+           DERIVED,
+           [], validate(g))
 
     bipartite_claim = ("edge skeleton plus diagonals is complete bipartite "
                        "on the two parities")
     if g.n_vertices != len(e0.coords):
-        fail("base.complete_bipartite", bipartite_claim, DERIVED, True,
-             "%d vertices, %d sign classes" % (g.n_vertices, len(e0.coords)))
+        yield ("base.complete_bipartite", bipartite_claim, DERIVED, True, _unavailable(
+            "%d vertices, %d sign classes" % (g.n_vertices, len(e0.coords))))
     else:
         odd = frozenset(v for v in range(g.n_vertices)
                         if sum(1 for c in e0.coords[v] if c < 0) % 2)
         complete_bipartite = all(
             ((u in odd) != (v in odd)) for u, v, _ in g.edges
         ) and len(g.edges) == len(odd) * (g.n_vertices - len(odd))
-        add("base.complete_bipartite", bipartite_claim, DERIVED,
-            True, complete_bipartite)
+        yield ("base.complete_bipartite", bipartite_claim, DERIVED,
+               True, complete_bipartite)
 
     try:
         e = e0 if base_graph is None else EmbeddedGraph(g, e0.coords, True)
     except GraphError as err:
-        fail("base.embedding", "graph sits on the projective sign classes",
-             DERIVED, True, err)
-        return report()
+        yield ("base.embedding", "graph sits on the projective sign classes",
+               DERIVED, True, _unavailable(err))
+        return
 
     # ------------------------------------------------- the regular polytope
-    if not embedded("p.polytopal", "color components form an abstract 4-polytope",
-                    lambda: e):
-        return report()
+    if (yield from _polytopal("p.polytopal", "color components form an abstract 4-polytope",
+                              lambda: e)) is None:
+        return
     P = e.polytope
-    add("p.f_vector", "8 vertices, 16 edges, 12 squares, 4 facets",
-        DERIVED,
-        (8, 16, 12, 4), f_vector(P))
-    add("p.schlafli", "the quotient polytope has type {4,3,3}",
-        DERIVED,
-        (4, 3, 3), schlafli_type(P))
-    add("p.flag_count", "192 flags", DERIVED, 192, len(P.flag_graph().flags))
+    yield ("p.f_vector", "8 vertices, 16 edges, 12 squares, 4 facets",
+           DERIVED,
+           (8, 16, 12, 4), f_vector(P))
+    yield ("p.schlafli", "the quotient polytope has type {4,3,3}",
+           DERIVED,
+           (4, 3, 3), schlafli_type(P))
+    yield ("p.flag_count", "192 flags", DERIVED, 192, len(P.flag_graph().flags))
 
-    add("p.facets_cubes", "all 4 facets are 3-cubes",
-        "P has 4 facets and each of them is a cube",
-        {((8, 12, 6), (4, 3), True)}, _facet_shapes(e))
+    yield ("p.facets_cubes", "all 4 facets are 3-cubes",
+           "P has 4 facets and each of them is a cube",
+           {((8, 12, 6), (4, 3), True)}, _facet_shapes(e))
 
     AP = color_respecting_automorphisms(g)
-    add("p.autos_order", "192 color-respecting automorphisms",
-        "Recall that P has 192 symmetries.",
-        192, AP.order)
+    yield ("p.autos_order", "192 color-respecting automorphisms",
+           "Recall that P has 192 symmetries.",
+           192, AP.order)
     verdict = classify_symmetry(P, AP).verdict
-    add("p.regular", "flag-transitive under its automorphisms: regular",
-        "the hemi-hypercube {4,3,3}/2 is a regular 4-polytope",
-        "regular", verdict if P.rank == 4 else "%s rank-%d poset" % (verdict, P.rank))
+    yield ("p.regular", "flag-transitive under its automorphisms: regular",
+           "the hemi-hypercube {4,3,3}/2 is a regular 4-polytope",
+           "regular", verdict if P.rank == 4 else "%s rank-%d poset" % (verdict, P.rank))
 
     GP = geometric_symmetry_group(e)
-    add("p.geo_order", "realized with all 192 automorphisms as isometries",
-        "Recall that P has 192 symmetries.",
-        192, GP.order)
-    add("p.geo_reflections", "96 rotations and 96 reflections",
-        DERIVED,
-        (96, 96), _turns(e, GP))
+    yield ("p.geo_order", "realized with all 192 automorphisms as isometries",
+           "Recall that P has 192 symmetries.",
+           192, GP.order)
+    yield ("p.geo_reflections", "96 rotations and 96 reflections",
+           DERIVED,
+           (96, 96), _turns(e, GP))
 
     # -------------------------------------------------- the coloring search
     every = enumerate_matching_colorings(g, up_to_color_permutation=True)
     by_a = [c for c in every if classes_hit_all_directions(e, c)]
     by_b = [c for c in every if squares_see_all_colors(e, c)]
     twins = _chiral_under(e, GP, every)  # the twins by the paper's rule
-    add("colorings.twin_count",
-        "exactly two direction-transversal colorings up to renaming colors",
-        "it admits two chiral colourings",
-        2, len(by_a))
-    add("colorings.filter_transversal",
-        "keeping colorings whose classes meet every direction finds the twins",
-        "each colour has an edge in each direction",
-        True, by_a == twins)
-    add("colorings.filter_squares",
-        "keeping colorings showing all four colors on every square finds the twins",
-        "each 2-face of the regular hemi-hypercube has the four colours",
-        True, bool(twins) and by_b == twins)
-    add("colorings.properties_agree",
-        "the two filters select exactly the same colorings",
-        "any of these properties defines the chiral colourings",
-        True, bool(by_a) and by_a == by_b)
+    yield ("colorings.twin_count",
+           "exactly two direction-transversal colorings up to renaming colors",
+           "it admits two chiral colourings",
+           2, len(by_a))
+    yield ("colorings.filter_transversal",
+           "keeping colorings whose classes meet every direction finds the twins",
+           "each colour has an edge in each direction",
+           True, by_a == twins)
+    yield ("colorings.filter_squares",
+           "keeping colorings showing all four colors on every square finds the twins",
+           "each 2-face of the regular hemi-hypercube has the four colours",
+           True, bool(twins) and by_b == twins)
+    yield ("colorings.properties_agree",
+           "the two filters select exactly the same colorings",
+           "any of these properties defines the chiral colourings",
+           True, bool(by_a) and by_a == by_b)
 
     q_claim = "twin coloring builds an abstract 4-polytope"
     if len(twins) != 2:
-        fail("q.polytopal", q_claim, DERIVED, [], "no twin pair to continue with")
-        return report()
+        yield ("q.polytopal", q_claim, DERIVED, [],
+               _unavailable("no twin pair to continue with"))
+        return
     c_q = coloring if coloring is not None else twins[0]
     c_m = twins[0] if c_q.canonical() == twins[1] else twins[1]
 
     ex = exchanging_isometries(e, twins[0], twins[1])
-    add("colorings.mirror_pair",
-        "the two colorings are mirror images, not directly congruent",
-        "the two enantiomorphic forms of Q",
-        "enantiomorphic", _exchange_verdict(ex))
+    yield ("colorings.mirror_pair",
+           "the two colorings are mirror images, not directly congruent",
+           "the two enantiomorphic forms of Q",
+           "enantiomorphic", _exchange_verdict(ex))
     exd = [d for _, d in ex]
-    add("colorings.exchange_counts",
-        "no rotation and 96 reflections exchange the twins",
-        DERIVED,
-        (0, 96), (exd.count(1), exd.count(-1)))
+    yield ("colorings.exchange_counts",
+           "no rotation and 96 reflections exchange the twins",
+           DERIVED,
+           (0, 96), (exd.count(1), exd.count(-1)))
 
     # ------------------------------------------------------- the chiral twin
-    eq = embedded("q.polytopal", q_claim, lambda: e.recolored(c_q))
+    eq = yield from _polytopal("q.polytopal", q_claim, lambda: e.recolored(c_q))
     if eq is None:
-        return report()
+        return
     Q = eq.polytope
-    add("q.schlafli", "the twin has type {4,3,3}",
-        DERIVED,
-        (4, 3, 3), schlafli_type(Q))
-    add("q.abstractly_regular_poset",
-        "underlying abstract polytope is the same as the regular one",
-        "P and Q are combinatorially isomorphic",
-        True, colored_isomorphism(c_q, g) is not None)
+    yield ("q.schlafli", "the twin has type {4,3,3}",
+           DERIVED,
+           (4, 3, 3), schlafli_type(Q))
+    yield ("q.abstractly_regular_poset",
+           "underlying abstract polytope is the same as the regular one",
+           "P and Q are combinatorially isomorphic",
+           True, colored_isomorphism(c_q, g) is not None)
 
     GQ = geometric_symmetry_group(eq)
-    add("q.geo_order", "the twin keeps exactly 96 isometries",
-        "Q has precisely 96 symmetries",
-        96, GQ.order)
-    add("q.rotations_only", "every surviving isometry preserves orientation",
-        "all 96 orientation preserving elements",
-        (96, 0), _turns(eq, GQ))
+    yield ("q.geo_order", "the twin keeps exactly 96 isometries",
+           "Q has precisely 96 symmetries",
+           96, GQ.order)
+    yield ("q.rotations_only", "every surviving isometry preserves orientation",
+           "all 96 orientation preserving elements",
+           (96, 0), _turns(eq, GQ))
 
     cls_q = classify_symmetry(Q, GQ)
-    add("q.geometrically_chiral",
-        "two flag orbits, adjacent flags always in opposite orbits",
-        "geometrically chiral, with geometrically chiral facets",
-        ("chiral", (96, 96)), (cls_q.verdict, cls_q.orbit_sizes))
+    yield ("q.geometrically_chiral",
+           "two flag orbits, adjacent flags always in opposite orbits",
+           "geometrically chiral, with geometrically chiral facets",
+           ("chiral", (96, 96)), (cls_q.verdict, cls_q.orbit_sizes))
 
     facets, facet_class = [], set()
     for fid, sec in eq._facets:
@@ -325,130 +329,131 @@ def verify_paper(*, coloring=None, base_graph=None):
         facet_class.add((stab.order, c.verdict, c.orbit_sizes))
     face_orbit = component_labels(
         list(zip(*(induced_face_action(Q, p).images for p in GQ.generators))))
-    add("q.facets_transitive", "the isometries permute the 4 facets transitively",
-        DERIVED,
-        1, len({face_orbit[f] for f in facets}))
-    add("q.facets_chiral",
-        "each facet is a chiral polyhedron under its stabilizer of order 24",
-        "geometrically chiral, with geometrically chiral facets",
-        {(24, "chiral", (24, 24))}, facet_class)
+    yield ("q.facets_transitive", "the isometries permute the 4 facets transitively",
+           DERIVED,
+           1, len({face_orbit[f] for f in facets}))
+    yield ("q.facets_chiral",
+           "each facet is a chiral polyhedron under its stabilizer of order 24",
+           "geometrically chiral, with geometrically chiral facets",
+           {(24, "chiral", (24, 24))}, facet_class)
 
     f2 = Q.faces_of_rank(2)[0]
     f3 = next(i for i in facets if Q.leq(f2, i))
     st = chain_stabilizer(Q, GQ, [f2, f3])
     gen_types = sorted({p.cycle_type() for p in st if p.order() == st.order})
-    add("q.stab_square_facet",
-        "a square-in-facet chain has cyclic stabilizer of order 4, acting as two 4-cycles",
-        "(v₀u₀v₁u₁)(u₂v₂u₃v₃)",
-        (4, True, [(4, 4)]), (st.order, st.is_cyclic(), gen_types))
+    yield ("q.stab_square_facet",
+           "a square-in-facet chain has cyclic stabilizer of order 4, acting as two 4-cycles",
+           "(v₀u₀v₁u₁)(u₂v₂u₃v₃)",
+           (4, True, [(4, 4)]), (st.order, st.is_cyclic(), gen_types))
 
     v0 = Q.faces_of_rank(0)[0]
     f3v = next(i for i in facets if Q.leq(v0, i))
     stv = chain_stabilizer(Q, GQ, [v0, f3v])
-    add("q.stab_vertex_facet",
-        "a vertex-in-facet chain has cyclic stabilizer of order 3",
-        "generated by the 3-fold rotation around the edge of Q containing "
-        "the vertex, but not contained on the 3-face",
-        (3, True), (stv.order, stv.is_cyclic()))
+    yield ("q.stab_vertex_facet",
+           "a vertex-in-facet chain has cyclic stabilizer of order 3",
+           "generated by the 3-fold rotation around the edge of Q containing "
+           "the vertex, but not contained on the 3-face",
+           (3, True), (stv.order, stv.is_cyclic()))
 
     e1 = Q.faces_of_rank(1)[0]
     v_in = next(i for i in Q.faces_of_rank(0) if Q.leq(i, e1))
     ste = chain_stabilizer(Q, GQ, [v_in, e1])
-    add("q.stab_edge_pointwise",
-        "fixing an edge with one endpoint leaves a group of order 3",
-        "generated by the 3-fold rotation around that edge",
-        3, ste.order)
+    yield ("q.stab_edge_pointwise",
+           "fixing an edge with one endpoint leaves a group of order 3",
+           "generated by the 3-fold rotation around that edge",
+           3, ste.order)
 
     # ------------------------------------------------- the zigzag exchange
     Qm = e.recolored(c_m).polytope
     p2, q2, m2 = two_face_cycles(P), two_face_cycles(Q), two_face_cycles(Qm)
     pp, pq = petrie_polygons(P), petrie_polygons(Q)
-    add("petrie.q_faces_in_p",
-        "every square of the twin is a zigzag polygon of the regular polytope",
-        "the 2-faces of Q are Petrie polygons of the hemicube P and vice-versa",
-        True, set(q2) <= set(pp))
-    add("petrie.p_faces_in_q",
-        "every square of the regular polytope is a zigzag polygon of the twin",
-        "the 2-faces of Q are Petrie polygons of the hemicube P and vice-versa",
-        True, set(p2) <= set(pq))
-    add("petrie.exchange_structure",
-        "zigzags of each polytope are exactly the squares of the other two",
-        DERIVED,
-        True, set(pp) == set(q2) | set(m2) and set(pq) == set(p2) | set(m2))
+    yield ("petrie.q_faces_in_p",
+           "every square of the twin is a zigzag polygon of the regular polytope",
+           "the 2-faces of Q are Petrie polygons of the hemicube P and vice-versa",
+           True, set(q2) <= set(pp))
+    yield ("petrie.p_faces_in_q",
+           "every square of the regular polytope is a zigzag polygon of the twin",
+           "the 2-faces of Q are Petrie polygons of the hemicube P and vice-versa",
+           True, set(p2) <= set(pq))
+    yield ("petrie.exchange_structure",
+           "zigzags of each polytope are exactly the squares of the other two",
+           DERIVED,
+           True, set(pp) == set(q2) | set(m2) and set(pq) == set(p2) | set(m2))
 
     # --------------------------------------------------- holonomy and lift
-    add("lift.twin_holonomy",
-        "every square of the twin reverses sign around the cover",
-        "The 4-gons of Q lift into 8-gons",
-        {-1}, {cycle_holonomy(e, c) for c in q2})
-    add("lift.regular_holonomy",
-        "every square of the regular polytope lifts to two squares",
-        DERIVED,
-        {1}, {cycle_holonomy(e, c) for c in p2})
+    yield ("lift.twin_holonomy",
+           "every square of the twin reverses sign around the cover",
+           "The 4-gons of Q lift into 8-gons",
+           {-1}, {cycle_holonomy(e, c) for c in q2})
+    yield ("lift.regular_holonomy",
+           "every square of the regular polytope lifts to two squares",
+           DERIVED,
+           {1}, {cycle_holonomy(e, c) for c in p2})
 
     try:  # on a base of degree 3 the four direction colors are no matching coloring
         cube = e.recolored(e.direction_coloring)._cover.polytope
         shape = f_vector(cube), schlafli_type(cube)
     except GraphError as err:
-        shape = "unavailable (%s)" % err
-    add("lift.regular_lift_is_cube",
-        "lifting the direction coloring gives the 4-cube",
-        DERIVED,
-        ((16, 32, 24, 8), (4, 3, 3)), shape)
+        shape = _unavailable(err)
+    yield ("lift.regular_lift_is_cube",
+           "lifting the direction coloring gives the 4-cube",
+           DERIVED,
+           ((16, 32, 24, 8), (4, 3, 3)), shape)
 
-    he = embedded("qhat.polytopal", "lifted coloring builds an abstract 4-polytope",
-                  lambda: eq._cover)
+    he = yield from _polytopal("qhat.polytopal",
+                               "lifted coloring builds an abstract 4-polytope",
+                               lambda: eq._cover)
     if he is None:
-        return report()
+        return
     H = he.polytope
-    add("qhat.schlafli", "the cover has type {8,3,3}",
-        "Q̂ has Schläfli type {8,3,3}",
-        (8, 3, 3), schlafli_type(H))
-    add("qhat.f_vector", "16 vertices, 32 edges, 12 octagons, 4 facets",
-        DERIVED,
-        (16, 32, 12, 4), f_vector(H))
+    yield ("qhat.schlafli", "the cover has type {8,3,3}",
+           "Q̂ has Schläfli type {8,3,3}",
+           (8, 3, 3), schlafli_type(H))
+    yield ("qhat.f_vector", "16 vertices, 32 edges, 12 octagons, 4 facets",
+           DERIVED,
+           (16, 32, 12, 4), f_vector(H))
 
     deck = he.antipode.images
     deck_ok = all(j != i for i, j in enumerate(deck)) and all(
         he.graph.color_of(*sorted((deck[u], deck[v]))) == c for u, v, c in he.graph.edges)
-    add("qhat.deck_map",
-        "the antipodal map is a free color-preserving automorphism of the cover",
-        "Each of the vertices and edges of Q lift to two copies of them",
-        True, deck_ok)
+    yield ("qhat.deck_map",
+           "the antipodal map is a free color-preserving automorphism of the cover",
+           "Each of the vertices and edges of Q lift to two copies of them",
+           True, deck_ok)
 
-    add("qhat.facets",
-        "all 4 facets have 16 vertices, 24 edges, 6 octagons, type {8,3}",
-        "has 16 vertices, 24 edges and 6 faces",
-        {((16, 24, 6), (8, 3), True)}, _facet_shapes(he))
+    yield ("qhat.facets",
+           "all 4 facets have 16 vertices, 24 edges, 6 octagons, type {8,3}",
+           "has 16 vertices, 24 edges and 6 faces",
+           {((16, 24, 6), (8, 3), True)}, _facet_shapes(he))
 
     ranks = {affine_rank([he.coords[v] for v in c]) for c in two_face_cycles(H)}
-    add("qhat.helical_faces", "every octagon face affinely spans all of R^4",
-        "the 2-faces of Q̂ are helices in R⁴",
-        {4}, ranks)
+    yield ("qhat.helical_faces", "every octagon face affinely spans all of R^4",
+           "the 2-faces of Q̂ are helices in R⁴",
+           {4}, ranks)
 
     GH = geometric_symmetry_group(he)
-    add("qhat.geo_order", "the cover keeps exactly 192 isometries",
-        DERIVED,
-        192, GH.order)
-    add("qhat.rotations_only", "every isometry of the cover preserves orientation",
-        DERIVED,
-        (192, 0), _turns(he, GH))
+    yield ("qhat.geo_order", "the cover keeps exactly 192 isometries",
+           DERIVED,
+           192, GH.order)
+    yield ("qhat.rotations_only", "every isometry of the cover preserves orientation",
+           DERIVED,
+           (192, 0), _turns(he, GH))
 
     AH = color_respecting_automorphisms(he.graph)
-    add("qhat.not_regular",
-        "the cover admits fewer automorphisms than the 384 needed for regularity",
-        "Q̂ is not regular",
-        True, AH.order < 384)
-    add("qhat.autos_equal_isometries",
-        "every color-respecting automorphism of the cover is realized geometrically",
-        DERIVED,
-        192, AH.order)
+    yield ("qhat.not_regular",
+           "the cover admits fewer automorphisms than the 384 needed for regularity",
+           "Q̂ is not regular",
+           True, AH.order < 384)
+    yield ("qhat.autos_equal_isometries",
+           "every color-respecting automorphism of the cover is realized geometrically",
+           DERIVED,
+           192, AH.order)
 
     cls_h = classify_symmetry(H, GH)
-    add("qhat.geometrically_chiral",
-        "two flag orbits of 192, adjacent flags always in opposite orbits",
-        "chiral 4-polytope of full rank",
-        ("chiral", (192, 192)), (cls_h.verdict, cls_h.orbit_sizes))
+    yield ("qhat.geometrically_chiral",
+           "two flag orbits of 192, adjacent flags always in opposite orbits",
+           "chiral 4-polytope of full rank",
+           ("chiral", (192, 192)), (cls_h.verdict, cls_h.orbit_sizes))
 
     h2 = H.faces_of_rank(2)[0]
     h3 = next(fid for fid, _ in he._facets if H.leq(h2, fid))
@@ -459,11 +464,9 @@ def verify_paper(*, coloring=None, base_graph=None):
         gen_type = oct_gen.cycle_type()
         profile_ok = (rotation_profile(he.matrix(oct_gen))
                       == (Fraction(1, 4), Fraction(3, 4)))
-    add("qhat.stab_octagon_facet",
-        "an octagon-in-facet chain has a cyclic order-8 stabilizer, two 8-cycles, "
-        "turning by pi/4 in one plane and 3pi/4 in the perpendicular one",
-        "1-step 8-fold rotation followed by a perpendicular 3-step 8-fold rotation",
-        (8, True, (8, 8), True),
-        (st8.order, st8.is_cyclic(), gen_type, profile_ok))
-
-    return report()
+    yield ("qhat.stab_octagon_facet",
+           "an octagon-in-facet chain has a cyclic order-8 stabilizer, two 8-cycles, "
+           "turning by pi/4 in one plane and 3pi/4 in the perpendicular one",
+           "1-step 8-fold rotation followed by a perpendicular 3-step 8-fold rotation",
+           (8, True, (8, 8), True),
+           (st8.order, st8.is_cyclic(), gen_type, profile_ok))

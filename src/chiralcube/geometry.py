@@ -78,13 +78,6 @@ class IsometryMatrix(_Record):
     def dimension(self):
         return len(self.perm)
 
-    @property
-    def rows(self):
-        """The dense matrix, as tuples of ints."""
-        n = len(self.perm)
-        return tuple(tuple(s if j == k else 0 for j in range(n))
-                     for k, s in zip(self.perm, self.signs))
-
     def apply(self, vec):
         return tuple(s * vec[j] for j, s in zip(self.perm, self.signs))
 
@@ -122,7 +115,7 @@ def all_signed_matrices(n=4, projective=False):
     """Every signed permutation matrix of the given dimension, sorted.
 
     384 matrices for n=4, or 192 classes modulo -I; each tuple is built once.
-    Sorted by rows, a row read as s * (n - j) for its sign s in column j.
+    Sorted by their dense rows, a row read as s * (n - j) for its sign s in column j.
     """
     key = (n, projective)
     if key not in _SIGNED_MATRICES:
@@ -296,7 +289,7 @@ class EmbeddedGraph(_Record):
     @cached_property
     def _cover(self):
         # the lift of this coloring, the quotient's being hypercube_embedding();
-        # lift_cycle and off_text read only its coordinates and edges
+        # lift_cycle reads only its coordinates and edges, off_text its polytope
         return lift_double_cover(self)
 
     @cached_property
@@ -566,24 +559,21 @@ def off_text(e, comment=None):
 
     Projective input is exported as its double cover (the only faithful
     way to draw it in R^4), with the antipodal pairing flagged in the
-    header comments.  Faces are the 2-faces as vertex index cycles;
-    coordinates are the exact integer entries.
+    header comments.  Faces are the written embedding's 2-faces as vertex
+    index cycles (a cover's 2-faces are the lifts of e's); coordinates
+    are the exact integer entries.
     """
     lines = ["nOFF", "4"]
     if comment:
         lines.append("# " + comment)
 
-    p = e.polytope
     if e.projective:
-        cycles = sorted({c for fid in p.faces_of_rank(2)
-                         for c in lift_cycle(e, two_face_cycle(p, fid))})
         e = e._cover  # from here on the cover is what is written
         lines.append("# double cover of a projective embedding")
         lines.append("# antipodal pairs: " + " ".join(
             "%d:%d" % (i, j) for i, j in enumerate(e.antipode.images) if i < j))
-    else:
-        cycles = sorted(two_face_cycle(p, fid) for fid in p.faces_of_rank(2))
-
+    p = e.polytope
+    cycles = sorted(two_face_cycle(p, fid) for fid in p.faces_of_rank(2))
     lines.append("%d %d %d" % (len(e.coords), len(cycles), len(e.graph.edges)))
     for x in e.coords:
         lines.append(" ".join("%d" % c for c in x))

@@ -426,7 +426,7 @@ def test_hypercube_base_graph_fails_its_rows(cube_embedding):
 
 def test_failing_rows_render_sets_sorted():
     row = CheckResult("k", "claim", DERIVED, {(2, "b"), (1, "a"), (10, "c")},
-                      frozenset({3, -1}), False)
+                      frozenset({3, -1}))
     text = VerificationReport((row,)).to_text()
     assert "(expected {(1, 'a'), (10, 'c'), (2, 'b')}, got {-1, 3})" in text
 

@@ -99,7 +99,7 @@ def test_signed_matrices_are_sorted_by_dense_rows():
         for projective in (False, True):
             ms = all_signed_matrices(n, projective)
             assert len(ms) == math.factorial(n) * 2 ** (n - projective)
-            assert list(ms) == sorted(ms, key=lambda m: m.rows)
+            assert list(ms) == sorted(ms, key=_dense)
 
 
 def test_orientation_well_defined_projectively():
@@ -107,6 +107,14 @@ def test_orientation_well_defined_projectively():
         lift = IsometryMatrix(m.perm, m.signs)
         flipped = IsometryMatrix(m.perm, tuple(-s for s in m.signs))
         assert lift.det() == flipped.det() == m.det()
+
+
+def _dense(m):
+    """The dense matrix of m, as tuples of ints, read from (perm, signs):
+    row i holds signs[i] in column perm[i] and zeros elsewhere."""
+    n = len(m.perm)
+    return tuple(tuple(s if j == k else 0 for j in range(n))
+                 for k, s in zip(m.perm, m.signs))
 
 
 def _dense_apply(rows, x):
@@ -144,24 +152,24 @@ def test_signed_permutations_match_dense_matrices():
         (pa, sa), (pb, sb) = pair(), pair()
         x = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
         a, b = IsometryMatrix(pa, sa), IsometryMatrix(pb, sb)
-        ident = IsometryMatrix.identity(n).rows
+        ident = _dense(IsometryMatrix.identity(n))
         # rows[i] holds signs[i] in column perm[i] and zeros elsewhere
-        assert all(a.rows[i][j] == (sa[i] if j == pa[i] else 0)
+        assert all(_dense(a)[i][j] == (sa[i] if j == pa[i] else 0)
                    for i in range(n) for j in range(n))
-        assert a.apply(x) == _dense_apply(a.rows, x)
-        assert (a @ b).rows == _dense_product(a.rows, b.rows)
-        assert _dense_product(a.rows, a.inverse().rows) == ident
-        assert _dense_product(a.inverse().rows, a.rows) == ident
-        assert a.det() == _dense_det(a.rows)
+        assert a.apply(x) == _dense_apply(_dense(a), x)
+        assert _dense(a @ b) == _dense_product(_dense(a), _dense(b))
+        assert _dense_product(_dense(a), _dense(a.inverse())) == ident
+        assert _dense_product(_dense(a.inverse()), _dense(a)) == ident
+        assert a.det() == _dense_det(_dense(a))
 
         # modulo -I: a matrix equals its negation, row 0 leads with +1
         neg = tuple(-s for s in sa)
         ap, bp = IsometryMatrix(pa, sa, True), IsometryMatrix(pb, sb, True)
         assert ap == IsometryMatrix(pa, neg, True)
-        assert ap.rows in (a.rows, IsometryMatrix(pa, neg).rows)
-        assert ap.rows[0][pa[0]] == 1
-        prod = _dense_product(a.rows, b.rows)
-        assert (ap @ bp).rows in (prod, tuple(tuple(-v for v in r) for r in prod))
+        assert _dense(ap) in (_dense(a), _dense(IsometryMatrix(pa, neg)))
+        assert _dense(ap)[0][pa[0]] == 1
+        prod = _dense_product(_dense(a), _dense(b))
+        assert _dense(ap @ bp) in (prod, tuple(tuple(-v for v in r) for r in prod))
         assert ap.inverse() == IsometryMatrix(a.inverse().perm,
                                               a.inverse().signs, True)
         if n % 2 == 0:
@@ -175,7 +183,7 @@ def test_det_matches_dense_on_every_signed_matrix():
     for n in range(1, 5):
         for projective in (False, True) if n % 2 == 0 else (False,):
             for m in all_signed_matrices(n, projective):
-                assert m.det() == _dense_det(m.rows)
+                assert m.det() == _dense_det(_dense(m))
 
 
 # ---------------------------------------------------- rotation profile
@@ -219,7 +227,7 @@ def test_exact_profile_matches_numpy_eigenvalues():
     atol = 1e-9
     rotations = reflections = 0
     for m in all_signed_matrices(4):
-        dense = np.array(m.rows, dtype=float)
+        dense = np.array(_dense(m), dtype=float)
         if round(np.linalg.det(dense)) != 1:
             with pytest.raises(ValueError):
                 rotation_profile(m)
@@ -841,6 +849,28 @@ def test_off_export_builds_one_cover(twins, monkeypatch):
     assert len(calls) == 1
 
 
+def test_off_faces_are_the_lifts_of_the_two_faces(hemi, twins):
+    # a projective object is written as its cover, whose 2-faces must be
+    # the lifts of the object's own 2-faces
+    n_faces = []
+    for e in (hemi, hemi.recolored(twins[0]), hemi.recolored(twins[1])):
+        p = e.polytope
+        lifts = sorted({c for fid in p.faces_of_rank(2)
+                        for c in lift_cycle(e, two_face_cycle(p, fid))})
+        lines = off_text(e).splitlines()
+        head = next(i for i, l in enumerate(lines)
+                    if len(l.split()) == 3 and not l.startswith("#"))
+        n_vertices, n_face_lines, _ = map(int, lines[head].split())
+        faces = []
+        for l in lines[head + 1 + n_vertices:]:
+            k, *cycle = map(int, l.split())
+            assert k == len(cycle)
+            faces.append(tuple(cycle))
+        assert faces == lifts and n_face_lines == len(lifts)
+        n_faces.append(len(faces))
+    assert n_faces == [24, 12, 12]
+
+
 def test_off_export_lists_the_antipodal_pairs(hemi):
     lines = off_text(hemi).splitlines()
     head = next(i for i, l in enumerate(lines)
@@ -863,7 +893,7 @@ def _brute_force_scan(e, src, dst):
     for m in all_signed_matrices(e.dimension, e.projective):
         imgs = []
         for x in e.coords:
-            y = _dense_apply(m.rows, x)
+            y = _dense_apply(_dense(m), x)
             if e.projective and next(c for c in y if c != 0) < 0:
                 y = tuple(-c for c in y)
             imgs.append(lookup.get(y))

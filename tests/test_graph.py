@@ -30,7 +30,7 @@ def six_cycle():
 def _records():
     """One record of each value type: (record, its field names, values)."""
     edge = ColoredGraph(2, 1, ((0, 1, 0),))
-    check = CheckResult("k", "a claim", "derived", {1}, [2], False)
+    check = CheckResult("k", "a claim", "derived", {1}, [2])
     fg = colourful_polytope(six_cycle()).flag_graph()
     return [
         (edge, ("n_vertices", "n_colors", "edges"), (2, 1, ((0, 1, 0),))),
@@ -45,8 +45,8 @@ def _records():
          ((1, 0), (1, -1), True)),
         (EmbeddedGraph(edge, ((0, 1), (1, 1)), False), ("graph", "coords", "projective"),
          (edge, ((0, 1), (1, 1)), False)),
-        (check, ("key", "claim", "anchor", "expected", "computed", "passed"),
-         ("k", "a claim", "derived", {1}, [2], False)),
+        (check, ("key", "claim", "anchor", "expected", "computed"),
+         ("k", "a claim", "derived", {1}, [2])),
         (VerificationReport((check,)), ("checks",), ((check,),)),
     ]
 
@@ -90,6 +90,13 @@ def test_records_behave_as_frozen_dataclasses():
         with pytest.raises(TypeError):
             cls(*values[:1], **{names[0]: values[0]})
         assert hasattr(r, "__dict__") == (cls is EmbeddedGraph)
+    # a report row's verdict is read off its values, not stored as a field
+    failing = next(r for r, _, _ in records if type(r) is CheckResult)
+    passing = CheckResult("k", "a claim", "derived", (1, {2}), (1, {2}))
+    assert "passed" not in CheckResult._fields
+    assert (passing.passed, failing.passed) == (True, False)
+    for row in (passing, failing):
+        assert row.passed == (row.expected == row.computed)
 
 
 def test_validating_records_refuse_what_they_refused():

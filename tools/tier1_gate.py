@@ -96,6 +96,8 @@ REQUIRED = (
     ("tests.test_classify", "test_rank_three_bases_reported_not_raised"),
     # a process imports neither numpy nor dataclasses, nor inspect with it
     ("tests.test_cli", "test_numpy_dataclasses_and_inspect_are_not_imported"),
+    # a projective object's OFF faces, against the lifts of its 2-faces
+    ("tests.test_geometry", "test_off_faces_are_the_lifts_of_the_two_faces"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -13,7 +13,15 @@ colors renamed among them, and an injected base graph get embeddings of
 their own.
 Each claim becomes one report row with the expected and computed values,
 and passes when they are equal; a failure is recorded in its row, never
-raised, so the report always completes as far as the data allows.
+raised, so the report always completes as far as the data allows.  A row
+is the five values it compares, yielded in report order by one
+generator, _rows; a value that could not be computed is an
+"unavailable (...)" string (_unavailable), which fails the same
+comparison.  The cube row lifts the base's direction coloring, whatever
+the base's own colors, since a base colored otherwise has a cover that is
+no 4-cube.  The isometries exchanging the twins are scanned once for both
+rows that read them, and the holonomy rows read the 2-face cycles that
+the Petrie rows listed.
 
 Every row also carries an anchor: the quoted sentence of the source
 construction that the check mechanizes, or the tag "derived" for checks

@@ -11,7 +11,7 @@ Q-mirror (its mirror image), Qhat (the double cover of Q in R^4),
 hypercube (the plain 4-cube).
 
 Exit status: 0 on success (for verify: all checks passed), 1 when
-verification fails, 2 on usage errors.
+verification fails, 2 on usage errors, an unwritable --output among them.
 """
 
 from __future__ import annotations
@@ -38,11 +38,14 @@ def _make(name):
 
 
 def _emit(text, output):
-    if output:
+    if not output:
+        return sys.stdout.write(text)
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:  # a usage error: one line and status 2, as argparse's
+        sys.stderr.write("chiralcube: error: cannot write %s: %s\n" % (output, err.strerror))
+        raise SystemExit(2)
 
 
 def _dump_json(data):
@@ -131,10 +134,8 @@ def cmd_colorings(args):
 
 def cmd_verify(args):
     report = verify_paper()
-    if args.format == "json":
-        _emit(_dump_json(report.to_json()), args.output)
-    else:
-        _emit(report.to_text(), args.output)
+    _emit(_dump_json(report.to_json()) if args.format == "json" else report.to_text(),
+          args.output)
     return 0 if report.passed else 1
 
 

@@ -28,7 +28,15 @@ class GraphError(ValueError):
 
 class _Record:
     """A frozen value whose fields are the public names in its __slots__ and its
-    bases'; it compares, hashes and prints as a frozen dataclass of them does."""
+    bases'; it compares, hashes and prints as a frozen dataclass of them does.
+
+    Fields are set once in __init__; assigning or deleting one raises
+    AttributeError, and a copy or pickle rebuilds the record through its
+    constructor.  The package's nine value types are records; only
+    EmbeddedGraph has an instance __dict__, for its cached properties.  The
+    package does not import dataclasses, which would pull in inspect, ast,
+    dis and tokenize at the start of every process, so dataclasses.fields,
+    asdict and replace do not apply to records."""
 
     __slots__ = ()
     _fields = ()
@@ -160,7 +168,10 @@ class ColoredGraph(_Record):
 
 def _gather(b):
     """a -> (a[b[0]], a[b[1]], ...) in C, p * b if a is p's images; below
-    two indices itemgetter raises or returns a bare item, so a tuple is built."""
+    two indices itemgetter raises or returns a bare item, so a tuple is built.
+    Every product of image tuples and every hot gather by positions goes
+    through it; face images and the flag graph's diamond and index lookups
+    keep map, as tuple hashing bounds them and gathers made them no faster."""
     return itemgetter(*b) if len(b) > 1 else lambda a: tuple(a[i] for i in b)
 
 
@@ -234,7 +245,9 @@ def component_labels(adj):
     """label[x]: the least point reachable from point x, where adj[x]
     lists the points one step from x.  Points are 0..len(adj)-1, and
     reachability must be symmetric: undirected edges, or the generators
-    of a finite group, whose orbits are then the components."""
+    of a finite group, whose orbits are then the components.  It is the
+    one component and orbit walk: color-subset components, flag orbits
+    and flag-connected sections all read it."""
     label = [None] * len(adj)
     for s in range(len(adj)):
         if label[s] is None:
@@ -360,6 +373,7 @@ def _rooted_search(g1, g2):
 
     # the tree maps its own edges; as the sizes agree and g2 is properly
     # colored, an injective map is an isomorphism when the others map too
+    # (9 of the quotient's 16 edges, 17 of a cover's 32)
     in_tree = {(x, y) if x < y else (y, x) for x, _, y in tree}
     rest = [(u, c, v) for u, v, c in g1.edges if (u, v) not in in_tree]
     used = sorted({c for _, _, c in g1.edges})

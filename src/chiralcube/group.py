@@ -63,7 +63,9 @@ class VertexPermutation(_Record):
 
     def cycles(self):
         """Disjoint cycles (fixed points included), each starting at its
-        least point, sorted by starting point."""
+        least point, sorted by starting point.  The package's one cycle
+        walk: Schlafli types, Petrie polygons, determinants and rotation
+        profiles read it."""
         im, out = self.images, []
         seen = [False] * len(im)
         for x in range(len(im)):

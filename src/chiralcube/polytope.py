@@ -60,7 +60,9 @@ class Polytope:
         return tuple(self._by_rank.get(r, ()))
 
     def face_index(self, rank, key):
-        """Id of the face of this rank whose Face.key is key, or None."""
+        """Id of the face of this rank whose Face.key is key, or None.  The
+        index of unique keys is built on the first lookup, so a poset that
+        never looks a face up, as most sections do not, builds no key."""
         return self._index.get((rank, key))
 
     @cached_property
@@ -126,7 +128,9 @@ class _Section(Polytope):
     faces if bottom has rank -1 (a facet, say), else copies with ranks
     shifted.  An interval is convex, so its order record is the parent's,
     renumbered, and so are its flags: _tables and _flag_graph read each
-    off the parent's on first use."""
+    off the parent's on first use.  Every check of check_polytopality,
+    schlafli_type and classify_symmetry still runs on the section's own
+    faces."""
 
     def __init__(self, parent, bottom, top):
         self._parent, fs = parent, parent.faces

@@ -16,7 +16,9 @@ squares of the other two.  The zigzag set of P is also kept by P's
 orientation-reversing symmetries, and these swap Q with its mirror
 (criterion 9), so it cannot single out one twin.  The test asserts the
 containments, this exact accounting, and the partition of the 4-cycles
-counted straight from the graph's edges.
+counted straight from the graph's edges.  The report rows
+petrie.q_faces_in_p, petrie.p_faces_in_q and petrie.exchange_structure
+check the same statements.
 """
 
 import itertools

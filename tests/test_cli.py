@@ -145,6 +145,19 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["object"] == "P"
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # exit 2 and one "chiralcube: error:" line, as for any usage error;
+    # exit 1 is kept for a verification that fails
+    target = str(tmp_path / "no" / "such" / "dir" / "p.off")
+    for argv in (["build", "P"], ["export", "P"], ["verify"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--output", target])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert err.startswith("chiralcube: error: ") and err.count("\n") == 1
+        assert target in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -204,6 +204,10 @@ def test_face_not_above_the_rank_minus_one_face_reported():
 
 
 def test_strong_connectivity_matches_section_oracle(corpus):
+    """check_polytopality's strong flag connectivity step, a component
+    count per pair of ranks lo < hi at least 3 apart, against the
+    section-by-section algorithm it replaced, over the corpus; the
+    corpus is built once, in a module fixture, for three oracles."""
     reached = failing = 0
     for p in corpus:
         got = check_polytopality(p)
@@ -367,6 +371,13 @@ def test_first_failing_diamond_is_read_in_flag_order(P):
 
 
 def test_diamond_table_matches_between_oracle(P, Q, Qm, H, cube4, corpus):
+    """The diamond table, the flag graph (or the error it raises) and the
+    whole diagnostic list of check_polytopality, against the face-by-
+    face scans the table replaced; on the corpus also the faces above
+    each face and the covers of each face, in their iteration order.
+    The oracle reads containment from each face's rank, vertex set and
+    edge set, not through leq, which reads the table under test; leq is
+    compared with it on every pair of faces."""
     for p in (P, Q, Qm, H, cube4):
         assert (_flag_graph_or_error(Polytope.flag_graph, p)
                 == _flag_graph_or_error(_flag_graph_by_between, p))

@@ -136,6 +136,9 @@ def _dense_det(rows):
 
 
 def test_signed_permutations_match_dense_matrices():
+    """IsometryMatrix products, inverses, application and determinants on
+    (perm, signs) pairs, Euclidean and modulo -I, against dense matrices
+    built in the test, over random pairs of dimension 1 to 6."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -534,6 +537,11 @@ def test_isometry_table_matches_dense_walk(hemi, cover, cube_embedding, cube):
 
 
 def test_isometry_tables_walk_only_the_factors(monkeypatch):
+    """With the table store emptied, the tables of the quotient and its
+    cover walk only the sign and permutation factors, and every later
+    embedding on either point set (the quotient again, with one edge
+    recolored or dropped, each twin's lift and the 4-cube) reads the
+    very same table objects."""
     import chiralcube.geometry as geometry
     calls = []
 
@@ -632,6 +640,8 @@ def test_holonomy_invariance(hemi, Q):
 
 
 def test_regular_lift_is_the_hypercube(hemi, cube):
+    """hypercube_embedding() is the lift of the direction coloring, so the
+    lift is compared with a 4-cube built in the test."""
     lifted, built = lift_double_cover(hemi, hemi.direction_coloring), cube(4, False)
     assert lifted.graph == built.graph
     assert lifted.coords == built.coords
@@ -1056,6 +1066,11 @@ def _hadamard_isometries(points):
 
 def test_isometries_from_hadamard_frames_match_the_report(
         hemi, twins, cover, cube_embedding, GP, GQ, GH):
+    """The report's isometry rows, against isometries found without
+    presuming signed permutation matrices (see _hadamard_isometries):
+    the orders, rotation and reflection counts and element sets of P, Q
+    and its mirror (on sign classes), Q-hat and the 4-cube, and the
+    isometries that exchange the twins."""
     points = cover.coords
     assert points == cube_embedding.coords
     found = _hadamard_isometries(points)

@@ -536,6 +536,10 @@ def k4():
 
 
 def test_propagation_matches_backtracking_oracle(hemi, cube_embedding):
+    """Colored isomorphisms found by propagation, witness for witness and
+    in order, against a vertex-by-vertex backtracking search, on small
+    graphs, improper and non-injective cases, the quotient, the 4-cube
+    and every coloring class with its lift."""
     base = hemi.graph
     cube = lift_double_cover(hemi, hemi.direction_coloring).graph
     renamed = base.recolored(base.permuted({0: 2, 1: 3, 2: 0, 3: 1}))
@@ -581,6 +585,10 @@ def test_isomorphism_needs_connected_properly_colored_source():
 
 
 def test_relabelled_copies_match_the_oracle(hemi):
+    """Randomly relabelled copies (vertices and colors) of the coloring
+    classes and their lifts: the relabelling is found, the witnesses are
+    as many as the automorphisms, and they equal the backtracking
+    search's."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     base = hemi.graph

@@ -100,6 +100,10 @@ def _order_by_powers(p):
 
 
 def test_cycles_match_set_walk():
+    """cycles(), the one permutation-cycle walk, with cycle_type() and
+    order(), against a walk that keeps its visited points in a set and
+    against repeated products, on seeded random permutations of degree 0
+    to 12."""
     rng = random.Random(16)
     for n in range(13):
         for _ in range(25):
@@ -415,6 +419,9 @@ def _greedy_generators(images, degree):
 
 
 def test_constructor_matches_greedy_closure(AP, GQ, GH):
+    """A group's elements are the breadth-first span of its generators, and
+    its generators are the greedy ones: each element, in sorted order,
+    outside the span of those before it."""
     for G in (AP, GQ, GH,
               PermutationGroup([VertexPermutation.identity(3)])):
         images = [p.images for p in G.elements]

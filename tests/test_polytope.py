@@ -251,6 +251,10 @@ def _hexagonal_prism():
 
 
 def test_flag_walks_match_all_flags_oracles(P, Q, H, cube_embedding):
+    """schlafli_type reads the cycles of rho_(i-1) rho_i and
+    petrie_polygons those of rho_(n-1) ... rho_0, each composed from
+    whole permutations; both against walks from every flag, on P, Q,
+    Q-hat and the 4-cube, and the Schlafli types of their facets."""
     cube4 = colourful_polytope(cube_embedding.graph)
     for p in (P, Q, H, cube4):
         assert schlafli_type(p) == _schlafli_by_all_flags(p)
@@ -290,6 +294,8 @@ def test_petrie_polygons_of_sections(P, Q, H):
 
 
 def test_non_equivelar_prism_has_no_schlafli_type():
+    """The hexagonal prism, with squares and hexagons for 2-faces, is
+    polytopal but has no Schlafli type."""
     prism = _hexagonal_prism()
     assert check_polytopality(prism) == []
     assert f_vector(prism) == (12, 18, 8)

@@ -98,6 +98,10 @@ REQUIRED = (
     ("tests.test_cli", "test_numpy_dataclasses_and_inspect_are_not_imported"),
     # a projective object's OFF faces, against the lifts of its 2-faces
     ("tests.test_geometry", "test_off_faces_are_the_lifts_of_the_two_faces"),
+    # the README's example and CLI lines run, its criteria name their tests
+    ("tests.test_readme", "test_readme_examples_run_and_criteria_name_their_tests"),
+    # an --output that cannot be opened is a usage error, not a traceback
+    ("tests.test_cli", "test_unwritable_output_is_a_usage_error"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

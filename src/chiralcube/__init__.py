@@ -10,35 +10,41 @@ produces a finite 4-polytope with helical octagonal faces whose full
 symmetry group contains no reflection.
 This package builds all of these objects and mechanically verifies every
 combinatorial and geometric claim about them.
+
+The public names resolve on first read (PEP 562): `import chiralcube`
+imports no submodule, and reading a name imports its module and returns
+the name bound there, which is not stored here.
 """
 
-import types as _types
-
-from .graph import (ColoredGraph, GraphError, colored_isomorphism,
-                    components_by_colorset, enumerate_matching_colorings,
-                    iter_colored_isomorphisms, validate)
-from .group import (NotAnAutomorphismError, PermutationGroup,
-                    SymmetryClassification, VertexPermutation,
-                    chain_stabilizer, classify_symmetry,
-                    color_respecting_automorphisms, flag_orbits,
-                    induced_face_action)
-from .polytope import (Face, FlagGraph, Polytope, canonical_cycle,
-                       check_polytopality, colourful_polytope, f_vector,
-                       petrie_polygons, schlafli_type, two_face_cycle,
-                       two_face_cycles)
-from .geometry import (EmbeddedGraph, IsometryMatrix, affine_rank,
-                       all_signed_matrices, classes_hit_all_directions,
-                       cycle_holonomy, derive_chiral_colorings,
-                       exchanging_isometries, geometric_symmetry_group,
-                       hemicube_embedding, hypercube_embedding, lift_cycle,
-                       lift_double_cover, off_text, rotation_profile,
-                       squares_see_all_colors, vertex_permutation)
-from .classify import (CheckResult, VerificationReport, enantiomorph_check,
-                       verify_paper)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-# the public names are those imported above: no module, nothing private
-__all__ = sorted(name for name, obj in globals().items()
-                 if not name.startswith("_")
-                 and not isinstance(obj, _types.ModuleType))
+# each public name, by the module that defines it
+_HOMES = {name: module for module, names in (
+    ("graph", "ColoredGraph GraphError colored_isomorphism components_by_colorset"
+              " enumerate_matching_colorings iter_colored_isomorphisms validate"),
+    ("group", "NotAnAutomorphismError PermutationGroup SymmetryClassification VertexPermutation"
+              " chain_stabilizer classify_symmetry color_respecting_automorphisms"
+              " flag_orbits induced_face_action"),
+    ("polytope", "Face FlagGraph Polytope canonical_cycle check_polytopality colourful_polytope"
+                 " f_vector petrie_polygons schlafli_type two_face_cycle two_face_cycles"),
+    ("geometry", "EmbeddedGraph IsometryMatrix affine_rank all_signed_matrices"
+                 " classes_hit_all_directions cycle_holonomy derive_chiral_colorings"
+                 " exchanging_isometries geometric_symmetry_group hemicube_embedding"
+                 " hypercube_embedding lift_cycle lift_double_cover off_text rotation_profile"
+                 " squares_see_all_colors vertex_permutation"),
+    ("classify", "CheckResult VerificationReport enantiomorph_check verify_paper"),
+) for name in names.split()}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(_importlib.import_module("." + _HOMES[name], __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 
-from .classify import verify_paper
 from .geometry import (classes_hit_all_directions, hemicube_embedding, off_text,
                        squares_see_all_colors)
 from .graph import enumerate_matching_colorings
@@ -49,7 +48,29 @@ def _emit(text, output):
 
 
 def _dump_json(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) + "\n", byte for byte, for
+    dicts, lists and tuples of str, int, float, bool and None, but each list
+    of plain ints in one join (the stdlib's indenting encoder is pure Python
+    and writes item by item).  A dict key that is not a str raises TypeError."""
+    quote = json.encoder.encode_basestring_ascii
+    literal = {None: "null", True: "true", False: "false"}
+
+    def dump(x, pad):
+        if x is None or type(x) is bool:
+            return literal[x]
+        if isinstance(x, str):
+            return quote(x)
+        inner = pad + "  "
+        if isinstance(x, dict) and x:
+            return "{" + inner + ("," + inner).join([
+                quote(k) + ": " + dump(v, inner) for k, v in sorted(x.items())]) + pad + "}"
+        if isinstance(x, (list, tuple)) and x:
+            items = (map(str, x) if all(type(v) is int for v in x)
+                     else [dump(v, inner) for v in x])
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return json.dumps(x)  # an int, a float (NaN, Infinity as json writes them), [] or {}
+
+    return dump(data, "\n") + "\n"
 
 
 def _build_text(name, e):
@@ -133,6 +154,8 @@ def cmd_colorings(args):
 
 
 def cmd_verify(args):
+    from .classify import verify_paper  # the one verb that reads classify
+
     report = verify_paper()
     _emit(_dump_json(report.to_json()) if args.format == "json" else report.to_text(),
           args.output)

@@ -36,7 +36,6 @@ import itertools
 import math
 from collections import namedtuple
 from functools import cached_property
-from fractions import Fraction
 
 from .graph import (ColoredGraph, GraphError, _Record, components_by_colorset,
                     enumerate_matching_colorings)
@@ -152,6 +151,7 @@ def rotation_profile(m):
     ValueError for projective, orientation-reversing or non-4x4 input,
     where the profile is not defined.
     """
+    from fractions import Fraction  # here, so build, export and colorings never import it
     if m.projective:
         raise ValueError("rotation angles are sign-ambiguous projectively")
     if m.dimension != 4 or m.det() != 1:

@@ -284,7 +284,10 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
     m = len(pairs)
     # one (u, v, c) per edge and color, shared by every coloring found
     triples = [[(u, v, c) for c in range(k)] for u, v in pairs]
-    used = [set() for _ in range(g.n_vertices)]  # colors present at vertex
+    # the (color, bit) pairs free at an edge, by the color bitmask of its ends
+    free = [[(c, 1 << c) for c in range(k) if not mask >> c & 1]
+            for mask in range(1 << k)]
+    used = [0] * g.n_vertices  # bit c: color c present at the vertex
     chosen = [None] * m  # the triple of each edge so far
     out = []
 
@@ -293,16 +296,16 @@ def enumerate_matching_colorings(g, *, up_to_color_permutation=False):
             out.append(_trusted(g.n_vertices, k, tuple(chosen)))
             return
         u, v = pairs[i]
-        limit = min(k, next_new + 1) if up_to_color_permutation else k
-        for c in range(limit):
-            if c in used[u] or c in used[v]:
-                continue
+        limit = next_new + 1 if up_to_color_permutation else k
+        for c, bit in free[used[u] | used[v]]:
+            if c >= limit:
+                break
             chosen[i] = triples[i][c]
-            used[u].add(c)
-            used[v].add(c)
+            used[u] |= bit
+            used[v] |= bit
             extend(i + 1, max(next_new, c + 1))
-            used[u].remove(c)
-            used[v].remove(c)
+            used[u] ^= bit
+            used[v] ^= bit
 
     extend(0, 0)
     del extend  # the closure refers to itself: break the cycle, free its cells now

@@ -218,7 +218,7 @@ def test_filter_rows_fail_when_a_property_keeps_one_class_more(hemi, monkeypatch
         with monkeypatch.context() as m:
             for mod in [chiralcube] + [v for k, v in sys.modules.items()
                                        if k.startswith("chiralcube.")]:
-                if getattr(mod, name, None) is prop:
+                if vars(mod).get(name) is prop:  # bound there, not resolved on read
                     m.setattr(mod, name, keeps_one_more)
             passed = {c.key: c.passed for c in verify_paper().checks}
         assert [passed[r] for r in rows.values()] == [r != row for r in rows.values()]

@@ -1,18 +1,18 @@
 """Command line behavior: verbs, formats, exit codes, byte stability."""
 
-import ast
+import functools
 import inspect
 import json
 import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 import chiralcube
+from chiralcube import cli
 from chiralcube.cli import main
 
 
@@ -173,44 +173,141 @@ def test_output_is_byte_stable(capsys):
     assert a == b
 
 
-def test_numpy_dataclasses_and_inspect_are_not_imported():
-    # -X importtime lists every module a process imports, on stderr.  The
-    # CLI imports every module at start, so build reads the same imports
-    # as verify, with an exit status that no report row decides.  numpy is
-    # an optional test oracle; dataclasses would pull in inspect, ast, dis
-    # and tokenize before a process's first line of work
+@functools.lru_cache(maxsize=None)
+def _imports(*argv):
+    """(exit status, imported module names) of a fresh `python ARGV`.
+    -X importtime lists every module a process imports, on stderr."""
     env = dict(os.environ, PYTHONPATH=str(
         Path(chiralcube.__file__).resolve().parents[1]))
-    for argv in (["-c", "import chiralcube"],
-                 ["-m", "chiralcube.cli", "build", "Qhat"]):
-        run = subprocess.run([sys.executable, "-X", "importtime"] + argv,
-                             env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        imported = {line.rsplit("|", 1)[-1].strip()
-                    for line in run.stderr.splitlines()
-                    if line.startswith("import time:")}
+    run = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         env=env, capture_output=True, text=True)
+    return run.returncode, frozenset(
+        line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+        if line.startswith("import time:"))
+
+
+MODULES = ("classify", "geometry", "graph", "group", "polytope")
+
+
+def test_numpy_dataclasses_and_inspect_are_not_imported():
+    # a verify process and a read of verify_paper import all five modules;
+    # verify's exit status, which report rows decide, is not read beyond
+    # "not a usage error".  numpy is an optional test oracle; dataclasses
+    # would pull in inspect, ast, dis and tokenize before a process's
+    # first line of work
+    for argv in (("-c", "import chiralcube; chiralcube.verify_paper"),
+                 ("-m", "chiralcube.cli", "verify")):
+        code, imported = _imports(*argv)
+        assert code in (0, 1)
         assert "chiralcube.geometry" in imported
         assert not {m for m in imported
                     if m.split(".")[0] in ("numpy", "dataclasses", "inspect")}
 
 
+def test_cold_verbs_import_only_the_modules_they_read():
+    # names resolve on first read, and only verify reads classify (and
+    # with it fractions and decimal); a bare import reads no name at all
+    code, imported = _imports("-c", "import chiralcube")
+    assert code == 0 and "chiralcube" in imported
+    assert not {m for m in imported if m.startswith("chiralcube.")}
+    for verb in (("build", "Qhat", "--format", "json"), ("export", "Qhat"),
+                 ("colorings",)):
+        code, imported = _imports("-m", "chiralcube.cli", *verb)
+        assert code == 0
+        assert {m for m in imported if m.startswith("chiralcube.")} == {
+            "chiralcube." + m for m in MODULES if m != "classify"}
+        assert not imported & {"fractions", "decimal"}
+    code, imported = _imports("-m", "chiralcube.cli", "verify")
+    assert code in (0, 1)
+    assert {"chiralcube." + m for m in MODULES} | {"fractions"} <= imported
+
+
+# the public names, each defined in one of the five modules
+PUBLIC = (
+    "CheckResult", "ColoredGraph", "EmbeddedGraph", "Face", "FlagGraph",
+    "GraphError", "IsometryMatrix", "NotAnAutomorphismError",
+    "PermutationGroup", "Polytope", "SymmetryClassification",
+    "VerificationReport", "VertexPermutation", "affine_rank",
+    "all_signed_matrices", "canonical_cycle", "chain_stabilizer",
+    "check_polytopality", "classes_hit_all_directions", "classify_symmetry",
+    "color_respecting_automorphisms", "colored_isomorphism",
+    "colourful_polytope", "components_by_colorset", "cycle_holonomy",
+    "derive_chiral_colorings", "enantiomorph_check",
+    "enumerate_matching_colorings", "exchanging_isometries", "f_vector",
+    "flag_orbits", "geometric_symmetry_group", "hemicube_embedding",
+    "hypercube_embedding", "induced_face_action", "iter_colored_isomorphisms",
+    "lift_cycle", "lift_double_cover", "off_text", "petrie_polygons",
+    "rotation_profile", "schlafli_type", "squares_see_all_colors",
+    "two_face_cycle", "two_face_cycles", "validate", "verify_paper",
+    "vertex_permutation")
+
+
 def test_star_import_binds_the_names_the_package_imports():
-    # __all__ is derived from the package namespace; the names it must
-    # hold are read from the relative imports in the package's source
-    tree = ast.parse(Path(chiralcube.__file__).read_text())
-    froms = [node for node in tree.body
-             if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert sorted(node.module for node in froms) == [
-        "classify", "geometry", "graph", "group", "polytope"]
-    imported = {a.asname or a.name for node in froms for a in node.names}
+    # each public name is the object of that name in its home module, read
+    # there on every access and never stored in the package, so it stays
+    # bound in one place (a tracer that rebinds it there is seen here)
+    assert len(PUBLIC) == 48 and list(PUBLIC) == sorted(PUBLIC)
+    assert chiralcube.__all__ == list(PUBLIC)
     bound = {}
     exec("from chiralcube import *", bound)
     del bound["__builtins__"]
-    assert set(bound) == imported and len(bound) == 48
-    assert all(isinstance(x, type) or inspect.isfunction(x)
-               for x in bound.values())
-    assert not any(isinstance(x, types.ModuleType) for x in bound.values())
-    assert "ModuleType" not in bound
+    assert sorted(bound) == list(PUBLIC)
+    for name, x in bound.items():
+        assert isinstance(x, type) or inspect.isfunction(x)
+        assert x.__module__ in {"chiralcube." + m for m in MODULES}
+        assert getattr(sys.modules[x.__module__], name) is x
+        assert getattr(chiralcube, name) is x
+    assert not set(PUBLIC) & set(vars(chiralcube))
+    assert set(PUBLIC) <= set(dir(chiralcube))
+    with pytest.raises(AttributeError,
+                       match=r"^module 'chiralcube' has no attribute 'nope'$"):
+        chiralcube.nope
+    with pytest.raises(ImportError):
+        exec("from chiralcube import nope", {})
+
+
+def test_dump_json_writes_the_bytes_of_json_dumps(capsys, monkeypatch):
+    """_dump_json against json.dumps(x, indent=2, sort_keys=True) + "\\n"
+    on nested str-keyed dicts, lists and tuples (empty ones included) of
+    big and negative ints, bools, None, floats (NaN and the infinities)
+    and strings that need escapes or are not ASCII; then on the document
+    of every JSON command of the CLI.  A key that is not a str is refused."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def reference(x):
+        return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+    text = st.text(max_size=6) | st.sampled_from(
+        ['"', "\\", "\n\t\x00\x7f", "\u2028", "caf\u00e9", "\U0001f600", ""])
+    ints = st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    leaves = (st.none() | st.booleans() | ints | st.floats() | text
+              | st.lists(ints, max_size=6))
+    values = st.recursive(leaves, lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(text, kids, max_size=4)), max_leaves=16)
+
+    @hyp.settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @hyp.given(values)
+    def check(x):
+        assert cli._dump_json(x) == reference(x)
+
+    check()
+    for x in ([float("nan"), float("inf"), -float("inf"), -0.0, 1e300], [],
+              {}, [[], {}, ()], [1, True, None], [2 ** 200, -7], {"a": [0, False]}):
+        assert cli._dump_json(x) == reference(x)
+    for bad in ({1: 2}, {None: 0}, {"a": {(1,): 2}}, {1: 0, "a": 1}):
+        with pytest.raises(TypeError):
+            cli._dump_json(bad)
+
+    dump, seen = cli._dump_json, []
+    monkeypatch.setattr(cli, "_dump_json", lambda data: seen.append(data) or dump(data))
+    for argv in ([["build", name] for name in cli.OBJECTS]
+                 + [["colorings"], ["colorings", "--up-to-color-permutation"],
+                    ["verify", "--format", "json"]]):
+        main(argv)
+        assert capsys.readouterr().out == reference(seen[-1])
+    assert len(seen) == 8
 
 
 def test_test_extra_names_every_optional_test_dependency():

@@ -329,6 +329,70 @@ def test_enumerated_colorings_equal_validated_graphs(hemi):
         assert c == checked and hash(c) == hash(checked)
 
 
+def _perfect_matchings(g):
+    """Every perfect matching of g's skeleton, as a frozenset of edge
+    positions: the least unmatched vertex is matched along each of its
+    edges in turn."""
+    at = [[] for _ in range(g.n_vertices)]
+    for i, (u, v) in enumerate(g.edge_pairs):
+        at[u].append((i, v))
+        at[v].append((i, u))
+    out = []
+
+    def walk(matched, chosen):
+        x = next((x for x in range(g.n_vertices) if x not in matched), None)
+        if x is None:
+            out.append(frozenset(chosen))
+            return
+        for i, y in at[x]:
+            if y not in matched:
+                walk(matched | {x, y}, chosen + [i])
+
+    walk(frozenset(), [])
+    return out
+
+
+def _disjoint_matching_tuples(g, canonical):
+    """The ordered k-tuples (k = g.n_colors) of pairwise disjoint perfect
+    matchings of g, each as the color tuple that gives edge i color j when
+    the j-th matching holds it, sorted.  With canonical, only the tuples
+    whose j-th matching holds the least edge outside the ones before it,
+    one per renaming class of colors."""
+    matchings = _perfect_matchings(g)
+    m = len(g.edge_pairs)
+    out = []
+
+    def grow(chosen, covered):
+        if len(chosen) == g.n_colors:
+            colors = [None] * m
+            for j, matching in enumerate(chosen):
+                for i in matching:
+                    colors[i] = j
+            out.append(tuple(colors))
+            return
+        least = min(set(range(m)) - covered)
+        for matching in matchings:
+            if not matching & covered and (least in matching or not canonical):
+                grow(chosen + [matching], covered | matching)
+
+    grow([], frozenset())
+    return sorted(out)
+
+
+def test_colorings_are_the_tuples_of_disjoint_perfect_matchings(hemi, cube_embedding):
+    # the search, in lexicographic color order, against a separate one:
+    # perfect matchings first, then tuples of disjoint ones
+    # (the smallest graph first: a search that lets colors repeat at a
+    # vertex grows much larger on the others)
+    for g, canonical, count in ((six_cycle(), False, 2), (six_cycle(), True, 1),
+                                (hemi.graph, False, 576), (hemi.graph, True, 24),
+                                (cube_embedding.graph, True, 1840)):
+        found = [c.colors for c in
+                 enumerate_matching_colorings(g, up_to_color_permutation=canonical)]
+        assert len(found) == count
+        assert found == _disjoint_matching_tuples(g, canonical)
+
+
 def test_search_rejects_wrong_regularity():
     path = ColoredGraph(3, 2, ((0, 1, 0), (1, 2, 1)))
     with pytest.raises(GraphError):

@@ -102,6 +102,12 @@ REQUIRED = (
     ("tests.test_readme", "test_readme_examples_run_and_criteria_name_their_tests"),
     # an --output that cannot be opened is a usage error, not a traceback
     ("tests.test_cli", "test_unwritable_output_is_a_usage_error"),
+    # build, export and colorings compile neither classify nor fractions
+    ("tests.test_cli", "test_cold_verbs_import_only_the_modules_they_read"),
+    # the CLI's JSON writer (hypothesis), against json.dumps byte for byte
+    ("tests.test_cli", "test_dump_json_writes_the_bytes_of_json_dumps"),
+    # colorings by bitmask search, against tuples of disjoint perfect matchings
+    ("tests.test_graph", "test_colorings_are_the_tuples_of_disjoint_perfect_matchings"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 

@@ -287,7 +287,9 @@ class EmbeddedGraph(_Record):
     @cached_property
     def _facets(self):
         # (id, section) for each facet of the polytope, a face of rank n - 1;
-        # held here, not by the polytope, whose sections would point back
+        # held here, where the report reads them: a poset builds no section
+        # unasked.  The report first reads them after the polytope's flag
+        # graph is built, so each facet takes its flags from it
         p = self.polytope
         bottom = p.faces_of_rank(-1)[0]
         return tuple((fid, p.section(bottom, fid)) for fid in p.faces_of_rank(p.rank - 1))

@@ -13,7 +13,8 @@ diagnosed.  check_polytopality reports exactly what fails.  The flag
 machinery (flag graph, Schlafli symbol, Petrie polygons) requires the
 diamond condition and raises where it breaks.  A flag graph is the
 involutions rho_0..rho_{n-1} of flag positions, built and read a rank
-at a time; a section reads its tables and flags off its parent's.
+at a time.  A section is a poset of the same type, handed its parent's
+order record and, for a facet, its parent's flags when it is built.
 """
 
 from __future__ import annotations
@@ -107,11 +108,38 @@ class Polytope:
         return ups, cov, dia
 
     def section(self, bottom, top):
-        """The interval [bottom, top] as a polytope in its own right, with
-        face ranks shifted so the bottom face gets rank -1 (see _Section)."""
+        """The interval [bottom, top] as a polytope in its own right, its
+        faces in id order: this poset's own if bottom has rank -1 (a facet,
+        say), else copies with ranks shifted so that bottom gets rank -1.
+        An interval is convex, so its order record is this poset's,
+        renumbered.  A facet of a poset that holds its flag graph takes the
+        flags through it, cut below it, with rho_0..rho_{n-2}; any other
+        section builds its own flags on first use.  Every check of
+        check_polytopality, schlafli_type and classify_symmetry still runs
+        on the section's own faces."""
         if not self.leq(bottom, top):
             raise ValueError("bottom %d is not below top %d" % (bottom, top))
-        return _Section(self, bottom, top)
+        fs, (ups, covers, diamonds) = self.faces, self._tables
+        ids = sorted(i for i in ups[bottom] if top in ups[i])
+        new, shift, hi = {i: k for k, i in enumerate(ids)}, fs[bottom].rank + 1, fs[top].rank
+        faces = map(fs.__getitem__, ids)
+        sec = Polytope(hi - shift, (Face(f.rank - shift, f.colors, f.vertices, f.edges)
+                                    for f in faces) if shift else faces)
+        sub = [frozenset(sorted(map(new.get, ups[i] & new.keys()))) for i in ids]
+        sec._tables = sub, [tuple(k for k in up if ids[k] in covers[i])
+                            for i, up in zip(ids, sub)], {
+            (a, b): [new[m] for m in diamonds[i, ids[b]]]
+            for a, (i, up) in enumerate(zip(ids, sub))
+            for b in up if fs[ids[b]].rank == fs[i].rank + 2}
+        fg = vars(self).get("_flag_graph")  # a facet of rank 0 up takes its flags
+        if fg and not shift and 0 <= hi == self.rank - 1:
+            keep = [j for j, fl in enumerate(fg.flags) if fl[hi] == top]
+            if keep:
+                pos, kept = {j: k for k, j in enumerate(keep)}, _gather(keep)
+                flags = tuple(tuple(map(new.__getitem__, fl[:hi])) for fl in kept(fg.flags))
+                sec._flag_graph = FlagGraph(flags, {fl: k for k, fl in enumerate(flags)},
+                                            tuple(_gather(kept(r))(pos) for r in fg.rho[:hi]))
+        return sec
 
     # ----------------------------------------------------------- flags
 
@@ -121,58 +149,6 @@ class Polytope:
 
     def flag_graph(self):
         return self._flag_graph
-
-
-class _Section(Polytope):
-    """An interval of parent, its faces in id order: the parent's own
-    faces if bottom has rank -1 (a facet, say), else copies with ranks
-    shifted.  An interval is convex, so its order record is the parent's,
-    renumbered, and so are its flags: _tables and _flag_graph read each
-    off the parent's on first use.  Every check of check_polytopality,
-    schlafli_type and classify_symmetry still runs on the section's own
-    faces."""
-
-    def __init__(self, parent, bottom, top):
-        self._parent, fs = parent, parent.faces
-        self._ids = sorted(i for i in parent._ups[bottom] if top in parent._ups[i])
-        self._new, shift = {i: k for k, i in enumerate(self._ids)}, fs[bottom].rank + 1
-        faces = map(fs.__getitem__, self._ids)
-        super().__init__(fs[top].rank - shift, (
-            Face(f.rank - shift, f.colors, f.vertices, f.edges) for f in faces)
-            if shift else faces)
-
-    @cached_property
-    def _tables(self):
-        p, ids, new, fs = self._parent, self._ids, self._new, self.faces
-        ups = [frozenset(sorted(map(new.get, p._ups[i] & new.keys()))) for i in ids]
-        return ups, [tuple(k for k in up if ids[k] in p._covers[i])
-                     for i, up in zip(ids, ups)], {
-            (a, b): [new[m] for m in p._diamonds[i, ids[b]]]
-            for a, (i, up) in enumerate(zip(ids, ups))
-            for b in up if fs[b].rank == fs[a].rank + 2}
-
-    @cached_property
-    def _flag_graph(self):
-        """The parent's flags through both ends b and t with the rest (faces
-        outside ranks lo..hi) of the first, cut to the ranks between, and
-        their rho_i: each chain b..t completes that rest to a parent flag.
-        Built afresh if the parent holds no flag graph or no such flag."""
-        b, t = map(self._ids.__getitem__, _bottom_top(self))  # raises as afresh
-        p, new = self._parent, self._new
-        fg, lo, hi = vars(p).get("_flag_graph"), p.faces[b].rank, p.faces[t].rank
-        held = fg.flags if fg else ()
-        # ranks -1..n, padded with b and t: the parent's ends if lo = -1 or hi = n
-        chain = [(b,) * len(held), *zip(*held), (t,) * len(held)]
-        rests = list(zip(*chain[:lo + 2], *chain[hi + 1:]))
-        rest = next((r for r in rests if r[lo + 1:lo + 3] == (b, t)), None)
-        if rest is None:
-            return _build_flag_graph(self)
-        keep = [j for j, r in enumerate(rests) if r == rest]
-        pos, kept = {j: k for k, j in enumerate(keep)}, _gather(keep)
-        flags = tuple(zip(*(_gather(kept(chain[i + 1]))(new)
-                            for i in range(lo + 1, hi)))) or ((),) * len(keep)
-        return FlagGraph(flags, {fl: k for k, fl in enumerate(flags)}, tuple(
-            _gather(kept(fg.rho[i]))(pos) for i in range(lo + 1, hi)))
 
 
 class FlagGraph(_Record):

@@ -148,7 +148,7 @@ def test_cubes_sharing_a_vertex_fail_at_its_vertex_figure():
 
 
 def test_section_tables_match_fresh_build(P, Q, H, cube4):
-    # a section inherits its order tables from its parent; they must be
+    # a section is handed its order tables by its parent; they must be
     # those of the same faces built afresh, iteration orders included
     n = 0
     for p in (P, Q, H, cube4):
@@ -172,11 +172,12 @@ def test_section_faces_below_rank_one_are_keyed_by_vertices(Q):
     # only facet sections (shift 0) may reuse their parent's keys.
     v, top = Q.faces_of_rank(0)[0], Q.faces_of_rank(4)[0]
     sec = Q.section(v, top)
+    ids = sorted(i for i in range(len(Q.faces)) if Q.leq(v, i) and Q.leq(i, top))
     edges = [e for e in Q.faces_of_rank(1) if Q.leq(v, e)]
     assert len(edges) == 4 and len(sec.faces_of_rank(0)) == 4
     for e in edges:
         (u, w), = Q.faces[e].edges
-        k = sec._new[e]
+        k = ids.index(e)
         assert Q.face_index(1, frozenset({(u, w)})) == e
         assert sec.face_index(0, frozenset({(u, u), (w, w)})) == k
         assert sec.face_index(0, frozenset({(u, w)})) is None
@@ -410,21 +411,22 @@ def test_json_covers_match_the_scan(P, Q, H):
         assert to_json(p)["covers"] == pairs
 
 
-# ------------------------------------------- flags a section borrows
+# ------------------------------------------- flags a facet takes
 
 
 def test_section_flag_graphs_match_fresh_build(P, Q, H, cube4, corpus, monkeypatch):
-    # A section borrows the flags of its parent's flag graph that share one
-    # rest outside its ranks, with rho restricted and renumbered.  They must
-    # be the flags, index and rho_i that _build_flag_graph finds on the same
-    # faces built afresh, all in order; where that build raises, the section
-    # must raise the same.  Checked on every interval of P, Q, Q-hat, the
-    # 4-cube and each corpus poset whose flag graph builds, sections of
-    # sections among them.  A poset whose flag graph raises lends nothing:
-    # its sections build their own, checked here on its whole intervals.
-    afresh = []  # sections that built their own flag graph
-    monkeypatch.setattr(polytope, "_build_flag_graph", lambda p: afresh.append(
-        isinstance(p, polytope._Section)) or _build_flag_graph(p))
+    # A facet [rank -1 face, face F of rank n - 1] takes the flags of its
+    # parent's flag graph through F, with rho_i restricted and renumbered.
+    # Every section's flags must be the flags, index and rho_i that
+    # _build_flag_graph finds on the same faces built afresh, all in order;
+    # where that build raises, the section must raise the same.  Checked
+    # on every interval of P, Q, Q-hat, the 4-cube and each corpus poset
+    # whose flag graph builds, sections of sections among them.  A poset
+    # whose flag graph raises lends nothing: its sections build their own,
+    # checked here on its whole intervals.
+    built = []  # the posets whose flag graph was built
+    monkeypatch.setattr(polytope, "_build_flag_graph", lambda p: built.append(
+        p) or _build_flag_graph(p))
     fresh = functools.cache(lambda rank, faces: _flag_graph_or_error(
         _build_flag_graph, Polytope(rank, faces)))
 
@@ -435,20 +437,23 @@ def test_section_flag_graphs_match_fresh_build(P, Q, H, cube4, corpus, monkeypat
         assert got == want
         if not isinstance(got, str):
             assert list(got[1].items()) == list(want[1].items())  # index order
-        return isinstance(got, str)
+        return sec, isinstance(got, str)
 
     intervals = raised = 0
     for p in (P, Q, H, cube4, *corpus):
-        fg, before = _flag_graph_or_error(Polytope.flag_graph, p), sum(afresh)
+        fg = _flag_graph_or_error(Polytope.flag_graph, p)
         if isinstance(fg, str):
-            raised += sum(check(p, i, j) for i in p.faces_of_rank(-1)
+            raised += sum(check(p, i, j)[1] for i in p.faces_of_rank(-1)
                           for j in p.faces_of_rank(p.rank) if p.leq(i, j))
             continue
-        n = sum(not check(p, i, j) for i in range(len(p.faces)) for j in p._ups[i])
-        # every face of these posets lies on a flag, if any flag exists,
-        # so every section borrows unless its parent has no flags
-        assert sum(afresh) - before == (0 if fg[0] else n)
-        intervals += n
+        built.clear()
+        checked = [(i, j, *check(p, i, j)) for i in range(len(p.faces)) for j in p._ups[i]]
+        # exactly the facets with a flag through them take the parent's flags
+        lent = {fl[-1] for fl in fg[0] if fl}
+        assert [sec for i, j, sec, _ in checked
+                if not (p.faces[i].rank == -1 and j in lent)] == built
+        assert not any(r for *_, r in checked)
+        intervals += len(checked)
         if p is cube4:
             assert intervals == 2052
     assert (intervals, raised) == (26218, 300)

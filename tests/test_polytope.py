@@ -3,10 +3,11 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
-from chiralcube.graph import ColoredGraph, GraphError
+from chiralcube.graph import ColoredGraph, GraphError, components_by_colorset, validate
 from chiralcube.polytope import (Face, Polytope, canonical_cycle,
                                  check_polytopality, colourful_polytope,
                                  f_vector, petrie_polygons, schlafli_type,
@@ -79,19 +80,25 @@ def test_sections_of_facets_are_cubes(P):
         assert check_polytopality(sec) == []
 
 
+def _interval(p, bottom, top):
+    """The ids of p's faces between bottom and top, increasing."""
+    return [i for i in range(len(p.faces)) if p.leq(bottom, i) and p.leq(i, top)]
+
+
 def test_face_index_is_built_on_first_lookup(P):
     # a facet section finds its shape without looking a face up, so it
     # builds no face key; face_index then answers as its parent does
     bot = P.faces_of_rank(-1)[0]
     for fid in P.faces_of_rank(3):
         sec = P.section(bot, fid)
+        ids = _interval(P, bot, fid)
         assert (f_vector(sec), schlafli_type(sec), check_polytopality(sec)) == \
             ((8, 12, 6), (4, 3), [])
         assert "_index" not in vars(sec)
         # a facet keeps its faces' ranks, so their keys are the parent's
         for k, f in enumerate(sec.faces):
             assert sec.face_index(f.rank, f.key) == k
-            assert P.face_index(f.rank, f.key) == sec._ids[k]
+            assert P.face_index(f.rank, f.key) == ids[k]
         assert sec.face_index(0, frozenset({(0, 1)})) is None
         assert "_index" in vars(sec)
 
@@ -103,12 +110,13 @@ def test_facet_sections_share_their_parents_faces(P, Q, H):
     for p in (P, Q, H):
         bot, top = p.faces_of_rank(-1)[0], p.faces_of_rank(4)[0]
         for fid in p.faces_of_rank(3):
-            sec = p.section(bot, fid)
-            assert len(sec.faces) == len(sec._ids) > 0
-            assert all(f is p.faces[i] for f, i in zip(sec.faces, sec._ids))
-        fig = p.section(p.faces_of_rank(0)[0], top)
-        assert len(fig.faces) == len(fig._ids) == 16
-        for f, i in zip(fig.faces, fig._ids):
+            sec, ids = p.section(bot, fid), _interval(p, bot, fid)
+            assert len(sec.faces) == len(ids) > 0
+            assert all(f is p.faces[i] for f, i in zip(sec.faces, ids))
+        v = p.faces_of_rank(0)[0]
+        fig, ids = p.section(v, top), _interval(p, v, top)
+        assert len(fig.faces) == len(ids) == 16
+        for f, i in zip(fig.faces, ids):
             g = p.faces[i]
             assert f is not g and f.rank == g.rank - 1
             assert (f.colors, f.vertices, f.edges) == (g.colors, g.vertices, g.edges)
@@ -381,3 +389,73 @@ def test_flag_graphs_match_the_colourful_model(P, Q, H, hemi, twins, cover,
               for n in (3, 4, 5) for projective in (False, True)]
     assert [_check_colourful_model(p, g) for p, g in pairs] == [
         192, 192, 384, 384, 48, 24, 384, 192, 3840, 1920]
+
+
+def _random_matchings(rng, n_vertices, n_colors, tries=100):
+    """n_colors pairwise disjoint perfect matchings on n_vertices vertices,
+    coloured 0, 1, ... in turn; each is a shuffled vertex list paired off,
+    drawn again while it shares an edge with an earlier one.  None if a
+    colour finds no such matching in tries draws."""
+    used, edges = set(), []
+    for c in range(n_colors):
+        for _ in range(tries):
+            vs = rng.sample(range(n_vertices), n_vertices)
+            m = {tuple(sorted(vs[k:k + 2])) for k in range(0, n_vertices, 2)}
+            if not m & used:
+                break
+        else:
+            return None
+        used |= m
+        edges += [(u, v, c) for u, v in m]
+    return ColoredGraph(n_vertices, n_colors, edges)
+
+
+def test_random_colourful_graphs_are_polytopes():
+    # The colourful poset of a connected graph whose n colours are pairwise
+    # disjoint perfect matchings is an abstract n-polytope, whose flags are
+    # the colourful model's: |V|.n! of them (_check_colourful_model).  On
+    # random such graphs, far from the paper's objects: polytopality, the
+    # model, and the order tables and flags of every facet, of the first
+    # facet's facets and so on down to rank -1, against the same faces
+    # built afresh, iteration and index orders included.  One edge deleted
+    # or recoloured must be refused with a GraphError, by validate and by
+    # colourful_polytope.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    sizes = [(n, m) for n in (2, 3, 4) for m in range(4, 17, 2) if m > n]
+
+    @hyp.settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @hyp.given(st.sampled_from(sizes), st.integers(0, 2 ** 32), st.data())
+    def check(size, seed, data):
+        n, m = size
+        g = _random_matchings(random.Random(seed), m, n)
+        hyp.assume(g is not None and len(components_by_colorset(g, range(n))) == 1)
+        assert validate(g) == []
+        p = colourful_polytope(g)
+        assert check_polytopality(p) == []
+        assert _check_colourful_model(p, g) == m * math.factorial(n)
+        bottom = p.faces_of_rank(-1)[0]
+        while p.rank >= 0:
+            facets = [p.section(bottom, f) for f in p.faces_of_rank(p.rank - 1)]
+            for sec in facets:
+                fresh = Polytope(sec.rank, sec.faces)
+                assert [list(u) for u in sec._ups] == [list(u) for u in fresh._ups]
+                assert sec._covers == fresh._covers
+                assert list(sec._diamonds.items()) == list(fresh._diamonds.items())
+                got, want = sec.flag_graph(), fresh.flag_graph()
+                assert got == want
+                assert list(got.index.items()) == list(want.index.items())
+            p = facets[0]
+            bottom = p.faces_of_rank(-1)[0]
+
+        edges = list(g.edges)
+        k = data.draw(st.integers(0, len(edges) - 1))
+        shift = data.draw(st.integers(0, n - 1))  # 0 deletes the edge
+        u, v, c = edges.pop(k)
+        h = ColoredGraph(g.n_vertices, n, edges + [(u, v, (c + shift) % n)] * (shift > 0))
+        assert validate(h)
+        with pytest.raises(GraphError):
+            colourful_polytope(h)
+
+    check()

@@ -60,7 +60,7 @@ REQUIRED = (
     ("tests.test_polytope", "test_flag_walks_match_all_flags_oracles"),
     # signed permutations and determinants (hypothesis), against dense ones
     ("tests.test_geometry", "test_signed_permutations_match_dense_matrices"),
-    # order tables a section inherits, against its faces built afresh
+    # order tables a section is handed by its parent, against a fresh build
     ("tests.test_flag_connectivity", "test_section_tables_match_fresh_build"),
     # colorings the search builds unvalidated, against validated ones
     ("tests.test_graph", "test_enumerated_colorings_equal_validated_graphs"),
@@ -80,7 +80,7 @@ REQUIRED = (
     ("tests.test_geometry", "test_isometry_tables_are_keyed_by_points_and_projective"),
     # the report, byte-identical with cold and warm isometry tables
     ("tests.test_classify", "test_report_is_the_same_with_cold_and_warm_isometry_tables"),
-    # the flag graph a section borrows from its parent, against a fresh one
+    # flags a facet takes from its parent, and all others, against fresh builds
     ("tests.test_flag_connectivity", "test_section_flag_graphs_match_fresh_build"),
     # the rotation groups' orders and chirality, from presentations (sympy)
     ("tests.test_group", "test_presentations_certify_the_rotation_groups"),
@@ -108,6 +108,10 @@ REQUIRED = (
     ("tests.test_cli", "test_dump_json_writes_the_bytes_of_json_dumps"),
     # colorings by bitmask search, against tuples of disjoint perfect matchings
     ("tests.test_graph", "test_colorings_are_the_tuples_of_disjoint_perfect_matchings"),
+    # random colourful graphs (hypothesis) are polytopes with |V|.n! flags
+    ("tests.test_polytope", "test_random_colourful_graphs_are_polytopes"),
+    # the summary arithmetic of paired benchmark runs, on fixed numbers
+    ("tests.test_pair", "test_summary_arithmetic_on_fixed_numbers"),
 )
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
